@@ -171,7 +171,7 @@ def problem_from_json(obj) -> ProblemFile:
         raise ParseError("problem file needs 'field' and 'n'")
     spec = parse_field_descriptor(obj["field"])
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError("'n' must be a positive integer")
     present = [v for v in INPUT_VARIANTS if v in obj]
     if len(present) != 1:
@@ -233,7 +233,7 @@ def load_problem(path: str) -> tuple[ProblemFile, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an over-long integer
         raise ParseError(f"invalid JSON in {path}: {exc}")
     return problem_from_json(obj), digest
 

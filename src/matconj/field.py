@@ -21,8 +21,15 @@ from .errors import DivisionByZero, FieldMismatch, ParseError
 # 3_317_044_064_679_887_385_961_981 (in particular the full 64-bit range).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
+# Moduli must lie below this bound, where is_prime is proven deterministic.
+MODULUS_BOUND = 2**64
+
+# Longest digit string accepted for one integer in a scalar; CPython's default
+# limit on int/str conversion, so parsing never reaches that ValueError.
+MAX_SCALAR_DIGITS = 4300
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 RawValue = Union[Fraction, int]
 
@@ -61,7 +68,8 @@ class FieldSpec:
     """Selector for one of the two supported exact field families.
 
     ``modulus`` is present exactly when ``kind`` is PRIME_FIELD, and must be
-    prime (checked at construction).
+    a prime below ``MODULUS_BOUND`` = 2**64 (checked at construction), the
+    range in which :func:`is_prime` is deterministic.
     """
 
     kind: FieldKind
@@ -71,6 +79,11 @@ class FieldSpec:
         if self.kind is FieldKind.PRIME_FIELD:
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise ValueError("prime field needs an integer modulus >= 2")
+            if self.modulus >= MODULUS_BOUND:
+                raise ValueError(
+                    f"a {self.modulus.bit_length()}-bit modulus is outside the "
+                    "supported range p < 2**64"
+                )
             if not is_prime(self.modulus):
                 raise ValueError(f"modulus {self.modulus} is not prime")
         elif self.modulus is not None:
@@ -141,6 +154,7 @@ class FieldSpec:
 
         Rationals: ``"num/den"`` or a bare integer string (``"-3/4"``, ``"7"``).
         Prime fields: a decimal integer string, reduced to its residue.
+        Digits are ASCII only, at most ``MAX_SCALAR_DIGITS`` per integer.
         """
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, got {type(text).__name__}")
@@ -148,9 +162,13 @@ class FieldSpec:
         if self.is_prime_field:
             if not _INTEGER_RE.fullmatch(s):
                 raise ParseError(f"invalid GF({self.modulus}) scalar: {text!r}")
+            if len(s) > MAX_SCALAR_DIGITS:
+                _check_digit_count(s)
             return FieldElement(self, int(s) % self.modulus)
         if not _RATIONAL_RE.fullmatch(s):
             raise ParseError(f"invalid rational scalar: {text!r}")
+        if len(s) > MAX_SCALAR_DIGITS:
+            _check_digit_count(s)
         if "/" in s:
             num, den = s.split("/")
             if int(den) == 0:
@@ -167,13 +185,27 @@ class FieldSpec:
         return "Q"
 
 
+def _check_digit_count(s: str) -> None:
+    """Reject a matched scalar string with an over-long integer part.
+
+    Callers skip the call when ``len(s) <= MAX_SCALAR_DIGITS``, since no
+    part can then be too long; that keeps the common path free of it.
+    """
+    longest = max(len(part) for part in s.lstrip("+-").split("/"))
+    if longest > MAX_SCALAR_DIGITS:
+        raise ParseError(
+            f"scalar has an integer of {longest} digits; "
+            f"at most {MAX_SCALAR_DIGITS} are accepted"
+        )
+
+
 def rationals() -> FieldSpec:
     """The field of arbitrary-precision rationals."""
     return FieldSpec(FieldKind.RATIONALS)
 
 
 def prime_field(p: int) -> FieldSpec:
-    """The prime field GF(p); ``p`` must be prime."""
+    """The prime field GF(p); ``p`` must be a prime below 2**64."""
     return FieldSpec(FieldKind.PRIME_FIELD, p)
 
 

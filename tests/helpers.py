@@ -47,6 +47,23 @@ def leibniz_det(m: Matrix):
     return total
 
 
+def full_multiplicativity(images, n: int) -> bool:
+    """Whether phi(E_ij) phi(E_kl) = delta_jk phi(E_il) for all n^4 basis pairs.
+
+    ``images`` maps 1-based (i, j) to phi(E_ij).  This is the exhaustive check
+    that ``AutomorphismOracle.validate`` reduces to 2n^2 generator products.
+    """
+    zero = Matrix.zero(images[(1, 1)].spec, n, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    expected = images[(i, l)] if j == k else zero
+                    if naive_mul(images[(i, j)], images[(k, l)]) != expected:
+                        return False
+    return True
+
+
 def random_scalar(spec: FieldSpec, rng, bound: int = 5):
     if spec.is_prime_field:
         return spec.element(rng.randrange(spec.modulus))

@@ -1,6 +1,7 @@
 """Oracle backings, query accounting, and automorphism-axiom validation."""
 
 import random
+import re
 import threading
 from fractions import Fraction
 
@@ -19,10 +20,12 @@ from matconj import (
     shift_matrix,
 )
 
-from helpers import naive_mul, random_dense
+from helpers import full_multiplicativity, naive_mul, random_dense, random_scalar
 
 QQ = rationals()
 GF7 = prime_field(7)
+GF2 = prime_field(2)
+GF3 = prime_field(3)
 
 
 def transpose_table(spec, n):
@@ -251,6 +254,94 @@ def test_validate_scaled_map_not_unital():
     assert not report.unital_ok
     assert not report.multiplicative_ok
     assert report.bijective_ok
+
+
+_PRODUCT_VIOLATION = re.compile(
+    r"image\((\d+),(\d+)\) \* image\((\d+),(\d+)\) is not "
+    r"(?:image\((\d+),(\d+)\)|zero)"
+)
+
+
+def _zero_table(spec, n):
+    return {
+        (i, j): Matrix.zero(spec, n, n) for i in range(1, n + 1) for j in range(1, n + 1)
+    }
+
+
+def _equivalence_tables(spec, n, rng):
+    """Genuine, perturbed, transposed, random, adversarial and zero tables.
+
+    Two adversarial kinds each satisfy all generator products but one
+    family: a table with phi(E_ij) = R_i^-1 R_j and R_1 = I passes every
+    phi(E_i1) phi(E_1j) check and the j = k checks, while the first-column
+    table (zero except phi(E_i1) for i >= 2) passes all but the j = 1 case.
+    """
+    one = Matrix.identity(spec, n)
+    for _ in range(12):
+        rows = [one] + [random_invertible(spec, n, rng, 3) for _ in range(n - 1)]
+        yield {
+            (i, j): rows[i - 1].inverse() @ rows[j - 1]
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        }
+        column = _zero_table(spec, n)
+        for i in range(2, n + 1):
+            column[(i, 1)] = random_invertible(spec, n, rng, 3)
+        yield column
+        genuine = AutomorphismOracle.conjugation_by(
+            random_invertible(spec, n, rng, 4)
+        )._images_for_validation()
+        yield genuine
+        yield {(i, j): genuine[(j, i)] for (i, j) in genuine}
+        for _ in range(2):
+            perturbed = dict(genuine)
+            key = (rng.randint(1, n), rng.randint(1, n))
+            delta = spec.zero
+            while delta.is_zero():
+                delta = random_scalar(spec, rng)
+            bump = elementary_matrix(spec, n, rng.randint(1, n), rng.randint(1, n))
+            perturbed[key] = perturbed[key] + bump.scale(delta)
+            yield perturbed
+        for _ in range(2):
+            yield {
+                (i, j): random_dense(spec, n, n, rng, 2)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+            }
+    yield _zero_table(spec, n)
+
+
+def _assert_names_failing_product(images, n, violation):
+    match = _PRODUCT_VIOLATION.fullmatch(violation)
+    assert match, violation
+    i, j, k, l = (int(g) for g in match.groups()[:4])
+    if match.group(5) is None:
+        assert j != k, violation
+        expected = Matrix.zero(images[(1, 1)].spec, n, n)
+    else:
+        assert (j, int(match.group(5)), int(match.group(6))) == (k, i, l), violation
+        expected = images[(i, l)]
+    assert naive_mul(images[(i, j)], images[(k, l)]) != expected, violation
+
+
+def test_generator_products_match_full_multiplicativity():
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    named = 0
+    for spec in (QQ, GF2, GF3):
+        for n in range(1, 4):
+            for images in _equivalence_tables(spec, n, rng):
+                report = AutomorphismOracle.from_table(spec, n, images).validate()
+                assert report.multiplicative_ok == full_multiplicativity(images, n)
+                seen[report.multiplicative_ok] += 1
+                violation = report.first_violation
+                if violation and violation.startswith("image("):
+                    _assert_names_failing_product(images, n, violation)
+                    named += 1
+                elif report.unital_ok:
+                    assert report.multiplicative_ok, violation
+    assert seen[True] >= 100 and seen[False] >= 100, seen
+    assert named >= 100
 
 
 @pytest.mark.slow

@@ -66,6 +66,7 @@ def test_field_descriptor_roundtrip():
         {"type": "GFp", "p": "7"},
         {"type": "Q", "p": 3},
         "Q",
+        {"type": "GFp", "p": 1287836182261 * 2575672364521},
     ],
 )
 def test_field_descriptor_rejects(bad):
@@ -84,6 +85,8 @@ def test_field_flag():
         parse_field_flag("gfp:10")
     with pytest.raises(ParseError):
         parse_field_flag("reals")
+    with pytest.raises(ParseError, match="2\\*\\*64"):
+        parse_field_flag("gfp:3317044064679887385961981")
 
 
 @pytest.mark.parametrize(
@@ -128,6 +131,16 @@ def test_problem_rejects(mutate):
     obj = swap_problem()
     mutate(obj)
     with pytest.raises(ParseError):
+        problem_from_json(obj)
+
+
+def test_problem_rejects_boolean_n():
+    from matconj import ParseError
+
+    obj = {"field": {"type": "Q"}, "n": 1, "conjugator": [["1"]]}
+    assert problem_from_json(obj).n == 1
+    obj["n"] = True
+    with pytest.raises(ParseError, match="'n'"):
         problem_from_json(obj)
 
 
@@ -252,6 +265,26 @@ def test_recover_parse_error_exit_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["recover", str(path)]) == EXIT_PARSE
     assert main(["recover", str(tmp_path / "missing.json")]) == EXIT_PARSE
+
+
+def _assert_parse_failure(capsys, code):
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]
+
+
+def test_recover_oversized_scalar_exit_2(tmp_path, capsys):
+    obj = swap_problem()
+    obj["conjugator"][0][0] = "1" * 5000
+    _assert_parse_failure(capsys, main(["recover", write_problem(tmp_path, obj)]))
+
+
+def test_recover_oversized_json_integer_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge_n.json"
+    huge_n = '{"field": {"type": "Q"}, "n": 1' + "0" * 5000 + "}"
+    path.write_text(huge_n, encoding="utf-8")
+    _assert_parse_failure(capsys, main(["recover", str(path)]))
 
 
 def test_recover_writes_out_file(tmp_path):

@@ -16,6 +16,7 @@ from matconj import (
     prime_field,
     rationals,
 )
+from matconj.field import MAX_SCALAR_DIGITS
 
 QQ = rationals()
 GF7 = prime_field(7)
@@ -96,6 +97,18 @@ def test_prime_validation():
     prime_field((1 << 61) - 1)
 
 
+def test_modulus_bound_rejects_strong_pseudoprime():
+    # A strong pseudoprime to all twelve Miller-Rabin witnesses: is_prime is
+    # only proven for moduli below 2**64, so the field must refuse it.
+    pseudoprime = 1287836182261 * 2575672364521
+    assert is_prime(pseudoprime)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        prime_field(pseudoprime)
+    with pytest.raises(ValueError):
+        prime_field(2**64 + 13)
+    assert prime_field(2**64 - 59).modulus == 2**64 - 59  # largest 64-bit prime
+
+
 def test_rationals_take_no_modulus():
     import matconj
 
@@ -122,6 +135,26 @@ def test_parse_format_roundtrip():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         QQ.parse(bad)
+
+
+@pytest.mark.parametrize("bad", ["\uff11", "\u0663", "1/\uff12", "\U0001d7d9"])
+def test_parse_rejects_non_ascii_digits(bad):
+    # fullwidth one, Arabic-Indic three, fullwidth two, mathematical one
+    with pytest.raises(ParseError):
+        QQ.parse(bad)
+    with pytest.raises(ParseError):
+        GF7.parse(bad)
+
+
+def test_parse_digit_cap():
+    longest = "7" * MAX_SCALAR_DIGITS
+    assert QQ.parse(f"-{longest}/{longest}") == QQ.element(-1)
+    assert GF7.parse(longest) == GF7.element(int(longest))
+    for bad in ("1" * (MAX_SCALAR_DIGITS + 1), "1/" + "3" * (MAX_SCALAR_DIGITS + 1)):
+        with pytest.raises(ParseError, match="digits"):
+            QQ.parse(bad)
+    with pytest.raises(ParseError, match="digits"):
+        GF7.parse("-" + "1" * (MAX_SCALAR_DIGITS + 1))
 
 
 def test_parse_rejects_prime_field_fraction():
