@@ -18,12 +18,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from matconj import (  # noqa: E402
     AutomorphismOracle,
     build_conjugator,
+    certify,
     check_structure_identities,
     prime_field,
     random_invertible,
     rationals,
     scalar_relation,
-    verify_conjugation,
 )
 from matconj.cli import parse_field_flag  # noqa: E402
 
@@ -59,7 +59,7 @@ def main() -> int:
     checks = check_structure_identities(h, g, witness)
     print(f"structural identities all hold: {checks.all_ok}")
 
-    report = verify_conjugation(oracle, witness)
+    report = certify(oracle, witness, h, g)
     print(
         f"conjugation certificate: {report.outcome.value} "
         f"({report.verified_pairs} basis pairs)"

@@ -22,6 +22,7 @@ from .errors import (
     SingularMatrix,
     UnsupportedInput,
     UnsupportedQuery,
+    ValueTooLarge,
 )
 from .field import FieldElement, FieldKind, FieldSpec, is_prime, prime_field, rationals
 from .fuzz import (
@@ -38,7 +39,6 @@ from .matrix import (
     ColumnVector,
     Matrix,
     RrefResult,
-    det_bareiss,
     elementary_matrix,
     outer_product,
     shift_matrix,
@@ -49,6 +49,7 @@ from .skolem_noether import (
     RecoveryReport,
     StructureCheckReport,
     build_conjugator,
+    certify,
     check_structure_identities,
     kernel_vector,
     projected_idempotent,
@@ -86,10 +87,11 @@ __all__ = [
     "UnsupportedInput",
     "UnsupportedQuery",
     "ValidationReport",
+    "ValueTooLarge",
     "build_conjugator",
+    "certify",
     "check_structure_identities",
     "derive_trial_seed",
-    "det_bareiss",
     "elementary_matrix",
     "is_prime",
     "kernel_vector",

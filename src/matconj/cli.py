@@ -18,7 +18,7 @@ with exactly one input variant out of ``conjugator`` (the ground-truth
 invertible matrix B), ``full_table`` (an n x n array of matrices:
 ``full_table[i-1][j-1]`` is the image of the (i,j) matrix unit), or
 ``generator_pair`` (``{"H": ..., "G": ...}``, the images of the corner unit
-and the shift matrix).
+and the shift matrix), and no other top-level key.
 
 Exit codes: 0 recovered / all checks passed, 2 parse or flag errors,
 3 construction impossibilities (empty kernel, singular conjugator),
@@ -54,14 +54,14 @@ from .fuzz import (
     run_identity_suite,
     run_roundtrip_suite,
 )
-from .matrix import ColumnVector, Matrix, elementary_matrix, shift_matrix
+from .matrix import ColumnVector, Matrix
 from .skolem_noether import (
     Outcome,
     RecoveryReport,
     StructureCheckReport,
     build_conjugator,
+    certify,
     scalar_relation,
-    verify_conjugation,
 )
 
 EXIT_OK = 0
@@ -74,7 +74,6 @@ _OUTCOME_EXIT_CODES = {
     Outcome.EMPTY_KERNEL: EXIT_CONSTRUCTION,
     Outcome.SINGULAR_CONJUGATOR: EXIT_CONSTRUCTION,
     Outcome.VERIFICATION_FAILED: EXIT_VERIFICATION,
-    Outcome.VALIDATION_FAILED: EXIT_VERIFICATION,
 }
 
 INPUT_VARIANTS = ("conjugator", "full_table", "generator_pair")
@@ -169,6 +168,9 @@ def problem_from_json(obj) -> ProblemFile:
         raise ParseError("problem file must be a JSON object")
     if "field" not in obj or "n" not in obj:
         raise ParseError("problem file needs 'field' and 'n'")
+    unknown = sorted(set(obj) - {"field", "n", *INPUT_VARIANTS})
+    if unknown:
+        raise ParseError(f"unknown top-level keys: {', '.join(map(repr, unknown))}")
     spec = parse_field_descriptor(obj["field"])
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -352,35 +354,17 @@ def cmd_recover(args) -> int:
     if args.no_verify:
         output["verification"] = None
     else:
-        verify_oracle = (
-            oracle.to_full_table()
-            if problem.variant == "generator_pair"
-            else oracle
-        )
-        verification = verify_conjugation(verify_oracle, witness)
-        passed = verification.outcome is Outcome.RECOVERED
-        detail = verification.detail
-        if passed and problem.variant == "generator_pair":
-            # the sweep only matched the pair's multiplicative expansion;
-            # conjugation must also reproduce the two input images themselves
-            a_mat = witness.conjugator
-            corner = elementary_matrix(problem.spec, problem.n, problem.n, 1)
-            if (
-                a_mat @ corner != h @ a_mat
-                or a_mat @ shift_matrix(problem.spec, problem.n) != g @ a_mat
-            ):
-                passed = False
-                detail = "conjugation does not reproduce the generator images"
+        verification = certify(oracle, witness, h, g)
+        outcome = verification.outcome
         output["verification"] = {
-            "passed": passed,
+            "passed": outcome is Outcome.RECOVERED,
             "verified_pairs": verification.verified_pairs,
             "failing_pair": list(verification.failing_pair)
             if verification.failing_pair
             else None,
         }
-        if not passed:
-            outcome = Outcome.VERIFICATION_FAILED
-            output["detail"] = detail
+        if outcome is not Outcome.RECOVERED:
+            output["detail"] = verification.detail
 
     if problem.variant == "conjugator" and outcome is Outcome.RECOVERED:
         scalar = scalar_relation(witness.conjugator, problem.payload)
@@ -533,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the basis-sweep verification after the 2-query recovery",
+        help="skip the certificate after the 2-query recovery",
     )
     p_recover.add_argument("--out", help="write the JSON report here instead of stdout")
     p_recover.set_defaults(func=cmd_recover)

@@ -47,5 +47,9 @@ class ParseError(MatconjError):
     """A textual scalar, matrix, or problem file failed to parse."""
 
 
+class ValueTooLarge(MatconjError):
+    """A scalar has too many digits to be written out as text."""
+
+
 class UnsupportedInput(MatconjError):
     """The command cannot operate on this input variant."""

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, ParseError, ValueTooLarge
 
 # Deterministic Miller-Rabin witness set: correct for all moduli below
 # 3_317_044_064_679_887_385_961_981 (in particular the full 64-bit range).
@@ -177,7 +177,12 @@ class FieldSpec:
         return FieldElement(self, Fraction(int(s)))
 
     def format_value(self, value: RawValue) -> str:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError as exc:  # CPython's integer string conversion limit
+            raise ValueTooLarge(
+                f"scalar exceeds the {MAX_SCALAR_DIGITS}-digit limit of the text format"
+            ) from exc
 
     def __str__(self) -> str:
         if self.is_prime_field:

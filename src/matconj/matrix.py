@@ -638,45 +638,3 @@ def outer_product(col: ColumnVector, row: ColumnVector) -> Matrix:
             data.extend(x * y for y in row._data)
     return Matrix._raw_new(spec, col.dim, row.dim, tuple(data))
 
-
-def det_bareiss(matrix: Matrix) -> FieldElement:
-    """Fraction-free (Bareiss) determinant over the rationals.
-
-    Internal cross-check path for :meth:`Matrix.det`: rows are scaled to
-    integers, eliminated with exact integer division only, and the scaling is
-    divided back out at the end.  Intermediate entries stay integral, which
-    bounds coefficient growth; the division-based path and this one must
-    always agree.
-    """
-    if matrix.spec.is_prime_field:
-        raise ValueError("Bareiss path is the rational cross-check only")
-    if not matrix.is_square:
-        raise DimensionMismatch("determinant needs a square matrix")
-    n = matrix.rows
-    m = []
-    scale = 1
-    for i in range(n):
-        row = matrix._data[i * n : (i + 1) * n]
-        d = 1
-        for v in row:
-            d = d * v.denominator // math.gcd(d, v.denominator)
-        scale *= d
-        m.append([int(v * d) for v in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return FieldElement(matrix.spec, Fraction(0))
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return FieldElement(matrix.spec, Fraction(sign * m[n - 1][n - 1], scale))

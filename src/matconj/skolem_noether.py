@@ -11,12 +11,14 @@ module makes that effective from just two images of the map:
    the rank-1 idempotent E_{1,1});
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
 
-A is then invertible and satisfies A E_{n,1} = H A and A S = G A, which pins
-down conjugation on the two algebra generators and hence everywhere.  The
-remaining functions here turn each identity that argument leans on into an
-executable check, certify A E_{i,j} A^-1 = phi(E_{i,j}) on the whole matrix-unit
-basis, and compare two conjugators up to the scalar factor conjugation cannot
-see.
+A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
+identities pin down conjugation everywhere, because E_{n,1} and S generate
+the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.  :func:`certify` is the one
+certificate: the two intertwines for a generator pair, and the n^2-pair basis
+sweep of :func:`verify_conjugation` for a map given by conjugation or by a
+table.  :func:`check_structure_identities` evaluates, in one place, every
+identity the argument leans on, and :func:`scalar_relation` compares two
+conjugators up to the scalar factor conjugation cannot see.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -46,7 +48,6 @@ class Outcome(Enum):
     EMPTY_KERNEL = "empty_kernel"
     SINGULAR_CONJUGATOR = "singular_conjugator"
     VERIFICATION_FAILED = "verification_failed"
-    VALIDATION_FAILED = "validation_failed"
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,17 @@ class StructureCheckReport:
     the witness came from :func:`build_conjugator`.
     """
 
-    nilpotent_ok: bool  # G^n = 0 and H G^k H = 0 for 0 <= k <= n-2
+    shift_nilpotent_ok: bool  # G^n = 0
+    corner_chain_ok: bool  # H G^k H = 0 for 0 <= k <= n-2
     idempotent_ok: bool  # (G^{n-1} H)^2 = G^{n-1} H
     kernel_rank_ok: bool  # rank(I - G^{n-1} H) = n - 1
     intertwine_E_ok: bool  # A E_{n,1} = H A
     intertwine_S_ok: bool  # A S = G A
     first_failing: str | None = None
+
+    @property
+    def nilpotent_ok(self) -> bool:
+        return self.shift_nilpotent_ok and self.corner_chain_ok
 
     @property
     def all_ok(self) -> bool:
@@ -98,10 +104,10 @@ class RecoveryReport:
 
     ``query_count`` is the number of oracle queries the reporting phase
     consumed: recovery reports carry the two-query recovery cost, while
-    :func:`verify_conjugation` reports the oracle's total after its basis
-    sweep.  ``scalar`` is the ratio A = scalar * B when a ground-truth B is
-    known.  ``verified_pairs`` counts the basis pairs a verification sweep
-    confirmed (n^2 on success).
+    :func:`verify_conjugation` and :func:`certify` report the oracle's total
+    after certification.  ``scalar`` is the ratio A = scalar * B when a
+    ground-truth B is known.  ``verified_pairs`` counts the basis pairs the
+    certificate confirmed (n^2 on success).
     """
 
     outcome: Outcome
@@ -183,45 +189,85 @@ def check_structure_identities(
     _check_pair(h, g, n)
     spec = witness.spec
     zero = Matrix.zero(spec, n, n)
-    first_failing = None
 
-    nilpotent_ok = g.power(n) == zero
-    if nilpotent_ok:
-        left = h  # H G^k, advanced by one G per step
-        for _ in range(n - 1):
-            if left @ h != zero:
-                nilpotent_ok = False
-                break
-            left = left @ g
-    if not nilpotent_ok:
-        first_failing = "nilpotent"
-
+    shift_nilpotent_ok = g.power(n) == zero
+    corner_chain_ok = True
+    left = h  # H G^k, advanced by one G per step
+    for _ in range(n - 1):
+        if left @ h != zero:
+            corner_chain_ok = False
+            break
+        left = left @ g
     projector = projected_idempotent(h, g, n)
     idempotent_ok = projector @ projector == projector
-    if not idempotent_ok and first_failing is None:
-        first_failing = "idempotent"
-
     kernel_rank_ok = (Matrix.identity(spec, n) - projector).rank() == n - 1
-    if not kernel_rank_ok and first_failing is None:
-        first_failing = "kernel_rank"
-
-    a_mat = witness.conjugator
-    intertwine_E_ok = a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat
-    if not intertwine_E_ok and first_failing is None:
-        first_failing = "intertwine_E"
-
-    intertwine_S_ok = a_mat @ shift_matrix(spec, n) == g @ a_mat
-    if not intertwine_S_ok and first_failing is None:
-        first_failing = "intertwine_S"
-
+    intertwine_E_ok, intertwine_S_ok = _intertwines(witness, h, g)
+    named = (
+        ("nilpotent", shift_nilpotent_ok and corner_chain_ok),
+        ("idempotent", idempotent_ok),
+        ("kernel_rank", kernel_rank_ok),
+        ("intertwine_E", intertwine_E_ok),
+        ("intertwine_S", intertwine_S_ok),
+    )
     return StructureCheckReport(
-        nilpotent_ok=nilpotent_ok,
+        shift_nilpotent_ok=shift_nilpotent_ok,
+        corner_chain_ok=corner_chain_ok,
         idempotent_ok=idempotent_ok,
         kernel_rank_ok=kernel_rank_ok,
         intertwine_E_ok=intertwine_E_ok,
         intertwine_S_ok=intertwine_S_ok,
-        first_failing=first_failing,
+        first_failing=next((name for name, ok in named if not ok), None),
     )
+
+
+def _intertwines(
+    witness: ConjugationWitness, h: Matrix, g: Matrix
+) -> tuple[bool, bool]:
+    """Whether A E_{n,1} = H A and whether A S = G A, for the witness's A."""
+    a_mat = witness.conjugator
+    spec, n = witness.spec, witness.n
+    return (
+        a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat,
+        a_mat @ shift_matrix(spec, n) == g @ a_mat,
+    )
+
+
+def certify(
+    oracle: AutomorphismOracle, witness: ConjugationWitness, h: Matrix, g: Matrix
+) -> RecoveryReport:
+    """Certify that conjugation by the witness's A is the oracle's map.
+
+    ``(h, g)`` are the oracle's images of E_{n,1} and S.  For a generator
+    pair the two intertwines are the whole certificate: A is invertible, so
+    A E_{n,1} = H A and A S = G A give
+    A E_{i,j} A^-1 = A S^{n-i} E_{n,1} S^{j-1} A^-1 = G^{n-i} H G^{j-1},
+    which is the pair's image of E_{i,j}; all n^2 pairs are then verified at
+    O(n^3) cost.  If an intertwine fails, the pair's expansion is swept so
+    that the report names the first failing basis pair; if the sweep passes
+    anyway, conjugation by A does not reproduce (H, G) and the report says so.
+
+    Conjugation and table oracles get the n^2-query sweep of
+    :func:`verify_conjugation`: a table can be any linear map, so only the
+    sweep shows that A matches it.  ``query_count`` is the oracle's total
+    afterwards; a generator-pair oracle is never queried here.
+    """
+    if oracle.backing_kind != "generator_pair":
+        return verify_conjugation(oracle, witness)
+    n = witness.n
+    if all(_intertwines(witness, h, g)):
+        return RecoveryReport(
+            outcome=Outcome.RECOVERED,
+            n=n,
+            spec=witness.spec,
+            query_count=oracle.query_count,
+            verified_pairs=n * n,
+        )
+    report = verify_conjugation(oracle.to_full_table(), witness)
+    report.query_count = oracle.query_count
+    if report.outcome is Outcome.RECOVERED:
+        report.outcome = Outcome.VERIFICATION_FAILED
+        report.detail = "conjugation does not reproduce the generator images"
+    return report
 
 
 def verify_conjugation(

@@ -2,12 +2,13 @@
 
 These deliberately avoid Matrix's elimination and product kernels: products go
 through FieldElement dunders entry by entry, and determinants come from the
-Leibniz permutation sum.  They share only the scalar arithmetic, which has its
-own axiomatic tests.
+Leibniz permutation sum or from fraction-free (Bareiss) integer elimination.
+They share only the scalar arithmetic, which has its own axiomatic tests.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from matconj import FieldSpec, Matrix
 
@@ -45,6 +46,48 @@ def leibniz_det(m: Matrix):
             term = -term
         total = total + term
     return total
+
+
+def det_bareiss(m: Matrix):
+    """Fraction-free (Bareiss) determinant over the rationals.
+
+    A cross-check for :meth:`Matrix.det`: rows are scaled to integers,
+    eliminated with exact integer division only, and the scaling is divided
+    back out at the end.  Intermediate entries stay integral, which bounds
+    coefficient growth; the division-based path and this one must always
+    agree.
+    """
+    if m.spec.is_prime_field:
+        raise ValueError("Bareiss path is the rational cross-check only")
+    assert m.is_square
+    n = m.rows
+    rows = []
+    scale = 1
+    for i in range(1, n + 1):
+        row = [m.entry(i, j).value for j in range(1, n + 1)]
+        d = 1
+        for v in row:
+            d = d * v.denominator // gcd(d, v.denominator)
+        scale *= d
+        rows.append([int(v * d) for v in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return m.spec.element(Fraction(0))
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+    return m.spec.element(Fraction(sign * rows[n - 1][n - 1], scale))
 
 
 def full_multiplicativity(images, n: int) -> bool:

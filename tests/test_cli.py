@@ -123,6 +123,7 @@ def test_problem_roundtrip(obj):
         lambda d: d.update(conjugator=[["0", "1"]]),
         lambda d: d.update(conjugator=[["0", "x"], ["1", "0"]]),
         lambda d: d.update(conjugator=[["0", 1], ["1", "0"]]),
+        lambda d: d.update(conjugatr=d["conjugator"]),  # a typo beside the key
     ],
 )
 def test_problem_rejects(mutate):
@@ -158,8 +159,7 @@ def test_exit_codes_total_over_outcomes():
     assert exit_code_for(Outcome.EMPTY_KERNEL) == EXIT_CONSTRUCTION
     assert exit_code_for(Outcome.SINGULAR_CONJUGATOR) == EXIT_CONSTRUCTION
     assert exit_code_for(Outcome.VERIFICATION_FAILED) == EXIT_VERIFICATION
-    assert exit_code_for(Outcome.VALIDATION_FAILED) == EXIT_VERIFICATION
-    assert len(Outcome) == 5
+    assert len(Outcome) == 4
 
 
 # -- recover -----------------------------------------------------------------
@@ -285,6 +285,20 @@ def test_recover_oversized_json_integer_exit_2(tmp_path, capsys):
     huge_n = '{"field": {"type": "Q"}, "n": 1' + "0" * 5000 + "}"
     path.write_text(huge_n, encoding="utf-8")
     _assert_parse_failure(capsys, main(["recover", str(path)]))
+
+
+def test_recover_oversized_output_exit_2(tmp_path, capsys):
+    # Each input entry has 4300 digits, the most a scalar may have, but the
+    # recovered conjugator and its inverse have longer entries, which the
+    # text format cannot hold.
+    sevens = "7" * 4300
+    obj = {
+        "field": {"type": "Q"},
+        "n": 2,
+        "conjugator": [["1/" + sevens, "0"], ["0", sevens]],
+    }
+    path = write_problem(tmp_path, obj)
+    _assert_parse_failure(capsys, main(["recover", "--no-verify", path]))
 
 
 def test_recover_writes_out_file(tmp_path):

@@ -13,7 +13,6 @@ from matconj import (
     IndexOutOfRange,
     Matrix,
     SingularMatrix,
-    det_bareiss,
     elementary_matrix,
     outer_product,
     prime_field,
@@ -21,7 +20,7 @@ from matconj import (
     shift_matrix,
 )
 
-from helpers import leibniz_det, naive_mul, random_dense
+from helpers import det_bareiss, leibniz_det, naive_mul, random_dense
 
 QQ = rationals()
 GF5 = prime_field(5)

@@ -1,5 +1,6 @@
 """The recovery construction itself: projector, kernel, conjugator, checks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from matconj import (
     SingularConjugator,
     SingularMatrix,
     build_conjugator,
+    certify,
     check_structure_identities,
     elementary_matrix,
     kernel_vector,
@@ -22,6 +24,7 @@ from matconj import (
     prime_field,
     projected_idempotent,
     random_invertible,
+    random_matrix,
     rationals,
     scalar_relation,
     shift_matrix,
@@ -154,6 +157,8 @@ def test_structure_checks_forced_non_automorphism():
     forced = Matrix.from_columns([g @ ha, ha])
     witness = ConjugationWitness(forced, forced, a, 2, QQ)  # inverse unused
     report = check_structure_identities(h, g, witness)
+    assert report.shift_nilpotent_ok
+    assert not report.corner_chain_ok
     assert not report.nilpotent_ok
     assert report.idempotent_ok
     assert not report.kernel_rank_ok
@@ -248,6 +253,90 @@ def test_verify_uses_outer_product_identity():
             lhs = w.conjugator @ elementary_matrix(QQ, 3, i, j) @ w.conjugator_inv
             rhs = outer_product(w.conjugator.column(i), w.conjugator_inv.row_vector(j))
             assert lhs == rhs
+
+
+# -- certify -----------------------------------------------------------------
+
+
+def reference_pair_certificate(oracle, witness, h, g):
+    """Sweep the pair's expansion, then demand that conjugation by A
+    reproduces (H, G): the route certify shortcuts when both intertwines hold."""
+    report = verify_conjugation(oracle.to_full_table(), witness)
+    report = dataclasses.replace(report, query_count=oracle.query_count)
+    a_mat, n, spec = witness.conjugator, witness.n, witness.spec
+    reproduces = (
+        a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat
+        and a_mat @ shift_matrix(spec, n) == g @ a_mat
+    )
+    if report.outcome is Outcome.RECOVERED and not reproduces:
+        report.outcome = Outcome.VERIFICATION_FAILED
+        report.detail = "conjugation does not reproduce the generator images"
+    return report
+
+
+def generated_pairs(spec, n, rng):
+    """A genuine pair, the same pair with one entry of H or G bumped, a
+    genuine H with a random G, and a random pair."""
+    b = random_invertible(spec, n, rng, 3)
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    bump = elementary_matrix(spec, n, rng.randint(1, n), rng.randint(1, n))
+    yield h, g
+    yield h + bump, g
+    yield h, g + bump
+    yield h, random_matrix(spec, n, rng, 3)
+    yield random_matrix(spec, n, rng, 3), random_matrix(spec, n, rng, 3)
+
+
+def test_certify_matches_sweep_then_intertwines_on_pairs():
+    rng = random.Random(73)
+    kinds = set()
+    for spec in (QQ, prime_field(2), prime_field(3)):
+        for n in range(1, 5):
+            for _ in range(6):
+                for h, g in generated_pairs(spec, n, rng):
+                    try:
+                        witness = build_conjugator(h, g, n)
+                    except (EmptyKernel, SingularConjugator):
+                        continue
+                    oracle = AutomorphismOracle.from_generator_pair(h, g)
+                    report = certify(oracle, witness, h, g)
+                    assert report == reference_pair_certificate(oracle, witness, h, g)
+                    assert oracle.query_count == 0
+                    if report.outcome is Outcome.RECOVERED:
+                        kinds.add("recovered")
+                    elif report.failing_pair is not None:
+                        kinds.add("sweep_failure")
+                    else:
+                        kinds.add("reproduce_failure")
+    assert kinds == {"recovered", "sweep_failure", "reproduce_failure"}
+
+
+def test_certify_genuine_pair_skips_expansion_and_sweep(monkeypatch):
+    import matconj.skolem_noether as sn
+
+    def forbidden(*args):
+        raise AssertionError("a genuine pair needs no basis sweep")
+
+    monkeypatch.setattr(AutomorphismOracle, "to_full_table", forbidden)
+    monkeypatch.setattr(sn, "verify_conjugation", forbidden)
+    b = random_invertible(QQ, 4, random.Random(79), 4)
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    witness = build_conjugator(h, g, 4)
+    oracle = AutomorphismOracle.from_generator_pair(h, g)
+    report = certify(oracle, witness, h, g)
+    assert report.outcome is Outcome.RECOVERED
+    assert report.verified_pairs == 16
+    assert report.failing_pair is None and report.detail is None
+
+
+def test_certify_sweeps_conjugation_oracle():
+    b = random_invertible(QQ, 3, random.Random(83), 4)
+    phi = AutomorphismOracle.conjugation_by(b)
+    h, g = phi.query_generators()
+    witness = build_conjugator(h, g, 3)
+    report = certify(phi, witness, h, g)
+    assert report.outcome is Outcome.RECOVERED
+    assert report.query_count == phi.query_count == 11  # 2 recovery + n^2 sweep
 
 
 # -- scalar_relation ---------------------------------------------------------
