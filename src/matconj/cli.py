@@ -46,6 +46,7 @@ from .errors import (
 )
 from .field import FieldKind, FieldSpec, prime_field, rationals
 from .fuzz import (
+    MAX_FUZZ_N,
     RNG_ALGORITHM,
     FuzzConfig,
     IdentitySummary,
@@ -68,6 +69,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_VERIFICATION = 4
+
+MAX_GEN_N = 64  # gen draws n^2 entries and holds them all in memory
 
 _OUTCOME_EXIT_CODES = {
     Outcome.RECOVERED: EXIT_OK,
@@ -485,8 +488,8 @@ def _n_range_flag(text: str) -> tuple[int, int]:
             lo = hi = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension range {text!r}")
-    if not (1 <= lo <= hi <= 16):
-        raise argparse.ArgumentTypeError("dimensions must satisfy 1 <= lo <= hi <= 16")
+    if not (1 <= lo <= hi <= MAX_FUZZ_N):
+        raise argparse.ArgumentTypeError(f"dimensions must satisfy 1 <= lo <= hi <= {MAX_FUZZ_N}")
     return lo, hi
 
 
@@ -497,6 +500,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("value must be positive")
+    return value
+
+
+def _gen_dimension(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_GEN_N:
+        raise argparse.ArgumentTypeError(f"dimension must be at most {MAX_GEN_N}")
     return value
 
 
@@ -533,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="generate a random conjugation problem file (seed-deterministic)"
     )
     p_gen.add_argument("--field", type=_field_flag, required=True, help="q or gfp:P")
-    p_gen.add_argument("--n", type=_positive_int, required=True)
+    p_gen.add_argument("--n", type=_gen_dimension, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--entry-bound", type=_positive_int, default=5)
     p_gen.add_argument("--out", help="write the problem file here instead of stdout")

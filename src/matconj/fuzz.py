@@ -51,6 +51,9 @@ MAX_GENERATION_ATTEMPTS = 10000
 
 ADVERSARY_KINDS = ("transpose", "random_pair")
 
+# Largest dimension a fuzz run accepts, in FuzzConfig and on the command line.
+MAX_FUZZ_N = 16
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -72,8 +75,8 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.n_range
-        if not (1 <= lo <= hi <= 16):
-            raise ValueError("n_range must satisfy 1 <= lo <= hi <= 16")
+        if not (1 <= lo <= hi <= MAX_FUZZ_N):
+            raise ValueError(f"n_range must satisfy 1 <= lo <= hi <= {MAX_FUZZ_N}")
         if not self.field_specs:
             raise ValueError("need at least one field spec")
         if self.trials_per_cell < 1:

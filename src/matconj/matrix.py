@@ -8,6 +8,12 @@ because there is no rounding to fight.  Pivots are always the first nonzero
 entry in column order, which makes rref, and therefore every kernel vector,
 deterministic.
 
+One elimination pass, ``Matrix._eliminate``, serves rref, rank, det, inverse
+and nullspace_basis.  Its forward form clears the entries below each pivot:
+rank counts the pivots, and det is their product, negated once per row swap.
+Its reduced form also clears the entries above each pivot and gives the rref
+that inverse and nullspace_basis read.
+
 Indexing in the public API is 1-based: ``elementary_matrix(spec, n, i, j)``
 puts its 1 in row i, column j counted from 1, and ``entry``/``column``/
 ``pivots`` follow the same convention.  Internal storage is a row-major tuple
@@ -439,44 +445,49 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self) -> RrefResult:
-        """Unique reduced row echelon form, with 1-based pivot columns and rank.
+    def _eliminate(self, reduced: bool) -> tuple[list[list], list[int], object]:
+        """The one elimination pass: rows, 1-based pivot columns, det value.
 
-        Gauss-Jordan with exact division; the pivot is always the first
-        nonzero entry scanning down the column, so the output (and everything
-        derived from it, notably nullspace bases) is deterministic.
+        Each column's pivot is its first nonzero entry at or below the current
+        row; that row is swapped up and scaled so the pivot is 1.  The forward
+        form clears the entries below each pivot (a row echelon form); the
+        reduced form also clears those above it (the rref).  Both find the
+        same pivots.  The determinant is the product of the pivots, negated
+        once per row swap, and zero unless the matrix is square of full rank.
         """
         rows, cols = self.rows, self.cols
         m = [list(self._data[i * cols : (i + 1) * cols]) for i in range(rows)]
         prime = self.spec.modulus if self.spec.is_prime_field else None
         invert = self.spec.invert_value
+        zero, one = self.spec.zero_value, self.spec.one_value
         pivots: list[int] = []
+        det = one
         r = 0
         for c in range(cols):
-            pr = None
-            for i in range(r, rows):
-                if m[i][c]:
-                    pr = i
+            for pr in range(r, rows):
+                if m[pr][c]:
                     break
-            if pr is None:
+            else:
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
+                det = -det
             prow = m[r]
             piv = prow[c]
-            if piv != self.spec.one_value:
+            det = det * piv % prime if prime else det * piv
+            if piv != one:
                 pinv = invert(piv)
-                for j in range(c, cols):
+                prow[c] = one
+                for j in range(c + 1, cols):
                     if prow[j]:
                         prow[j] = prow[j] * pinv % prime if prime else prow[j] * pinv
-            for i in range(rows):
-                if i == r:
-                    continue
-                f = m[i][c]
-                if not f:
-                    continue
+            for i in range(0 if reduced else r + 1, rows):
                 row = m[i]
-                for j in range(c, cols):
+                f = row[c]
+                if not f or i == r:
+                    continue
+                row[c] = zero
+                for j in range(c + 1, cols):
                     v = prow[j]
                     if v:
                         row[j] = (row[j] - f * v) % prime if prime else row[j] - f * v
@@ -484,11 +495,24 @@ class Matrix:
             r += 1
             if r == rows:
                 break
+        return m, pivots, det if r == rows == cols else zero
+
+    def rref(self) -> RrefResult:
+        """Unique reduced row echelon form, with 1-based pivot columns and rank."""
+        m, pivots, _ = self._eliminate(reduced=True)
         flat = tuple(v for row in m for v in row)
-        return RrefResult(Matrix._raw_new(self.spec, rows, cols, flat), tuple(pivots), r)
+        return RrefResult(
+            Matrix._raw_new(self.spec, self.rows, self.cols, flat), tuple(pivots), len(pivots)
+        )
 
     def rank(self) -> int:
-        return self.rref().rank
+        return len(self._eliminate(reduced=False)[1])
+
+    def det(self) -> FieldElement:
+        """Exact determinant, read off the forward elimination pass."""
+        if not self.is_square:
+            raise DimensionMismatch("determinant needs a square matrix")
+        return FieldElement(self.spec, self._eliminate(reduced=False)[2])
 
     def nullspace_basis(self) -> list[ColumnVector]:
         """Canonical basis of the right kernel.
@@ -520,44 +544,6 @@ class Matrix:
                 vec = vec.scaled(self.spec.invert_value(lead_val))
             basis.append(vec)
         return basis
-
-    def det(self) -> FieldElement:
-        """Exact determinant via Gaussian elimination with division."""
-        if not self.is_square:
-            raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        m = [list(self._data[i * n : (i + 1) * n]) for i in range(n)]
-        prime = self.spec.modulus if self.spec.is_prime_field else None
-        sign_flip = False
-        acc = self.spec.one_value
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return FieldElement(self.spec, self.spec.zero_value)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign_flip = not sign_flip
-            piv = m[c][c]
-            acc = acc * piv % prime if prime else acc * piv
-            pinv = self.spec.invert_value(piv)
-            prow = m[c]
-            for i in range(c + 1, n):
-                f = m[i][c]
-                if not f:
-                    continue
-                f = f * pinv % prime if prime else f * pinv
-                row = m[i]
-                for j in range(c + 1, n):
-                    v = prow[j]
-                    if v:
-                        row[j] = (row[j] - f * v) % prime if prime else row[j] - f * v
-        if sign_flip:
-            acc = self.spec.negate_value(acc)
-        return FieldElement(self.spec, acc)
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan on the augmented matrix."""

@@ -314,27 +314,25 @@ def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
 
     Conjugation cannot distinguish scalar multiples, because only scalar
     matrices commute with the whole algebra; two valid conjugators for the same map
-    differ exactly by such a c.  Returns None when left * right^-1 is not a
-    scalar matrix.  Both inputs must be invertible (SingularMatrix otherwise).
+    differ exactly by such a c.  The comparison is entrywise: c is the ratio of
+    the two entries at the first nonzero entry of right, and the answer is None
+    unless left equals right scaled by c.  Both inputs must be invertible
+    (SingularMatrix otherwise; right is checked by its rank).
     """
     if not left.is_square or not right.is_square:
         raise DimensionMismatch("scalar comparison needs square matrices")
     if left.spec != right.spec or left.rows != right.rows:
         raise DimensionMismatch("matrices must share field and size")
-    quotient = left @ right.inverse()
-    n = quotient.rows
-    lam = quotient._data[0]
-    for i in range(n):
-        for j in range(n):
-            v = quotient._data[i * n + j]
-            if i == j:
-                if v != lam:
-                    return None
-            elif v:
-                return None
-    if not lam:
+    if right.rank() < right.rows:
+        raise SingularMatrix("right matrix is singular")
+    k = next(k for k, v in enumerate(right._data) if v)
+    spec = left.spec
+    c = FieldElement(spec, left._data[k]) / FieldElement(spec, right._data[k])
+    if left != right.scale(c):
+        return None
+    if c.is_zero():
         raise SingularMatrix("left matrix is singular")
-    return FieldElement(left.spec, lam)
+    return c
 
 
 def _check_pair(h: Matrix, g: Matrix, n: int) -> None:

@@ -5,12 +5,15 @@ import json
 import pytest
 
 from matconj import Matrix, Outcome, elementary_matrix, prime_field, rationals
+from matconj.fuzz import MAX_FUZZ_N
 from matconj.cli import (
     EXIT_CONSTRUCTION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFICATION,
+    MAX_GEN_N,
     ProblemFile,
+    build_parser,
     exit_code_for,
     main,
     matrix_to_json,
@@ -384,6 +387,16 @@ def test_gen_flag_validation():
     assert exc.value.code == 2
 
 
+def test_gen_caps_dimension(capsys):
+    assert MAX_GEN_N == 64
+    assert main(["gen", "--field", "gfp:7", "--n", "64", "--seed", "1"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["conjugator"]) == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--field", "gfp:7", "--n", "65", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "at most 64" in capsys.readouterr().err
+
+
 # -- fuzz --------------------------------------------------------------------
 
 
@@ -443,6 +456,13 @@ def test_fuzz_rejects_zero_trials():
 def test_fuzz_rejects_bad_range():
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--n", "5..2"])
+    assert exc.value.code == 2
+
+
+def test_fuzz_dimension_flag_uses_config_bound():
+    assert build_parser().parse_args(["fuzz", "--n", f"1..{MAX_FUZZ_N}"]).n == (1, MAX_FUZZ_N)
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--n", f"1..{MAX_FUZZ_N + 1}"])
     assert exc.value.code == 2
 
 

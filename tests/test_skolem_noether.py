@@ -360,6 +360,26 @@ def test_scalar_relation_none_for_swap():
     assert scalar_relation(swap, Matrix.identity(QQ, 2)) is None
 
 
+def test_scalar_relation_matches_quotient_route():
+    # the entrywise comparison agrees with "left @ right^-1 is a scalar matrix"
+    for spec in (QQ, prime_field(2), prime_field(5)):
+        rng = random.Random(67)
+        for n in range(1, 5):
+            for _ in range(6):
+                right = random_invertible(spec, n, rng, 3)
+                other = random_invertible(spec, n, rng, 3)
+                for left in (right.scale(rng.randint(1, 4)), other, right.scale(0)):
+                    quotient = left @ right.inverse()
+                    lam = quotient.entry(1, 1)
+                    if quotient != Matrix.identity(spec, n).scale(lam):
+                        assert scalar_relation(left, right) is None
+                    elif lam.is_zero():
+                        with pytest.raises(SingularMatrix):
+                            scalar_relation(left, right)
+                    else:
+                        assert scalar_relation(left, right) == lam
+
+
 def test_scalar_relation_singular_inputs():
     with pytest.raises(SingularMatrix):
         scalar_relation(Matrix.identity(QQ, 2), elementary_matrix(QQ, 2, 1, 1))
