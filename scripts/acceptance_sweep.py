@@ -3,7 +3,8 @@
 
 Runs 100 recoveries per (dimension, field) cell over n = 1..8 and the fields
 Q, GF(2), GF(3), GF(7), GF(101), verifying the conjugation certificate and
-all structural identities in every trial.  Prints one row per cell.
+all structural identities in every trial, in one pass.  Prints one row per
+cell and the identity summary the pass recorded.
 
 Usage: python scripts/acceptance_sweep.py [--trials 100] [--seed 20260808]
 """
@@ -17,10 +18,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from matconj import (  # noqa: E402
     FuzzConfig,
+    IdentitySummary,
     Outcome,
     prime_field,
     rationals,
-    run_identity_suite,
     run_roundtrip_suite,
 )
 
@@ -42,6 +43,7 @@ def main() -> int:
     print(f"{'field':>8} {'n':>2} {'trials':>6} {'recovered':>9} {'queries':>7} {'time':>8}")
     total_start = time.monotonic()
     all_ok = True
+    summary = IdentitySummary()
     for spec in FIELDS:
         for n in range(1, 9):
             cfg = FuzzConfig(
@@ -51,7 +53,7 @@ def main() -> int:
                 seed=args.seed,
             )
             started = time.monotonic()
-            reports = run_roundtrip_suite(cfg)
+            reports = run_roundtrip_suite(cfg, summary)
             elapsed = time.monotonic() - started
             recovered = sum(1 for r in reports if r.outcome is Outcome.RECOVERED)
             queries_ok = all(r.query_count == 2 for r in reports)
@@ -62,27 +64,12 @@ def main() -> int:
                 f"{'2' if queries_ok else 'BAD':>7} {elapsed:>7.2f}s"
                 + ("" if ok else "   <-- FAILURE")
             )
-    roundtrip_elapsed = time.monotonic() - total_start
-
-    print("\nidentity sweep over the same grid...")
-    started = time.monotonic()
-    summary = run_identity_suite(
-        FuzzConfig(
-            n_range=(1, 8),
-            field_specs=FIELDS,
-            trials_per_cell=args.trials,
-            seed=args.seed,
-        )
-    )
-    identity_elapsed = time.monotonic() - started
+    total_elapsed = time.monotonic() - total_start
     print(
-        f"identity assertions: {sum(summary.assertion_counts.values())}, "
-        f"violations: {len(summary.violations)}, time: {identity_elapsed:.2f}s"
+        f"\nidentity assertions: {sum(summary.assertion_counts.values())}, "
+        f"violations: {len(summary.violations)}"
     )
-    print(
-        f"\nroundtrip total: {roundtrip_elapsed:.2f}s "
-        f"(desk target 60s), identities: {identity_elapsed:.2f}s"
-    )
+    print(f"total: {total_elapsed:.2f}s (desk target 60s)")
     if not (all_ok and summary.ok):
         print("SWEEP FAILED")
         return 1

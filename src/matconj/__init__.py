@@ -17,6 +17,7 @@ from .errors import (
     GenerationExhausted,
     IndexOutOfRange,
     MatconjError,
+    OutputError,
     ParseError,
     SingularConjugator,
     SingularMatrix,
@@ -77,6 +78,7 @@ __all__ = [
     "Matrix",
     "MatconjError",
     "Outcome",
+    "OutputError",
     "ParseError",
     "RNG_ALGORITHM",
     "RecoveryReport",

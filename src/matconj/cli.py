@@ -20,8 +20,8 @@ invertible matrix B), ``full_table`` (an n x n array of matrices:
 ``generator_pair`` (``{"H": ..., "G": ...}``, the images of the corner unit
 and the shift matrix), and no other top-level key.
 
-Exit codes: 0 recovered / all checks passed, 2 parse or flag errors,
-3 construction impossibilities (empty kernel, singular conjugator),
+Exit codes: 0 recovered / all checks passed, 2 parse, flag or output
+errors, 3 construction impossibilities (empty kernel, singular conjugator),
 4 verification failure.
 """
 
@@ -39,6 +39,7 @@ from .automorphism import AutomorphismOracle, ValidationReport
 from .errors import (
     EmptyKernel,
     MatconjError,
+    OutputError,
     ParseError,
     SingularConjugator,
     SingularMatrix,
@@ -52,7 +53,6 @@ from .fuzz import (
     IdentitySummary,
     derive_trial_seed,
     random_invertible,
-    run_identity_suite,
     run_roundtrip_suite,
 )
 from .matrix import ColumnVector, Matrix
@@ -238,7 +238,8 @@ def load_problem(path: str) -> tuple[ProblemFile, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8, bad JSON, an over-long integer, or nesting past the stack
         raise ParseError(f"invalid JSON in {path}: {exc}")
     return problem_from_json(obj), digest
 
@@ -305,12 +306,19 @@ def summary_to_json(summary: IdentitySummary) -> dict:
 
 
 def _dump(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """The one writer of every command's output: ``out_path`` or stdout."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc}")
 
 
 def _fail_parse(message: str) -> int:
@@ -421,8 +429,8 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         return _fail_parse(str(exc))
     started = time.monotonic()
-    reports = run_roundtrip_suite(cfg)
-    summary = run_identity_suite(cfg) if cfg.adversary is None else IdentitySummary()
+    summary = IdentitySummary()
+    reports = run_roundtrip_suite(cfg, summary)
     elapsed = time.monotonic() - started
 
     recovered = sum(1 for r in reports if r.outcome is Outcome.RECOVERED)
@@ -450,12 +458,7 @@ def cmd_fuzz(args) -> int:
             sort_keys=True,
         )
     )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     # Wall time goes to stderr only: report bytes must be seed-deterministic.
     sys.stderr.write(f"fuzz: {len(reports)} trials in {elapsed:.2f}s\n")
     return EXIT_OK if ok else 1

@@ -47,6 +47,10 @@ class ParseError(MatconjError):
     """A textual scalar, matrix, or problem file failed to parse."""
 
 
+class OutputError(MatconjError):
+    """A report could not be written to the requested output file."""
+
+
 class ValueTooLarge(MatconjError):
     """A scalar has too many digits to be written out as text."""
 

@@ -3,14 +3,15 @@
 Ground truth comes first: since every automorphism of the full matrix algebra
 is inner, drawing a random invertible B and handing the recovery the map
 X -> B X B^-1 gives every trial an exact expected answer: the recovered A
-must equal B up to a nonzero scalar.  ``run_roundtrip_suite`` drives that loop:
-each trial recovers A from two queries and passes it to ``certify``, the same
+must equal B up to a nonzero scalar.  ``run_roundtrip_suite`` is the one pass:
+each trial recovers A from two queries, evaluates the structural identities
+once with ``check_structure_identities`` and passes A to ``certify``, the same
 certificate ``recover`` uses (the n^2-pair basis sweep for conjugation and
 table oracles, the two intertwines for a generator pair).  No trial runs
 ``validate``: a passing sweep already shows the map is conjugation by the
-invertible A.  ``run_identity_suite`` re-asserts, per trial, every structural
-identity the construction relies on, reading them from the one
-``check_structure_identities`` report.
+invertible A.  Given an ``IdentitySummary``, a ground-truth trial also records
+every identity the construction relies on there, read from the objects it
+built; ``run_identity_suite`` is that pass seen through its summary alone.
 
 Determinism: each (field, n, trial) cell derives its own 63-bit seed by
 hashing the master seed with the cell coordinates (SHA-256), and feeds it to
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
+from functools import partial
 
 from .automorphism import AutomorphismOracle
 from .errors import EmptyKernel, GenerationExhausted, SingularConjugator
-from .field import FieldKind, FieldSpec, rationals
-from .matrix import Matrix
+from .field import FieldSpec, rationals
+from .matrix import Matrix, elementary_matrix
 from .skolem_noether import (
     Outcome,
     RecoveryReport,
@@ -111,16 +113,46 @@ class IdentitySummary:
         if not passed:
             self.violations.append(f"{identity} violated at {context}")
 
-
-def _spec_key(spec: FieldSpec) -> str:
-    if spec.kind is FieldKind.PRIME_FIELD:
-        return f"GFp:{spec.modulus}"
-    return "Q"
+    def record_trial(
+        self, context: str, h: Matrix, g: Matrix, queries: int, built, checks=None
+    ) -> None:
+        """Record one conjugation trial's assertions from what its recovery
+        built: the images (h, g), the queries they took, ``built`` (the witness,
+        or the EmptyKernel or SingularConjugator that stopped the construction)
+        and the witness's structure report ``checks``.  P = G^(n-1) H is formed
+        once more here; the kernel vector is the witness's when there is one."""
+        n = h.rows
+        self.total_trials += 1
+        self._record("query_economy", queries == 2, context)
+        projector = projected_idempotent(h, g, n)
+        diff = Matrix.identity(h.spec, n) - projector
+        self._record("det_projector_zero", diff.det().is_zero(), context)
+        if isinstance(built, EmptyKernel):
+            self._record("kernel_vector_nonzero", False, context)
+            return
+        failed = isinstance(built, SingularConjugator)
+        a_vec = kernel_vector(projector) if failed else built.kernel_vector
+        self._record("kernel_vector_nonzero", not a_vec.is_zero(), context)
+        self._record("kernel_vector_annihilated", (diff @ a_vec).is_zero(), context)
+        self._record("fixed_point", projector @ a_vec == a_vec, context)
+        if failed:
+            self._record("conjugator_built", False, f"{context}: {built}")
+            return
+        self._record("conjugator_built", True, context)
+        self._record("conjugator_full_rank", built.conjugator.rank() == n, context)
+        self._record("projector_idempotent", checks.idempotent_ok, context)
+        self._record("projector_kernel_rank", checks.kernel_rank_ok, context)
+        self._record("intertwine_E", checks.intertwine_E_ok, context)
+        self._record("intertwine_S", checks.intertwine_S_ok, context)
+        self._record("shift_image_nilpotent", checks.shift_nilpotent_ok, context)
+        if n >= 2:  # the chain H G^k H = 0, 0 <= k <= n-2, is empty at n = 1
+            self._record("corner_chain_zero", checks.corner_chain_ok, context)
 
 
 def derive_trial_seed(master_seed: int, spec: FieldSpec, n: int, trial: int) -> int:
     """Independent 63-bit stream seed for one (field, n, trial) cell."""
-    tag = f"{master_seed}|{_spec_key(spec)}|{n}|{trial}".encode()
+    key = f"GFp:{spec.modulus}" if spec.is_prime_field else "Q"
+    tag = f"{master_seed}|{key}|{n}|{trial}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big") >> 1
 
 
@@ -156,8 +188,6 @@ def random_invertible(
 def _transpose_oracle(spec: FieldSpec, n: int) -> AutomorphismOracle:
     """The transpose map as a full table: the standard non-example, since it
     reverses products and is never inner for n >= 2."""
-    from .matrix import elementary_matrix
-
     images = {
         (i, j): elementary_matrix(spec, n, j, i)
         for i in range(1, n + 1)
@@ -167,45 +197,51 @@ def _transpose_oracle(spec: FieldSpec, n: int) -> AutomorphismOracle:
 
 
 def _recovery_trial(
-    spec: FieldSpec, n: int, trial_seed: int, entry_bound: int, adversary: str | None
+    cfg: FuzzConfig,
+    spec: FieldSpec,
+    n: int,
+    trial: int,
+    summary: IdentitySummary | None,
 ) -> RecoveryReport:
+    trial_seed = derive_trial_seed(cfg.seed, spec, n, trial)
     rng = random.Random(trial_seed)
     ground_truth = None
-    if adversary is None:
-        ground_truth = random_invertible(spec, n, rng, entry_bound)
+    if cfg.adversary is None:
+        ground_truth = random_invertible(spec, n, rng, cfg.entry_bound)
         oracle = AutomorphismOracle.conjugation_by(ground_truth)
-    elif adversary == "transpose":
+    elif cfg.adversary == "transpose":
         oracle = _transpose_oracle(spec, n)
     else:
-        h = random_matrix(spec, n, rng, entry_bound)
-        g = random_matrix(spec, n, rng, entry_bound)
+        h = random_matrix(spec, n, rng, cfg.entry_bound)
+        g = random_matrix(spec, n, rng, cfg.entry_bound)
         oracle = AutomorphismOracle.from_generator_pair(h, g)
 
-    def report(outcome, **kw):
-        return RecoveryReport(
-            outcome=outcome,
-            n=n,
-            spec=spec,
-            seed=trial_seed,
-            rng_algorithm=RNG_ALGORITHM,
-            **kw,
-        )
-
     h_img, g_img = oracle.query_generators()
-    recovery_queries = oracle.query_count
+    queries = oracle.query_count
+    report = partial(
+        RecoveryReport,
+        n=n,
+        spec=spec,
+        seed=trial_seed,
+        query_count=queries,
+        rng_algorithm=RNG_ALGORITHM,
+    )
+    context = f"n={n} field={spec} seed={trial_seed}"
     try:
         witness = build_conjugator(h_img, g_img, n)
-    except EmptyKernel:
-        return report(Outcome.EMPTY_KERNEL, query_count=recovery_queries)
-    except SingularConjugator:
-        return report(Outcome.SINGULAR_CONJUGATOR, query_count=recovery_queries)
+    except (EmptyKernel, SingularConjugator) as exc:
+        if summary is not None:
+            summary.record_trial(context, h_img, g_img, queries, exc)
+        empty = isinstance(exc, EmptyKernel)
+        return report(Outcome.EMPTY_KERNEL if empty else Outcome.SINGULAR_CONJUGATOR)
 
     checks = check_structure_identities(h_img, g_img, witness)
+    if summary is not None:
+        summary.record_trial(context, h_img, g_img, queries, witness, checks)
     verification = certify(oracle, witness, h_img, g_img)
     if verification.outcome is not Outcome.RECOVERED:
         return report(
             Outcome.VERIFICATION_FAILED,
-            query_count=recovery_queries,
             checks=checks,
             failing_pair=verification.failing_pair,
             verified_pairs=verification.verified_pairs,
@@ -218,88 +254,41 @@ def _recovery_trial(
         if scalar is None or scalar.is_zero():
             return report(
                 Outcome.VERIFICATION_FAILED,
-                query_count=recovery_queries,
                 checks=checks,
                 verified_pairs=verification.verified_pairs,
                 detail="conjugator is not a scalar multiple of the ground truth",
             )
     return report(
         Outcome.RECOVERED,
-        query_count=recovery_queries,
         scalar=scalar,
         checks=checks,
         verified_pairs=verification.verified_pairs,
     )
 
 
-def run_roundtrip_suite(cfg: FuzzConfig) -> list[RecoveryReport]:
+def run_roundtrip_suite(
+    cfg: FuzzConfig, summary: IdentitySummary | None = None
+) -> list[RecoveryReport]:
     """One recovery per (n, field, trial) cell, reported in deterministic
-    (n, field, trial) order.  Individual failures are recorded, never thrown."""
-    reports = []
-    for n, spec in cfg.cells():
-        for trial in range(cfg.trials_per_cell):
-            trial_seed = derive_trial_seed(cfg.seed, spec, n, trial)
-            reports.append(
-                _recovery_trial(spec, n, trial_seed, cfg.entry_bound, cfg.adversary)
-            )
-    return reports
+    (n, field, trial) order.  Individual failures are recorded, never thrown.
+
+    Given ``summary`` and no adversary, each trial also records its identity
+    assertions there (see ``IdentitySummary.record_trial``); adversarial
+    trials record none, since the identities presuppose an automorphism.
+    """
+    if cfg.adversary is not None:
+        summary = None
+    return [
+        _recovery_trial(cfg, spec, n, trial, summary)
+        for n, spec in cfg.cells()
+        for trial in range(cfg.trials_per_cell)
+    ]
 
 
 def run_identity_suite(cfg: FuzzConfig) -> IdentitySummary:
-    """Assert every structural identity on fresh ground-truth trials.
-
-    Uses the same per-cell seed derivation as the roundtrip suite, so the two
-    suites see the same ground-truth matrices.  Always runs the conjugation
-    family: the identities presuppose a genuine automorphism.
-    """
+    """The identity summary of the roundtrip pass over ``cfg``'s cells, always
+    run on the conjugation family, whatever ``cfg.adversary`` says: the
+    identities presuppose a genuine automorphism."""
     summary = IdentitySummary()
-    for n, spec in cfg.cells():
-        for trial in range(cfg.trials_per_cell):
-            trial_seed = derive_trial_seed(cfg.seed, spec, n, trial)
-            rng = random.Random(trial_seed)
-            b = random_invertible(spec, n, rng, cfg.entry_bound)
-            oracle = AutomorphismOracle.conjugation_by(b)
-            h, g = oracle.query_generators()
-            context = f"n={n} field={spec} seed={trial_seed}"
-            summary.total_trials += 1
-            summary._record("query_economy", oracle.query_count == 2, context)
-
-            projector = projected_idempotent(h, g, n)
-            ident = Matrix.identity(spec, n)
-            summary._record(
-                "det_projector_zero", (ident - projector).det().is_zero(), context
-            )
-            try:
-                a_vec = kernel_vector(projector)
-            except EmptyKernel:
-                summary._record("kernel_vector_nonzero", False, context)
-                continue
-            summary._record("kernel_vector_nonzero", not a_vec.is_zero(), context)
-            summary._record(
-                "kernel_vector_annihilated",
-                ((ident - projector) @ a_vec).is_zero(),
-                context,
-            )
-            summary._record("fixed_point", projector @ a_vec == a_vec, context)
-
-            try:
-                witness = build_conjugator(h, g, n)
-            except (EmptyKernel, SingularConjugator) as exc:
-                summary._record("conjugator_built", False, f"{context}: {exc}")
-                continue
-            summary._record("conjugator_built", True, context)
-            summary._record(
-                "conjugator_full_rank", witness.conjugator.rank() == n, context
-            )
-
-            checks = check_structure_identities(h, g, witness)
-            summary._record("projector_idempotent", checks.idempotent_ok, context)
-            summary._record("projector_kernel_rank", checks.kernel_rank_ok, context)
-            summary._record("intertwine_E", checks.intertwine_E_ok, context)
-            summary._record("intertwine_S", checks.intertwine_S_ok, context)
-            summary._record(
-                "shift_image_nilpotent", checks.shift_nilpotent_ok, context
-            )
-            if n >= 2:  # the chain H G^k H = 0, 0 <= k <= n-2, is empty at n = 1
-                summary._record("corner_chain_zero", checks.corner_chain_ok, context)
+    run_roundtrip_suite(replace(cfg, adversary=None), summary)
     return summary

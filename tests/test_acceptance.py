@@ -24,6 +24,7 @@ import pytest
 from matconj import (
     AutomorphismOracle,
     FuzzConfig,
+    IdentitySummary,
     Matrix,
     Outcome,
     build_conjugator,
@@ -32,7 +33,6 @@ from matconj import (
     prime_field,
     random_invertible,
     rationals,
-    run_identity_suite,
     run_roundtrip_suite,
     scalar_relation,
     verify_conjugation,
@@ -61,16 +61,24 @@ def announce(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def grid_reports():
+def grid_run():
+    """One pass over GRID: the roundtrip reports, the identity summary its
+    trials recorded, and the pass's wall time."""
+    summary = IdentitySummary()
     started = time.monotonic()
-    reports = run_roundtrip_suite(GRID)
-    elapsed = time.monotonic() - started
+    reports = run_roundtrip_suite(GRID, summary)
+    return reports, summary, time.monotonic() - started
+
+
+@pytest.fixture(scope="module")
+def grid_reports(grid_run):
+    reports, _, elapsed = grid_run
     return reports, elapsed
 
 
 @pytest.fixture(scope="module")
-def identity_summary():
-    return run_identity_suite(GRID)
+def identity_summary(grid_run):
+    return grid_run[1]
 
 
 def test_criterion_1_roundtrip_recovery(grid_reports):

@@ -1,8 +1,12 @@
 """CLI commands, JSON formats, exit codes, and byte determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matconj import Matrix, Outcome, elementary_matrix, prime_field, rationals
 from matconj.fuzz import MAX_FUZZ_N
@@ -304,6 +308,31 @@ def test_recover_oversized_output_exit_2(tmp_path, capsys):
     _assert_parse_failure(capsys, main(["recover", "--no-verify", path]))
 
 
+@pytest.mark.parametrize("command", ["recover", "check-aut"])
+def test_deeply_nested_problem_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    _assert_parse_failure(capsys, main([command, str(path)]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "PROBLEM"],
+        ["check-aut", "PROBLEM"],
+        ["gen", "--field", "gfp:7", "--n", "2", "--seed", "1"],
+        ["fuzz", "--n", "1..2", "--fields", "gfp:2", "--trials", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    problem = write_problem(tmp_path, swap_problem())
+    out_path = tmp_path / "missing" / "report.json"
+    argv = [problem if a == "PROBLEM" else a for a in argv]
+    _assert_parse_failure(capsys, main(argv + ["--out", str(out_path)]))
+    assert not out_path.parent.exists()
+
+
 def test_recover_writes_out_file(tmp_path):
     path = write_problem(tmp_path, swap_problem())
     out_path = tmp_path / "report.json"
@@ -464,6 +493,129 @@ def test_fuzz_dimension_flag_uses_config_bound():
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--n", f"1..{MAX_FUZZ_N + 1}"])
     assert exc.value.code == 2
+
+
+# -- mutated problem files ---------------------------------------------------
+
+
+def _mutation_bases():
+    gf3 = prime_field(3)
+    pair = {
+        "field": {"type": "GFp", "p": 3},
+        "n": 2,
+        "generator_pair": {
+            "H": matrix_to_json(elementary_matrix(gf3, 2, 1, 2)),
+            "G": matrix_to_json(Matrix.from_rows(gf3, [[0, 0], [1, 0]])),
+        },
+    }
+    gf5_conjugator = {
+        "field": {"type": "GFp", "p": 5},
+        "n": 3,
+        "conjugator": [["1", "2", "0"], ["0", "1", "4"], ["3", "0", "1"]],
+    }
+    return [swap_problem(), pair, transpose_table_problem(2), gf5_conjugator]
+
+
+MUTATION_BASES = _mutation_bases()
+MUTATIONS = ("drop", "rename", "swap", "entry", "wrong_n", "truncate", "non_utf8", "nest")
+SCALARS = st.sampled_from(["0", "1", "2", "-1/2"])
+JSON_VALUES = st.one_of(
+    SCALARS,
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.integers(min_value=2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.lists(st.text(max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for index, value in enumerate(obj):
+            yield from _json_paths(value, prefix + (index,))
+
+
+def _get(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def _replaced(obj, path, value):
+    """A copy of obj with the node at path replaced by value."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    _get(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+def _mutated_bytes(data) -> bytes:
+    obj = data.draw(st.sampled_from(MUTATION_BASES))
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    paths = list(_json_paths(obj))
+    if kind in ("drop", "rename"):
+        dict_paths = [p for p in paths if isinstance(_get(obj, p), dict)]
+        path = data.draw(st.sampled_from(dict_paths))
+        target = dict(_get(obj, path))
+        key = data.draw(st.sampled_from(sorted(target)))
+        value = target.pop(key)
+        if kind == "rename":
+            target[data.draw(st.text(max_size=8))] = value
+        obj = _replaced(obj, path, target)
+    elif kind == "swap":
+        obj = _replaced(obj, data.draw(st.sampled_from(paths)), data.draw(JSON_VALUES))
+    elif kind == "entry":  # a new scalar, which may keep the file valid
+        leaves = [p for p in paths if isinstance(_get(obj, p), str)]
+        obj = _replaced(obj, data.draw(st.sampled_from(leaves)), data.draw(SCALARS))
+    elif kind == "wrong_n":
+        n = data.draw(st.integers(-2, 6).filter(lambda k: k != obj["n"]))
+        obj = _replaced(obj, ("n",), n)
+    elif kind == "nest":
+        depth = data.draw(st.sampled_from([1, 50, 5000, 200000]))
+        path = data.draw(st.sampled_from(paths))
+        return json.dumps(_replaced(obj, path, "@")).replace(
+            '"@"', "[" * depth + "]" * depth
+        ).encode()
+    raw = json.dumps(obj).encode()
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "non_utf8":
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"]))
+        return raw[:at] + bad + raw[at:]
+    return raw
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@given(data=st.data())
+def test_mutated_problem_files_keep_the_exit_contract(mutation_dir, data):
+    path = mutation_dir / "problem.json"
+    path.write_bytes(_mutated_bytes(data))
+    for command, allowed in (("recover", {0, 2, 3, 4}), ("check-aut", {0, 1, 2})):
+        code, err = _run_cli([command, str(path)])
+        assert code in allowed, (command, code)
+        if err:
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert isinstance(json.loads(err), dict), err
 
 
 # -- misc --------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Seeded generation, determinism, coverage, and negative controls."""
 
+import dataclasses
 import random
 
 import pytest
 
+import matconj.fuzz as fuzz_module
+import matconj.skolem_noether as sn
 from matconj import (
+    EmptyKernel,
     FuzzConfig,
     GenerationExhausted,
+    IdentitySummary,
     Outcome,
     RNG_ALGORITHM,
     derive_trial_seed,
@@ -15,6 +20,7 @@ from matconj import (
     random_matrix,
     rationals,
     run_identity_suite,
+    SingularConjugator,
     run_roundtrip_suite,
 )
 
@@ -172,6 +178,102 @@ def test_identity_suite_n1_skips_chain():
 
 def test_identity_suite_deterministic():
     assert run_identity_suite(SMALL) == run_identity_suite(SMALL)
+
+
+def test_one_pass_builds_each_cell_once(monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, name, wrapper)
+
+    for name in (
+        "random_invertible",
+        "build_conjugator",
+        "check_structure_identities",
+        "certify",
+    ):
+        counted(name, getattr(fuzz_module, name))
+    summary = IdentitySummary()
+    reports = run_roundtrip_suite(SMALL, summary)
+    assert len(reports) == summary.total_trials == 24
+    assert calls == {
+        "random_invertible": 24,
+        "build_conjugator": 24,
+        "check_structure_identities": 24,
+        "certify": 24,
+    }
+
+
+def test_one_pass_matches_both_suites():
+    summary = IdentitySummary()
+    assert run_roundtrip_suite(SMALL, summary) == run_roundtrip_suite(SMALL)
+    assert summary == run_identity_suite(SMALL)
+    assert summary.ok
+    assert sum(summary.assertion_counts.values()) == 24 * 12 + 18
+
+
+def test_adversarial_pass_records_no_identities():
+    cfg = dataclasses.replace(SMALL, adversary="random_pair")
+    summary = IdentitySummary()
+    run_roundtrip_suite(cfg, summary)
+    assert summary == IdentitySummary()
+    # the identity suite always runs the conjugation family
+    assert run_identity_suite(cfg) == run_identity_suite(SMALL)
+
+
+def _raise(exc_type, message):
+    def stub(*args, **kwargs):
+        raise exc_type(message)
+
+    return stub
+
+
+def test_identity_summary_records_construction_failures(monkeypatch):
+    cfg = FuzzConfig(n_range=(1, 2), field_specs=(QQ, GF2), trials_per_cell=2, seed=3)
+    contexts = [
+        f"n={n} field={spec} seed={derive_trial_seed(3, spec, n, trial)}"
+        for n, spec in cfg.cells()
+        for trial in range(2)
+    ]
+
+    # an empty kernel stops before the kernel-vector identities
+    stub = _raise(EmptyKernel, "stubbed empty kernel")
+    monkeypatch.setattr(sn, "kernel_vector", stub)
+    monkeypatch.setattr(fuzz_module, "kernel_vector", stub)
+    summary = run_identity_suite(cfg)
+    assert summary.assertion_counts == {
+        "query_economy": 8,
+        "det_projector_zero": 8,
+        "kernel_vector_nonzero": 8,
+    }
+    assert summary.violations == [
+        f"kernel_vector_nonzero violated at {c}" for c in contexts
+    ]
+    assert {r.outcome for r in run_roundtrip_suite(cfg)} == {Outcome.EMPTY_KERNEL}
+    monkeypatch.undo()
+
+    # a singular conjugator still has its kernel vector checked
+    monkeypatch.setattr(
+        fuzz_module, "build_conjugator", _raise(SingularConjugator, "stubbed singular")
+    )
+    summary = run_identity_suite(cfg)
+    assert summary.assertion_counts == {
+        "query_economy": 8,
+        "det_projector_zero": 8,
+        "kernel_vector_nonzero": 8,
+        "kernel_vector_annihilated": 8,
+        "fixed_point": 8,
+        "conjugator_built": 8,
+    }
+    assert summary.violations == [
+        f"conjugator_built violated at {c}: stubbed singular" for c in contexts
+    ]
+    reports = run_roundtrip_suite(cfg)
+    assert {r.outcome for r in reports} == {Outcome.SINGULAR_CONJUGATOR}
 
 
 # -- adversarial families ----------------------------------------------------

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from matconj import (
     AutomorphismOracle,
@@ -378,6 +380,29 @@ def test_scalar_relation_matches_quotient_route():
                             scalar_relation(left, right)
                     else:
                         assert scalar_relation(left, right) == lam
+
+
+def _recovered_conjugator(b):
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    return build_conjugator(h, g, b.rows).conjugator
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 101, 2**61 - 1]),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    lifts=st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+)
+def test_prime_field_recovery_is_rational_recovery_mod_p(p, n, seed, lifts):
+    # metamorphic: for an integer B with p not dividing det B, recovering over
+    # GF(p) from B mod p gives the rational recovery reduced mod p, up to a scalar
+    gfp = prime_field(p)
+    residues = random_invertible(gfp, n, random.Random(seed), 5)._data
+    entries = [r + p * k for r, k in zip(residues, lifts)]  # B = residues mod p
+    a_q = _recovered_conjugator(Matrix(QQ, n, n, entries))
+    assume(all(v.denominator % p for v in a_q._data))
+    a_p = _recovered_conjugator(Matrix(gfp, n, n, entries))
+    assert scalar_relation(a_p, Matrix(gfp, n, n, a_q._data)) is not None
 
 
 def test_scalar_relation_singular_inputs():
