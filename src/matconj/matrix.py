@@ -14,6 +14,9 @@ rank counts the pivots, and det is their product, negated once per row swap.
 Its reduced form also clears the entries above each pivot and gives the rref
 that inverse and nullspace_basis read.
 
+A column vector is an n x 1 Matrix (the ColumnVector subclass), so every
+product, mat-vec included, runs through one kernel per field.
+
 Indexing in the public API is 1-based: ``elementary_matrix(spec, n, i, j)``
 puts its 1 in row i, column j counted from 1, and ``entry``/``column``/
 ``pivots`` follow the same convention.  Internal storage is a row-major tuple
@@ -34,113 +37,6 @@ from .errors import (
     SingularMatrix,
 )
 from .field import FieldElement, FieldSpec
-
-
-class ColumnVector:
-    """An exact column vector of positive dimension over a single field."""
-
-    __slots__ = ("spec", "dim", "_data")
-
-    def __init__(self, spec: FieldSpec, entries: Sequence) -> None:
-        data = tuple(spec.coerce(x) for x in entries)
-        if not data:
-            raise DimensionMismatch("column vector needs positive dimension")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", len(data))
-        object.__setattr__(self, "_data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColumnVector is immutable")
-
-    @classmethod
-    def _raw_new(cls, spec: FieldSpec, data: tuple) -> "ColumnVector":
-        v = object.__new__(cls)
-        object.__setattr__(v, "spec", spec)
-        object.__setattr__(v, "dim", len(data))
-        object.__setattr__(v, "_data", data)
-        return v
-
-    @classmethod
-    def zero(cls, spec: FieldSpec, dim: int) -> "ColumnVector":
-        if dim < 1:
-            raise DimensionMismatch("column vector needs positive dimension")
-        return cls._raw_new(spec, (spec.zero_value,) * dim)
-
-    @classmethod
-    def standard_basis(cls, spec: FieldSpec, dim: int, i: int) -> "ColumnVector":
-        """e_i, 1-based."""
-        if not 1 <= i <= dim:
-            raise IndexOutOfRange(f"index {i} outside 1..{dim}")
-        data = [spec.zero_value] * dim
-        data[i - 1] = spec.one_value
-        return cls._raw_new(spec, tuple(data))
-
-    def entry(self, i: int) -> FieldElement:
-        if not 1 <= i <= self.dim:
-            raise IndexOutOfRange(f"index {i} outside 1..{self.dim}")
-        return FieldElement(self.spec, self._data[i - 1])
-
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, v) for v in self._data)
-
-    def is_zero(self) -> bool:
-        return not any(self._data)
-
-    def first_nonzero_index(self) -> int | None:
-        """1-based index of the first nonzero coordinate, or None."""
-        for k, v in enumerate(self._data):
-            if v:
-                return k + 1
-        return None
-
-    def scaled(self, c) -> "ColumnVector":
-        cv = self.spec.coerce(c)
-        if self.spec.is_prime_field:
-            p = self.spec.modulus
-            return ColumnVector._raw_new(self.spec, tuple(v * cv % p for v in self._data))
-        return ColumnVector._raw_new(self.spec, tuple(v * cv for v in self._data))
-
-    def __add__(self, other: "ColumnVector") -> "ColumnVector":
-        self._compatible(other)
-        if self.spec.is_prime_field:
-            p = self.spec.modulus
-            return ColumnVector._raw_new(
-                self.spec, tuple((x + y) % p for x, y in zip(self._data, other._data))
-            )
-        return ColumnVector._raw_new(
-            self.spec, tuple(x + y for x, y in zip(self._data, other._data))
-        )
-
-    def __sub__(self, other: "ColumnVector") -> "ColumnVector":
-        self._compatible(other)
-        if self.spec.is_prime_field:
-            p = self.spec.modulus
-            return ColumnVector._raw_new(
-                self.spec, tuple((x - y) % p for x, y in zip(self._data, other._data))
-            )
-        return ColumnVector._raw_new(
-            self.spec, tuple(x - y for x, y in zip(self._data, other._data))
-        )
-
-    def _compatible(self, other: "ColumnVector") -> None:
-        if not isinstance(other, ColumnVector):
-            raise TypeError("expected ColumnVector")
-        if other.spec != self.spec:
-            raise FieldMismatch("vectors over different fields")
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        return self.spec == other.spec and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self._data))
-
-    def __repr__(self) -> str:
-        body = ", ".join(self.spec.format_value(v) for v in self._data)
-        return f"ColumnVector({self.spec}, [{body}])"
 
 
 class RrefResult(NamedTuple):
@@ -181,8 +77,8 @@ class Matrix:
         object.__setattr__(m, "_data", data)
         return m
 
-    @classmethod
-    def from_rows(cls, spec: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
+    @staticmethod
+    def from_rows(spec: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix needs positive dimensions")
         width = len(rows[0])
@@ -191,26 +87,26 @@ class Matrix:
             if len(row) != width:
                 raise DimensionMismatch("ragged rows")
             flat.extend(row)
-        return cls(spec, len(rows), width, flat)
+        return Matrix(spec, len(rows), width, flat)
 
-    @classmethod
-    def zero(cls, spec: FieldSpec, rows: int, cols: int) -> "Matrix":
+    @staticmethod
+    def zero(spec: FieldSpec, rows: int, cols: int) -> "Matrix":
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrix needs positive dimensions")
-        return cls._raw_new(spec, rows, cols, (spec.zero_value,) * (rows * cols))
+        return Matrix._raw_new(spec, rows, cols, (spec.zero_value,) * (rows * cols))
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
+    @staticmethod
+    def identity(spec: FieldSpec, n: int) -> "Matrix":
         if n < 1:
             raise DimensionMismatch("matrix needs positive dimensions")
         zero, one = spec.zero_value, spec.one_value
         data = [zero] * (n * n)
         for i in range(n):
             data[i * n + i] = one
-        return cls._raw_new(spec, n, n, tuple(data))
+        return Matrix._raw_new(spec, n, n, tuple(data))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[ColumnVector]) -> "Matrix":
+    @staticmethod
+    def from_columns(columns: Sequence[ColumnVector]) -> "Matrix":
         """Matrix whose i-th column is columns[i-1]."""
         if not columns:
             raise DimensionMismatch("need at least one column")
@@ -225,7 +121,7 @@ class Matrix:
         for i in range(dim):
             for c in columns:
                 data.append(c._data[i])
-        return cls._raw_new(spec, dim, len(columns), tuple(data))
+        return Matrix._raw_new(spec, dim, len(columns), tuple(data))
 
     # -- accessors ---------------------------------------------------------
 
@@ -242,16 +138,14 @@ class Matrix:
     def column(self, j: int) -> ColumnVector:
         if not 1 <= j <= self.cols:
             raise IndexOutOfRange(f"column {j} outside 1..{self.cols}")
-        return ColumnVector._raw_new(
-            self.spec, tuple(self._data[i * self.cols + (j - 1)] for i in range(self.rows))
-        )
+        return ColumnVector._raw_new(self.spec, self.rows, 1, self._data[j - 1 :: self.cols])
 
     def row_vector(self, i: int) -> ColumnVector:
         """Row i repackaged as a vector (used for outer-product products)."""
         if not 1 <= i <= self.rows:
             raise IndexOutOfRange(f"row {i} outside 1..{self.rows}")
         return ColumnVector._raw_new(
-            self.spec, self._data[(i - 1) * self.cols : i * self.cols]
+            self.spec, self.cols, 1, self._data[(i - 1) * self.cols : i * self.cols]
         )
 
     def is_zero(self) -> bool:
@@ -276,40 +170,32 @@ class Matrix:
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+    def _like(self, values) -> "Matrix":
+        """A matrix of self's shape and class holding ``values``, each reduced
+        mod p when the field is prime."""
         if self.spec.is_prime_field:
             p = self.spec.modulus
-            data = tuple((x + y) % p for x, y in zip(self._data, other._data))
-        else:
-            data = tuple(x + y for x, y in zip(self._data, other._data))
-        return Matrix._raw_new(self.spec, self.rows, self.cols, data)
+            values = (v % p for v in values)
+        return type(self)._raw_new(self.spec, self.rows, self.cols, tuple(values))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._same_shape(other)
+        return self._like(x + y for x, y in zip(self._data, other._data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        if self.spec.is_prime_field:
-            p = self.spec.modulus
-            data = tuple((x - y) % p for x, y in zip(self._data, other._data))
-        else:
-            data = tuple(x - y for x, y in zip(self._data, other._data))
-        return Matrix._raw_new(self.spec, self.rows, self.cols, data)
+        return self._like(x - y for x, y in zip(self._data, other._data))
 
     def __neg__(self) -> "Matrix":
-        neg = self.spec.negate_value
-        return Matrix._raw_new(self.spec, self.rows, self.cols, tuple(neg(v) for v in self._data))
+        return self._like(-v for v in self._data)
 
     def scale(self, c) -> "Matrix":
         cv = self.spec.coerce(c)
-        if self.spec.is_prime_field:
-            p = self.spec.modulus
-            data = tuple(v * cv % p for v in self._data)
-        else:
-            data = tuple(v * cv for v in self._data)
-        return Matrix._raw_new(self.spec, self.rows, self.cols, data)
+        return self._like(v * cv for v in self._data)
 
     def __matmul__(self, other):
-        if isinstance(other, ColumnVector):
-            return self._mat_vec(other)
+        """Product; its class is that of ``other``, so a mat-vec gives a
+        ColumnVector."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.spec != self.spec:
@@ -341,7 +227,7 @@ class Matrix:
                         out[oi + j] += x * y
             for j in range(oi, oi + q):
                 out[j] %= p
-        return Matrix._raw_new(self.spec, n, q, tuple(out))
+        return type(other)._raw_new(self.spec, n, q, tuple(out))
 
     def _matmul_rational(self, other: "Matrix") -> "Matrix":
         # Rational product via integer dot products: scale each row of self
@@ -385,29 +271,7 @@ class Matrix:
                         if y:
                             acc += x * y
                 out.append(Fraction(acc, di * b_den[j]))
-        return Matrix._raw_new(self.spec, n, q, tuple(out))
-
-    def _mat_vec(self, v: ColumnVector) -> ColumnVector:
-        if v.spec != self.spec:
-            raise FieldMismatch("matrix and vector over different fields")
-        if self.cols != v.dim:
-            raise DimensionMismatch(f"inner dimensions {self.cols} vs {v.dim}")
-        a, b = self._data, v._data
-        zero = self.spec.zero_value
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            ai = i * self.cols
-            for k in range(self.cols):
-                x = a[ai + k]
-                if x:
-                    y = b[k]
-                    if y:
-                        acc += x * y
-            if self.spec.is_prime_field:
-                acc %= self.spec.modulus
-            out.append(acc)
-        return ColumnVector._raw_new(self.spec, tuple(out))
+        return type(other)._raw_new(self.spec, n, q, tuple(out))
 
     def power(self, k: int) -> "Matrix":
         """k-th power, k >= 0; power(A, 0) is the identity."""
@@ -436,12 +300,7 @@ class Matrix:
     def trace(self) -> FieldElement:
         if not self.is_square:
             raise DimensionMismatch("trace needs a square matrix")
-        acc = self.spec.zero_value
-        for i in range(self.rows):
-            acc += self._data[i * self.cols + i]
-        if self.spec.is_prime_field:
-            acc %= self.spec.modulus
-        return FieldElement(self.spec, acc)
+        return self.spec.element(sum(self._data[:: self.cols + 1], self.spec.zero_value))
 
     # -- elimination -------------------------------------------------------
 
@@ -537,11 +396,11 @@ class Matrix:
                 val = rdata[r_idx * cols + (free - 1)]
                 if val:
                     v[pc - 1] = neg(val)
-            vec = ColumnVector._raw_new(self.spec, tuple(v))
+            vec = ColumnVector._raw_new(self.spec, cols, 1, tuple(v))
             lead = vec.first_nonzero_index()
             lead_val = vec._data[lead - 1]
             if lead_val != one:
-                vec = vec.scaled(self.spec.invert_value(lead_val))
+                vec = vec.scale(self.spec.invert_value(lead_val))
             basis.append(vec)
         return basis
 
@@ -584,6 +443,48 @@ class Matrix:
     def __repr__(self) -> str:
         rows = ["[" + ", ".join(r) + "]" for r in self.to_strings()]
         return f"Matrix({self.spec}, [{'; '.join(rows)}])"
+
+
+class ColumnVector(Matrix):
+    """An n x 1 matrix: the kernel vector, a column or a row of a matrix.
+
+    Products, sums and scaling come from Matrix and keep this class, so
+    ``m @ v`` is again a ColumnVector.  A ColumnVector equals the n x 1
+    Matrix with the same entries.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, spec: FieldSpec, entries: Sequence) -> None:
+        entries = tuple(entries)
+        super().__init__(spec, len(entries), 1, entries)
+
+    @classmethod
+    def standard_basis(cls, spec: FieldSpec, dim: int, i: int) -> "ColumnVector":
+        """e_i, 1-based."""
+        if not 1 <= i <= dim:
+            raise IndexOutOfRange(f"index {i} outside 1..{dim}")
+        data = [spec.zero_value] * dim
+        data[i - 1] = spec.one_value
+        return cls._raw_new(spec, dim, 1, tuple(data))
+
+    @property
+    def dim(self) -> int:
+        return self.rows
+
+    def entry(self, i: int, j: int = 1) -> FieldElement:
+        """Coordinate i (1-based)."""
+        return super().entry(i, j)
+
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, v) for v in self._data)
+
+    def first_nonzero_index(self) -> int | None:
+        """1-based index of the first nonzero coordinate, or None."""
+        for k, v in enumerate(self._data):
+            if v:
+                return k + 1
+        return None
 
 
 def elementary_matrix(spec: FieldSpec, n: int, i: int, j: int) -> Matrix:

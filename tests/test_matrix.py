@@ -23,7 +23,9 @@ from matconj import (
 from helpers import det_bareiss, leibniz_det, naive_mul, random_dense
 
 QQ = rationals()
+GF2 = prime_field(2)
 GF5 = prime_field(5)
+GF_BIG = prime_field(2**61 - 1)
 
 
 # -- generator matrices ------------------------------------------------------
@@ -104,7 +106,7 @@ def test_mul_dimension_mismatch():
         Matrix.zero(QQ, 2, 3) @ Matrix.zero(QQ, 2, 3)
 
 
-@pytest.mark.parametrize("spec", [QQ, GF5], ids=str)
+@pytest.mark.parametrize("spec", [QQ, GF2, GF5, GF_BIG], ids=str)
 def test_mul_matches_naive_reference(spec):
     rng = random.Random(7)
     for _ in range(30):
@@ -113,7 +115,9 @@ def test_mul_matches_naive_reference(spec):
         cols = rng.randint(1, 5)
         a = random_dense(spec, rows, inner, rng)
         b = random_dense(spec, inner, cols, rng)
-        assert a @ b == naive_mul(a, b)
+        # one-column right factors: a ColumnVector and a plain n x 1 Matrix
+        for right in (b, b.column(1), Matrix.from_columns([b.column(cols)])):
+            assert a @ right == naive_mul(a, right)
 
 
 @pytest.mark.parametrize("spec", [QQ, GF5], ids=str)
@@ -127,9 +131,20 @@ def test_mul_associative_distributive(spec):
 
 
 def test_mat_vec():
-    m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    v = ColumnVector(QQ, [5, 6])
-    assert m @ v == ColumnVector(QQ, [17, 39])
+    for spec in (QQ, GF_BIG):
+        m = Matrix.from_rows(spec, [[1, 2], [3, 4]])
+        v = ColumnVector(spec, [5, 6])
+        w = m @ v
+        assert w == ColumnVector(spec, [17, 39])
+        assert w == Matrix.from_rows(spec, [[17], [39]])
+        assert type(w) is ColumnVector
+        for result in (v + w, w - v, -v, v.scale(3)):
+            assert type(result) is ColumnVector
+        assert v + w == ColumnVector(spec, [22, 45])
+        assert v - w == ColumnVector(spec, [-12, -33])
+        basis = Matrix.from_rows(spec, [[1, 2, 3], [2, 4, 6]]).nullspace_basis()
+        assert len(basis) == 2
+        assert all(type(vec) is ColumnVector for vec in basis)
 
 
 # -- rref and nullspace ------------------------------------------------------
@@ -346,4 +361,6 @@ def test_power_agrees_with_repeated_product(n, k):
 def test_rational_matmul_matches_naive(rows):
     m = Matrix.from_rows(QQ, rows)
     assert m @ m == naive_mul(m, m)
+    for j in (1, 2, 3):
+        assert m @ m.column(j) == naive_mul(m, m.column(j))
     assert det_bareiss(m) == m.det() == leibniz_det(m)
