@@ -20,9 +20,10 @@ invertible matrix B), ``full_table`` (an n x n array of matrices:
 ``generator_pair`` (``{"H": ..., "G": ...}``, the images of the corner unit
 and the shift matrix), and no other top-level key.
 
-Exit codes: 0 recovered / all checks passed, 2 parse, flag or output
-errors, 3 construction impossibilities (empty kernel, singular conjugator),
-4 verification failure.
+Exit codes: 0 recovered / all checks passed, 1 a ``check-aut`` map that is
+not an automorphism or a ``fuzz`` sweep whose summary is not ok, 2 parse,
+flag or output errors (a JSON object on stderr), 3 construction
+impossibilities (empty kernel, singular conjugator), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -513,8 +514,16 @@ def _gen_dimension(text: str) -> int:
     return value
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports a bad flag or command as a JSON error (exit 2); subparsers
+    share the class, so this covers every command."""
+
+    def error(self, message):
+        self.exit(_fail_parse(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="matconj",
         description=(
             "Recover the invertible matrix realizing an inner automorphism of "

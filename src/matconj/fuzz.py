@@ -81,6 +81,8 @@ class FuzzConfig:
             raise ValueError(f"n_range must satisfy 1 <= lo <= hi <= {MAX_FUZZ_N}")
         if not self.field_specs:
             raise ValueError("need at least one field spec")
+        if len(set(self.field_specs)) < len(self.field_specs):
+            raise ValueError("each field may appear only once")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be positive")
         if self.entry_bound < 1:
@@ -119,18 +121,19 @@ class IdentitySummary:
         """Record one conjugation trial's assertions from what its recovery
         built: the images (h, g), the queries they took, ``built`` (the witness,
         or the EmptyKernel or SingularConjugator that stopped the construction)
-        and the witness's structure report ``checks``.  P = G^(n-1) H is formed
-        once more here; the kernel vector is the witness's when there is one."""
+        and the witness's structure report ``checks``.  P = G^(n-1) H and the
+        kernel vector are the witness's; P is formed here only when the
+        construction failed and there is no witness."""
         n = h.rows
         self.total_trials += 1
         self._record("query_economy", queries == 2, context)
-        projector = projected_idempotent(h, g, n)
+        failed = isinstance(built, (EmptyKernel, SingularConjugator))
+        projector = projected_idempotent(h, g, n) if failed else built.projector
         diff = Matrix.identity(h.spec, n) - projector
         self._record("det_projector_zero", diff.det().is_zero(), context)
         if isinstance(built, EmptyKernel):
             self._record("kernel_vector_nonzero", False, context)
             return
-        failed = isinstance(built, SingularConjugator)
         a_vec = kernel_vector(projector) if failed else built.kernel_vector
         self._record("kernel_vector_nonzero", not a_vec.is_zero(), context)
         self._record("kernel_vector_annihilated", (diff @ a_vec).is_zero(), context)

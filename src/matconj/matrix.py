@@ -14,8 +14,9 @@ rank counts the pivots, and det is their product, negated once per row swap.
 Its reduced form also clears the entries above each pivot and gives the rref
 that inverse and nullspace_basis read.
 
-A column vector is an n x 1 Matrix (the ColumnVector subclass), so every
-product, mat-vec included, runs through one kernel per field.
+A column vector is an n x 1 Matrix (the ColumnVector subclass).  One product
+loop over plain ints serves both fields and every shape, mat-vec included;
+over Q it first scales the factors' rows and columns to integers.
 
 Indexing in the public API is 1-based: ``elementary_matrix(spec, n, i, j)``
 puts its 1 in row i, column j counted from 1, and ``entry``/``column``/
@@ -204,15 +205,29 @@ class Matrix:
             raise DimensionMismatch(
                 f"inner dimensions {self.cols} vs {other.rows}"
             )
-        if not self.spec.is_prime_field:
-            return self._matmul_rational(other)
         n, m, q = self.rows, self.cols, other.cols
         a, b = self._data, other._data
-        p = self.spec.modulus
+        prime = self.spec.is_prime_field
+        if not prime:
+            # Scale each row of self and each column of other to integers by
+            # the lcm of its denominators; each result entry is divided once.
+            lcm = math.lcm
+            a_rows = range(0, n * m, m)
+            row_den = [lcm(*[v.denominator for v in a[r : r + m]]) for r in a_rows]
+            col_den = [lcm(*[v.denominator for v in b[j::q]]) for j in range(q)]
+            a = [
+                v.numerator * (d // v.denominator)
+                for r, d in zip(a_rows, row_den)
+                for v in a[r : r + m]
+            ]
+            b = [
+                v.numerator * (d // v.denominator)
+                for r in range(0, m * q, q)
+                for v, d in zip(b[r : r + q], col_den)
+            ]
         out = [0] * (n * q)
-        # Zero operands are skipped before multiplying, and residues are only
-        # reduced once per output row: the workloads here are full of
-        # E_{i,j}-sparse factors and exact scalar products dominate the cost.
+        # Zero operands are skipped: the workloads here are full of
+        # E_{i,j}-sparse factors, and exact integer products dominate the cost.
         for i in range(n):
             ai = i * m
             oi = i * q
@@ -225,52 +240,15 @@ class Matrix:
                     y = b[bk + j]
                     if y:
                         out[oi + j] += x * y
-            for j in range(oi, oi + q):
-                out[j] %= p
-        return type(other)._raw_new(self.spec, n, q, tuple(out))
-
-    def _matmul_rational(self, other: "Matrix") -> "Matrix":
-        # Rational product via integer dot products: scale each row of self
-        # and each column of other to integers over a common denominator, run
-        # the fast integer kernel, and normalize once per output entry.  This
-        # replaces two arbitrary-precision gcd normalizations per scalar
-        # operation with a single one per result entry.
-        n, m, q = self.rows, self.cols, other.cols
-        a, b = self._data, other._data
-        lcm = math.lcm
-        a_num = [0] * (n * m)
-        a_den = [1] * n
-        for i in range(n):
-            base = i * m
-            d = lcm(*(a[base + k].denominator for k in range(m)))
-            a_den[i] = d
-            for k in range(m):
-                v = a[base + k]
-                if v:
-                    a_num[base + k] = v.numerator * (d // v.denominator)
-        b_num = [0] * (m * q)
-        b_den = [1] * q
-        for j in range(q):
-            d = lcm(*(b[k * q + j].denominator for k in range(m)))
-            b_den[j] = d
-            for k in range(m):
-                v = b[k * q + j]
-                if v:
-                    b_num[k * q + j] = v.numerator * (d // v.denominator)
-        out = []
-        for i in range(n):
-            base = i * m
-            a_row = a_num[base : base + m]
-            di = a_den[i]
-            for j in range(q):
-                acc = 0
-                for k in range(m):
-                    x = a_row[k]
-                    if x:
-                        y = b_num[k * q + j]
-                        if y:
-                            acc += x * y
-                out.append(Fraction(acc, di * b_den[j]))
+        if prime:
+            p = self.spec.modulus
+            out = [v % p for v in out]
+        else:
+            out = [
+                Fraction(v, di * dj)
+                for r, di in zip(range(0, n * q, q), row_den)
+                for v, dj in zip(out[r : r + q], col_den)
+            ]
         return type(other)._raw_new(self.spec, n, q, tuple(out))
 
     def power(self, k: int) -> "Matrix":

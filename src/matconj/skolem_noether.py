@@ -57,6 +57,7 @@ class ConjugationWitness:
     ``conjugator_inv`` is computed eagerly: every downstream verification
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
+    from, and ``projector`` is P = G^{n-1} H, whose fixed vectors it was drawn
     from.
     """
 
@@ -65,6 +66,7 @@ class ConjugationWitness:
     kernel_vector: ColumnVector
     n: int
     spec: FieldSpec
+    projector: Matrix
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,8 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     the input pair was invalid and SingularConjugator is raised.
     """
     _check_pair(h, g, n)
-    a = kernel_vector(projected_idempotent(h, g, n))
+    projector = projected_idempotent(h, g, n)
+    a = kernel_vector(projector)
     columns = [None] * n
     vec = h @ a
     for i in range(n, 0, -1):
@@ -174,7 +177,7 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec)
+    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector)
 
 
 def check_structure_identities(
@@ -182,8 +185,9 @@ def check_structure_identities(
 ) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    The chain H G^k H = 0 is indexed by 0 <= k <= n-2 and is therefore empty
-    at n = 1; the remaining checks degenerate gracefully there.
+    P = G^{n-1} H is read from ``witness.projector``, not formed again.  The
+    chain H G^k H = 0 is indexed by 0 <= k <= n-2 and is therefore empty at
+    n = 1; the remaining checks degenerate gracefully there.
     """
     n = witness.n
     _check_pair(h, g, n)
@@ -198,7 +202,7 @@ def check_structure_identities(
             corner_chain_ok = False
             break
         left = left @ g
-    projector = projected_idempotent(h, g, n)
+    projector = witness.projector
     idempotent_ok = projector @ projector == projector
     kernel_rank_ok = (Matrix.identity(spec, n) - projector).rank() == n - 1
     intertwine_E_ok, intertwine_S_ok = _intertwines(witness, h, g)

@@ -410,10 +410,21 @@ def test_gen_n1_rational_is_nonzero(tmp_path, capsys):
     assert QQ.parse(value) != QQ.zero
 
 
-def test_gen_flag_validation():
+def _assert_flag_error(capsys, exc):
+    """A rejected flag exits 2 with exactly one JSON object on stderr."""
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1, captured.err
+    error = json.loads(captured.err)
+    assert list(error) == ["error"] and error["error"], captured.err
+    return error["error"]
+
+
+def test_gen_flag_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--field", "reals", "--n", "2", "--seed", "1"])
-    assert exc.value.code == 2
+    _assert_flag_error(capsys, exc)
 
 
 def test_gen_caps_dimension(capsys):
@@ -422,8 +433,7 @@ def test_gen_caps_dimension(capsys):
     assert len(json.loads(capsys.readouterr().out)["conjugator"]) == 64
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--field", "gfp:7", "--n", "65", "--seed", "1"])
-    assert exc.value.code == 2
-    assert "at most 64" in capsys.readouterr().err
+    assert "at most 64" in _assert_flag_error(capsys, exc)
 
 
 # -- fuzz --------------------------------------------------------------------
@@ -482,10 +492,16 @@ def test_fuzz_rejects_zero_trials():
     assert exc.value.code == 2
 
 
-def test_fuzz_rejects_bad_range():
+def test_fuzz_rejects_bad_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--n", "5..2"])
-    assert exc.value.code == 2
+    _assert_flag_error(capsys, exc)
+
+
+def test_fuzz_rejects_repeated_field(capsys):
+    # q and Q name the same field; running its cells twice would double-count them
+    code = main(["fuzz", "--n", "2", "--fields", "q,Q", "--trials", "1"])
+    _assert_parse_failure(capsys, code)
 
 
 def test_fuzz_dimension_flag_uses_config_bound():

@@ -40,6 +40,7 @@ GF2 = prime_field(2)
         {"trials_per_cell": 0},
         {"entry_bound": 0},
         {"field_specs": ()},
+        {"field_specs": (QQ, GF2, QQ)},
         {"adversary": "bogus"},
     ],
 )
@@ -183,12 +184,14 @@ def test_identity_suite_deterministic():
 def test_one_pass_builds_each_cell_once(monkeypatch):
     calls = {}
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(fuzz_module, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in (
         "random_invertible",
@@ -196,7 +199,10 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "check_structure_identities",
         "certify",
     ):
-        counted(name, getattr(fuzz_module, name))
+        counted(fuzz_module, name)
+    # P = G^(n-1) H is formed once per trial, by build_conjugator
+    counted(sn, "projected_idempotent")
+    counted(fuzz_module, "projected_idempotent")
     summary = IdentitySummary()
     reports = run_roundtrip_suite(SMALL, summary)
     assert len(reports) == summary.total_trials == 24
@@ -205,6 +211,7 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "build_conjugator": 24,
         "check_structure_identities": 24,
         "certify": 24,
+        "projected_idempotent": 24,
     }
 
 

@@ -157,7 +157,7 @@ def test_structure_checks_forced_non_automorphism():
     a = ColumnVector.standard_basis(QQ, 2, 1)
     ha = h @ a
     forced = Matrix.from_columns([g @ ha, ha])
-    witness = ConjugationWitness(forced, forced, a, 2, QQ)  # inverse unused
+    witness = ConjugationWitness(forced, forced, a, 2, QQ, g @ h)  # inverse unused
     report = check_structure_identities(h, g, witness)
     assert report.shift_nilpotent_ok
     assert not report.corner_chain_ok
@@ -208,6 +208,7 @@ def test_verify_scalar_multiple_still_passes():
         witness.kernel_vector,
         2,
         QQ,
+        witness.projector,
     )
     assert verify_conjugation(phi, doubled).outcome is Outcome.RECOVERED
 
@@ -234,6 +235,7 @@ def test_verify_perturbed_witness_fails():
             witness.kernel_vector,
             2,
             QQ,
+            witness.projector,
         )
         report = verify_conjugation(phi, perturbed)
         assert report.outcome is Outcome.VERIFICATION_FAILED

@@ -1,11 +1,18 @@
-"""Cross-check of the elimination layer against sympy's DomainMatrix.
+"""Cross-check of the product and elimination layers against sympy's DomainMatrix.
+
+Everything is compared on seeded matrices with at most 6 rows and columns,
+over Q, GF(2), GF(3) and GF(2^61 - 1).
+
+Products ``a @ b`` are compared with DomainMatrix products for dense factors
+of every shape, n x 1 and 1 x n factors included, and for the factors the
+product loop treats specially: a matrix unit E_ij on the left and on the
+right, a zero matrix, and a factor with an all-zero row and column.
 
 rref (matrix and pivot columns), rank, det, inverse (or SingularMatrix) and
-the nullspace (as a span of the same dimension) are compared on seeded
-square, wide and tall matrices with at most 6 rows and columns, over Q,
-GF(2), GF(3) and GF(2^61 - 1).  The matrix kinds cover regular and singular
-inputs, and permuted triangular matrices force row swaps so that the sign of
-the determinant is exercised.
+the nullspace (as a span of the same dimension) are compared on square, wide
+and tall matrices.  The matrix kinds cover regular and singular inputs, and
+permuted triangular matrices force row swaps so that the sign of the
+determinant is exercised.
 """
 
 import random
@@ -13,7 +20,14 @@ from fractions import Fraction
 
 import pytest
 
-from matconj import ColumnVector, Matrix, SingularMatrix, prime_field, rationals
+from matconj import (
+    ColumnVector,
+    Matrix,
+    SingularMatrix,
+    elementary_matrix,
+    prime_field,
+    rationals,
+)
 
 from helpers import random_dense, random_scalar
 
@@ -98,6 +112,43 @@ def _span_rank(spec, vectors) -> int:
     dim = vectors[0].dim
     flat = [v.entry(i) for v in vectors for i in range(1, dim + 1)]
     return _to_sympy(Matrix(spec, len(vectors), dim, flat)).rank()
+
+
+def _product_factors(spec, rng):
+    """(a, b) factor pairs: dense ones of every shape, then the special factors
+    at every square size, each on both sides of a dense matrix."""
+    for rows in range(1, MAX_DIM + 1):
+        for inner in range(1, MAX_DIM + 1):
+            for cols in range(1, MAX_DIM + 1):
+                left = random_dense(spec, rows, inner, rng)
+                yield left, random_dense(spec, inner, cols, rng)
+    for n in range(1, MAX_DIM + 1):
+        dense = random_dense(spec, n, n, rng)
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        holed = [
+            [0 if r == i or c == j else dense.entry(r, c) for c in range(1, n + 1)]
+            for r in range(1, n + 1)
+        ]
+        special = (
+            elementary_matrix(spec, n, i, j),
+            Matrix.zero(spec, n, n),
+            Matrix.from_rows(spec, holed),
+        )
+        for factor in special:
+            yield factor, dense
+            yield dense, factor
+        col, row = random_dense(spec, n, 1, rng), random_dense(spec, 1, n, rng)
+        yield dense, col
+        yield row, dense
+        yield col, row
+        yield row, col
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_product_matches_sympy(spec):
+    rng = random.Random(2000 + FIELDS.index(spec))
+    for a, b in _product_factors(spec, rng):
+        assert a @ b == _from_sympy(spec, _to_sympy(a) * _to_sympy(b)), (a, b)
 
 
 @pytest.mark.parametrize("kind", KINDS)
