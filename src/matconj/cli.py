@@ -18,7 +18,8 @@ with exactly one input variant out of ``conjugator`` (the ground-truth
 invertible matrix B), ``full_table`` (an n x n array of matrices:
 ``full_table[i-1][j-1]`` is the image of the (i,j) matrix unit), or
 ``generator_pair`` (``{"H": ..., "G": ...}``, the images of the corner unit
-and the shift matrix), and no other top-level key.
+and the shift matrix), and no other top-level key.  No object may repeat a
+key.
 
 Exit codes: 0 recovered / all checks passed, 1 a ``check-aut`` map that is
 not an automorphism or a ``fuzz`` sweep whose summary is not ok, 2 parse,
@@ -229,6 +230,17 @@ def problem_to_json(problem: ProblemFile) -> dict:
     return out
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a repeated key: json.loads alone would
+    keep its last copy silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_problem(path: str) -> tuple[ProblemFile, str]:
     """Parse a problem file, returning it with the SHA-256 of the raw bytes."""
     try:
@@ -238,9 +250,10 @@ def load_problem(path: str) -> tuple[ProblemFile, str]:
         raise ParseError(f"cannot read {path}: {exc}")
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        obj = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # bad UTF-8, bad JSON, an over-long integer, or nesting past the stack
+        # bad UTF-8, bad JSON, a repeated key, an over-long integer, or
+        # nesting past the stack
         raise ParseError(f"invalid JSON in {path}: {exc}")
     return problem_from_json(obj), digest
 

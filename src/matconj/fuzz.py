@@ -123,26 +123,37 @@ class IdentitySummary:
         or the EmptyKernel or SingularConjugator that stopped the construction)
         and the witness's structure report ``checks``.  P = G^(n-1) H and the
         kernel vector are the witness's; P is formed here only when the
-        construction failed and there is no witness."""
+        construction failed and there is no witness.  det(I - P) and rank(A)
+        are eliminated only when the kernel vector and A^-1 fail to settle
+        them."""
         n = h.rows
         self.total_trials += 1
         self._record("query_economy", queries == 2, context)
         failed = isinstance(built, (EmptyKernel, SingularConjugator))
         projector = projected_idempotent(h, g, n) if failed else built.projector
-        diff = Matrix.identity(h.spec, n) - projector
-        self._record("det_projector_zero", diff.det().is_zero(), context)
+        identity = Matrix.identity(h.spec, n)
+        diff = identity - projector
         if isinstance(built, EmptyKernel):
+            self._record("det_projector_zero", diff.det().is_zero(), context)
             self._record("kernel_vector_nonzero", False, context)
             return
         a_vec = kernel_vector(projector) if failed else built.kernel_vector
-        self._record("kernel_vector_nonzero", not a_vec.is_zero(), context)
-        self._record("kernel_vector_annihilated", (diff @ a_vec).is_zero(), context)
+        nonzero = not a_vec.is_zero()
+        annihilated = (diff @ a_vec).is_zero()
+        # a nonzero vector that I - P annihilates proves det(I - P) = 0
+        det_zero = (nonzero and annihilated) or diff.det().is_zero()
+        self._record("det_projector_zero", det_zero, context)
+        self._record("kernel_vector_nonzero", nonzero, context)
+        self._record("kernel_vector_annihilated", annihilated, context)
         self._record("fixed_point", projector @ a_vec == a_vec, context)
         if failed:
             self._record("conjugator_built", False, f"{context}: {built}")
             return
         self._record("conjugator_built", True, context)
-        self._record("conjugator_full_rank", built.conjugator.rank() == n, context)
+        # A A^-1 = I proves full rank; rank() settles a witness whose inverse is off
+        a_mat = built.conjugator
+        full_rank = a_mat @ built.conjugator_inv == identity or a_mat.rank() == n
+        self._record("conjugator_full_rank", full_rank, context)
         self._record("projector_idempotent", checks.idempotent_ok, context)
         self._record("projector_kernel_rank", checks.kernel_rank_ok, context)
         self._record("intertwine_E", checks.intertwine_E_ok, context)

@@ -8,7 +8,9 @@ module makes that effective from just two images of the map:
    superdiagonal shift;
 2. pick a nonzero vector a in the kernel of I - G^{n-1} H (that difference is
    singular whenever phi is an automorphism, because G^{n-1} H is the image of
-   the rank-1 idempotent E_{1,1});
+   the rank-1 idempotent E_{1,1}).  H has rank 1, so H = u v^T and
+   G^{n-1} H = (G^{n-1} u) v^T costs n-1 mat-vecs, O(n^3); an H of any other
+   rank falls back to the O(n^4) chain of dense products;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
@@ -128,13 +130,27 @@ class RecoveryReport:
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
-    For n = 1 the empty power is the identity, so the result is H itself.
+    H = phi(E_{n,1}) has rank 1 for every automorphism, and then H = u v^T
+    with u the column and v^T the row of H's first nonzero entry h_ij in
+    row-major order (v scaled by 1/h_ij).  When u v^T reproduces H exactly,
+    G^{n-1} H = (G^{n-1} u) v^T takes n-1 mat-vecs and an outer product:
+    O(n^3) in all, against O(n^4) for the chain of n-1 dense products.  Any
+    other H (zero, or of rank >= 2) runs that chain.  Products are exact, so
+    both paths give the same matrix.  For n = 1 the empty power is the
+    identity, so the result is H itself.
     """
     _check_pair(h, g, n)
-    result = h
+    result, row = h, None
+    k = next((k for k, x in enumerate(h._data) if x), None)
+    if k is not None:
+        i, j = divmod(k, n)
+        u = h.column(j + 1)
+        v = h.row_vector(i + 1).scale(h.spec.invert_value(h._data[k]))
+        if outer_product(u, v) == h:
+            result, row = u, v
     for _ in range(n - 1):
         result = g @ result
-    return result
+    return result if row is None else outer_product(result, row)
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:

@@ -107,6 +107,18 @@ def full_multiplicativity(images, n: int) -> bool:
     return True
 
 
+def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
+    """G^(n-1) H as the chain of n-1 dense products, whatever H's rank.
+
+    The reference for ``projected_idempotent``, which forms G^(n-1) u and one
+    outer product when H = u v^T has rank 1.
+    """
+    result = h
+    for _ in range(n - 1):
+        result = naive_mul(g, result)
+    return result
+
+
 def random_scalar(spec: FieldSpec, rng, bound: int = 5):
     if spec.is_prime_field:
         return spec.element(rng.randrange(spec.modulus))

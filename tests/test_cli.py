@@ -315,6 +315,27 @@ def test_deeply_nested_problem_exit_2(tmp_path, capsys, command):
     _assert_parse_failure(capsys, main([command, str(path)]))
 
 
+@pytest.mark.parametrize("command", ["recover", "check-aut"])
+def test_duplicate_key_problem_exit_2(tmp_path, capsys, command):
+    # json.loads alone keeps the last copy of a key: the first file would be
+    # recovered over Q, the second with the second H.
+    texts = {
+        "field": '{"field": {"type": "GFp", "p": 7}, "n": 2, '
+        '"conjugator": [["0", "1"], ["1", "0"]], "field": {"type": "Q"}}',
+        "H": '{"field": {"type": "Q"}, "n": 2, "generator_pair": '
+        '{"H": [["0", "0"], ["1", "0"]], "G": [["0", "1"], ["0", "0"]], '
+        '"H": [["0", "0"], ["2", "0"]]}}',
+    }
+    for key, text in texts.items():
+        path = tmp_path / f"repeated_{key}.json"
+        path.write_text(text, encoding="utf-8")
+        code = main([command, str(path)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repeated key '{key}'" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import matconj.skolem_noether as sn
+from helpers import chain_projector, random_dense, random_scalar
 from matconj import (
     AutomorphismOracle,
     ColumnVector,
@@ -60,6 +62,86 @@ def test_projector_n1_is_h():
     h = Matrix.from_rows(QQ, [[1]])
     g = Matrix.zero(QQ, 1, 1)
     assert projected_idempotent(h, g, 1) == h
+
+
+def _nonzero_vector(spec, n, rng, zero_head=0, zero_tail=0):
+    """A random nonzero vector whose first ``zero_head`` and last
+    ``zero_tail`` coordinates are 0."""
+    while True:
+        body = [random_scalar(spec, rng) for _ in range(n - zero_head - zero_tail)]
+        vec = ColumnVector(spec, [spec.zero] * zero_head + body + [spec.zero] * zero_tail)
+        if not vec.is_zero():
+            return vec
+
+
+def _projector_cases(spec, n, rng):
+    """(name, H, G, takes the rank-1 path) for each kind of input."""
+    b = random_invertible(spec, n, rng, 4)
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    yield "genuine", h, g, True
+    yield "zero", Matrix.zero(spec, n, n), random_dense(spec, n, n, rng), False
+    if n == 1:
+        return
+    # first nonzero entry of H off row 1 and column 1
+    u = _nonzero_vector(spec, n, rng, zero_head=1)
+    v = _nonzero_vector(spec, n, rng, zero_head=1)
+    yield "rank1_inner", outer_product(u, v), random_dense(spec, n, n, rng), True
+    # G strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0
+    g = Matrix.from_rows(
+        spec,
+        [[random_scalar(spec, rng) if j > i else 0 for j in range(n)] for i in range(n)],
+    )
+    u = _nonzero_vector(spec, n, rng, zero_tail=1)
+    v = _nonzero_vector(spec, n, rng)
+    yield "rank1_vanishing", outer_product(u, v), g, True
+    # v^T G^(n-1) u != 1: I - P is injective
+    for _ in range(100):
+        h = outer_product(_nonzero_vector(spec, n, rng), _nonzero_vector(spec, n, rng))
+        g = random_dense(spec, n, n, rng)
+        if (Matrix.identity(spec, n) - chain_projector(h, g, n)).rank() == n:
+            yield "rank1_injective", h, g, True
+            break
+    else:
+        raise AssertionError("no rank-1 H with v^T G^(n-1) u != 1 drawn")
+    while True:
+        h = random_dense(spec, n, n, rng)
+        if h.rank() >= 2:
+            yield "rank_ge_2", h, random_dense(spec, n, n, rng), False
+            break
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)],
+    ids=str,
+)
+def test_projector_matches_chain_reference(spec, monkeypatch):
+    rng = random.Random(79)
+    outer_calls = []
+
+    def counted_outer(col, row):
+        outer_calls.append(1)
+        return outer_product(col, row)
+
+    monkeypatch.setattr(sn, "outer_product", counted_outer)
+    seen = set()
+    for n in range(1, 7):
+        for name, h, g, rank_one in _projector_cases(spec, n, rng):
+            outer_calls.clear()
+            projector = projected_idempotent(h, g, n)
+            assert projector == chain_projector(h, g, n), (name, n)
+            # the rank-1 path runs the factorization check and the final
+            # outer product; the chain runs the check only when H != 0
+            assert (len(outer_calls) == 2) == rank_one, (name, n)
+            seen.add(rank_one)
+            if name in ("rank1_vanishing", "zero"):
+                assert projector.is_zero()
+            if name == "rank1_injective":
+                with pytest.raises(EmptyKernel):
+                    kernel_vector(chain_projector(h, g, n))
+                with pytest.raises(EmptyKernel):
+                    build_conjugator(h, g, n)
+    assert seen == {True, False}
 
 
 # -- kernel_vector -----------------------------------------------------------
