@@ -20,7 +20,10 @@ certificate: the two intertwines for a generator pair, and the n^2-pair basis
 sweep of :func:`verify_conjugation` for a map given by conjugation or by a
 table.  :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
-conjugators up to the scalar factor conjugation cannot see.
+conjugators up to the scalar factor conjugation cannot see.  For a rank-1
+H = u v^T the report reads H G^k H = 0, P^2 = P and rank(I - P) = n - 1 off
+the scalars v^T A and tr P, O(n^3 log n); a witness without v takes their
+O(n^4) matrix forms.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -60,7 +63,10 @@ class ConjugationWitness:
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
     from, and ``projector`` is P = G^{n-1} H, whose fixed vectors it was drawn
-    from.
+    from.  ``corner_row`` is v with H = u v^T when H has rank 1, and None
+    otherwise.  It asserts that column i of ``conjugator`` is c G^{n-i} u
+    with c = v^T a, which :func:`check_structure_identities` relies on; a
+    witness whose ``conjugator`` is replaced must drop it.
     """
 
     conjugator: Matrix
@@ -69,6 +75,7 @@ class ConjugationWitness:
     n: int
     spec: FieldSpec
     projector: Matrix
+    corner_row: ColumnVector | None = None
 
 
 @dataclass(frozen=True)
@@ -127,12 +134,53 @@ class RecoveryReport:
     rng_algorithm: str | None = None
 
 
+def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
+    """(u, v) with H = u v^T, or None when H is zero or of rank >= 2.
+
+    u is the column and v^T the row of H's first nonzero entry h_ij in
+    row-major order, v scaled by 1/h_ij.  Each later row r of H must then be
+    u_r v^T; the rows above row i are zero, and row i is u_i v^T by
+    construction.  Over Q the test h_rc = u_r v_c runs as
+    h_rc h_ij = u_r h_ic on numerators and denominators, so no Fraction is
+    normalized per entry.
+    """
+    data, n = h._data, h.cols
+    k = next((k for k, x in enumerate(data) if x), None)
+    if k is None:
+        return None
+    i, j = divmod(k, n)
+    u = h.column(j + 1)
+    v = h.row_vector(i + 1).scale(h.spec.invert_value(data[k]))
+    p = h.spec.modulus if h.spec.is_prime_field else None
+    if p is None:
+        pivot, pivot_row = data[k], data[i * n : (i + 1) * n]
+        nums = [y.numerator for y in pivot_row]
+        dens = [y.denominator for y in pivot_row]
+    for r in range(i + 1, h.rows):
+        x, row = u._data[r], data[r * n : (r + 1) * n]
+        if not x:
+            if any(row):
+                return None
+        elif p:
+            if row != tuple(x * y % p for y in v._data):
+                return None
+        else:
+            k1 = pivot.numerator * x.denominator
+            k2 = x.numerator * pivot.denominator
+            if any(
+                z.numerator * d * k1 != m * z.denominator * k2
+                for z, m, d in zip(row, nums, dens)
+            ):
+                return None
+    return u, v
+
+
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
     H = phi(E_{n,1}) has rank 1 for every automorphism, and then H = u v^T
-    with u the column and v^T the row of H's first nonzero entry h_ij in
-    row-major order (v scaled by 1/h_ij).  When u v^T reproduces H exactly,
+    with u the column and v^T the row of H's first nonzero entry (see
+    :func:`_rank_one_factors`, which checks u v^T = H row by row).  Then
     G^{n-1} H = (G^{n-1} u) v^T takes n-1 mat-vecs and an outer product:
     O(n^3) in all, against O(n^4) for the chain of n-1 dense products.  Any
     other H (zero, or of rank >= 2) runs that chain.  Products are exact, so
@@ -140,17 +188,11 @@ def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     identity, so the result is H itself.
     """
     _check_pair(h, g, n)
-    result, row = h, None
-    k = next((k for k, x in enumerate(h._data) if x), None)
-    if k is not None:
-        i, j = divmod(k, n)
-        u = h.column(j + 1)
-        v = h.row_vector(i + 1).scale(h.spec.invert_value(h._data[k]))
-        if outer_product(u, v) == h:
-            result, row = u, v
+    factors = _rank_one_factors(h)
+    result = h if factors is None else factors[0]
     for _ in range(n - 1):
         result = g @ result
-    return result if row is None else outer_product(result, row)
+    return result if factors is None else outer_product(result, factors[1])
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
@@ -175,7 +217,8 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     Columns are produced right to left with n-1 matrix-vector products:
     the last column is Ha, and each step left-multiplies by G, so column i
     holds G^{n-i} H a.  The inverse is computed eagerly; if it does not exist
-    the input pair was invalid and SingularConjugator is raised.
+    the input pair was invalid and SingularConjugator is raised.  When H = u v^T
+    has rank 1, v is recorded as the witness's ``corner_row``.
     """
     _check_pair(h, g, n)
     projector = projected_idempotent(h, g, n)
@@ -193,7 +236,9 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector)
+    factors = _rank_one_factors(h)
+    row = None if factors is None else factors[1]
+    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector, row)
 
 
 def check_structure_identities(
@@ -201,26 +246,44 @@ def check_structure_identities(
 ) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    P = G^{n-1} H is read from ``witness.projector``, not formed again.  The
-    chain H G^k H = 0 is indexed by 0 <= k <= n-2 and is therefore empty at
-    n = 1; the remaining checks degenerate gracefully there.
+    The witness must have been built from this (H, G): P = G^{n-1} H is read
+    from ``witness.projector``, not formed again.  G^n = 0 is a
+    repeated-squaring power and the two intertwines are the products of
+    :func:`certify`, O(n^3 log n) together.  With ``witness.corner_row`` set,
+    H = u v^T and column j of A is c G^{n-j} u with c = v^T a, nonzero
+    because A is invertible; so r = v^T A, one vector-matrix product, holds
+    c v^T G^{n-j} u, and with t = tr P = v^T G^{n-1} u:
+
+    * H G^k H = (v^T G^k u) H = 0 for 0 <= k <= n-2 iff r_2 = ... = r_n = 0;
+    * P^2 = t P, so P is idempotent iff P = 0 or t = 1;
+    * det(I - P) = 1 - t, so rank(I - P) = n - 1 iff t = 1.
+
+    Without ``corner_row`` (a hand-made witness, or H not of rank 1) these
+    three take their matrix forms: the chain of 2(n-1) dense products, P P
+    and the rank of I - P, O(n^4).  The chain is indexed by 0 <= k <= n-2
+    and is therefore empty at n = 1; the remaining checks degenerate
+    gracefully there.
     """
     n = witness.n
     _check_pair(h, g, n)
-    spec = witness.spec
-    zero = Matrix.zero(spec, n, n)
-
-    shift_nilpotent_ok = g.power(n) == zero
-    corner_chain_ok = True
-    left = h  # H G^k, advanced by one G per step
-    for _ in range(n - 1):
-        if left @ h != zero:
-            corner_chain_ok = False
-            break
-        left = left @ g
     projector = witness.projector
-    idempotent_ok = projector @ projector == projector
-    kernel_rank_ok = (Matrix.identity(spec, n) - projector).rank() == n - 1
+    shift_nilpotent_ok = g.power(n).is_zero()
+    if witness.corner_row is not None:
+        r = witness.corner_row.transpose() @ witness.conjugator
+        trace_one = projector.trace().is_one()
+        corner_chain_ok = not any(r._data[1:])
+        idempotent_ok = trace_one or projector.is_zero()
+        kernel_rank_ok = trace_one
+    else:
+        corner_chain_ok = True
+        left = h  # H G^k, advanced by one G per step
+        for _ in range(n - 1):
+            if not (left @ h).is_zero():
+                corner_chain_ok = False
+                break
+            left = left @ g
+        idempotent_ok = projector @ projector == projector
+        kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
     intertwine_E_ok, intertwine_S_ok = _intertwines(witness, h, g)
     named = (
         ("nilpotent", shift_nilpotent_ok and corner_chain_ok),

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from matconj import FieldSpec, Matrix
+from matconj import FieldSpec, Matrix, StructureCheckReport, elementary_matrix, shift_matrix
 
 
 def naive_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -117,6 +117,48 @@ def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
     for _ in range(n - 1):
         result = naive_mul(g, result)
     return result
+
+
+def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheckReport:
+    """Every flag of ``check_structure_identities`` from its matrix form.
+
+    The reference for the scalar reading from the witness's corner row: G^n,
+    the chain H G^k H for 0 <= k <= n-2, P P, the rank of I - P and both
+    intertwines are evaluated whatever the rank of H, with products through
+    ``naive_mul``.
+    """
+    n, spec = witness.n, witness.spec
+    zero = Matrix.zero(spec, n, n)
+    power = Matrix.identity(spec, n)
+    for _ in range(n):
+        power = naive_mul(power, g)
+    corner_chain_ok = True
+    left = h
+    for _ in range(n - 1):
+        if naive_mul(left, h) != zero:
+            corner_chain_ok = False
+            break
+        left = naive_mul(left, g)
+    p = witness.projector
+    a = witness.conjugator
+    flags = dict(
+        shift_nilpotent_ok=power == zero,
+        corner_chain_ok=corner_chain_ok,
+        idempotent_ok=naive_mul(p, p) == p,
+        kernel_rank_ok=(Matrix.identity(spec, n) - p).rank() == n - 1,
+        intertwine_E_ok=naive_mul(a, elementary_matrix(spec, n, n, 1)) == naive_mul(h, a),
+        intertwine_S_ok=naive_mul(a, shift_matrix(spec, n)) == naive_mul(g, a),
+    )
+    named = (
+        ("nilpotent", flags["shift_nilpotent_ok"] and corner_chain_ok),
+        ("idempotent", flags["idempotent_ok"]),
+        ("kernel_rank", flags["kernel_rank_ok"]),
+        ("intertwine_E", flags["intertwine_E_ok"]),
+        ("intertwine_S", flags["intertwine_S_ok"]),
+    )
+    return StructureCheckReport(
+        **flags, first_failing=next((name for name, ok in named if not ok), None)
+    )
 
 
 def random_scalar(spec: FieldSpec, rng, bound: int = 5):

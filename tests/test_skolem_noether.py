@@ -9,7 +9,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import matconj.skolem_noether as sn
-from helpers import chain_projector, random_dense, random_scalar
+from helpers import (
+    chain_projector,
+    matrix_structure_identities,
+    random_dense,
+    random_scalar,
+)
 from matconj import (
     AutomorphismOracle,
     ColumnVector,
@@ -74,6 +79,13 @@ def _nonzero_vector(spec, n, rng, zero_head=0, zero_tail=0):
             return vec
 
 
+def _strictly_upper(spec, n, rng):
+    return Matrix.from_rows(
+        spec,
+        [[random_scalar(spec, rng) if j > i else 0 for j in range(n)] for i in range(n)],
+    )
+
+
 def _projector_cases(spec, n, rng):
     """(name, H, G, takes the rank-1 path) for each kind of input."""
     b = random_invertible(spec, n, rng, 4)
@@ -87,10 +99,7 @@ def _projector_cases(spec, n, rng):
     v = _nonzero_vector(spec, n, rng, zero_head=1)
     yield "rank1_inner", outer_product(u, v), random_dense(spec, n, n, rng), True
     # G strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0
-    g = Matrix.from_rows(
-        spec,
-        [[random_scalar(spec, rng) if j > i else 0 for j in range(n)] for i in range(n)],
-    )
+    g = _strictly_upper(spec, n, rng)
     u = _nonzero_vector(spec, n, rng, zero_tail=1)
     v = _nonzero_vector(spec, n, rng)
     yield "rank1_vanishing", outer_product(u, v), g, True
@@ -117,22 +126,31 @@ def _projector_cases(spec, n, rng):
 )
 def test_projector_matches_chain_reference(spec, monkeypatch):
     rng = random.Random(79)
-    outer_calls = []
+    factored, matvecs = [], []
+    rank_one_factors, matmul = sn._rank_one_factors, Matrix.__matmul__
 
-    def counted_outer(col, row):
-        outer_calls.append(1)
-        return outer_product(col, row)
+    def spied_factors(h):
+        factors = rank_one_factors(h)
+        factored.append(factors is not None)
+        return factors
 
-    monkeypatch.setattr(sn, "outer_product", counted_outer)
+    def counted_matmul(left, right):
+        matvecs.append(isinstance(right, ColumnVector))
+        return matmul(left, right)
+
+    monkeypatch.setattr(sn, "_rank_one_factors", spied_factors)
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     seen = set()
     for n in range(1, 7):
         for name, h, g, rank_one in _projector_cases(spec, n, rng):
-            outer_calls.clear()
+            factored.clear()
+            matvecs.clear()
             projector = projected_idempotent(h, g, n)
+            # the rank-1 path factors H and runs n-1 mat-vecs; the chain
+            # runs n-1 dense products
+            assert factored == [rank_one], (name, n)
+            assert matvecs == [rank_one] * (n - 1), (name, n)
             assert projector == chain_projector(h, g, n), (name, n)
-            # the rank-1 path runs the factorization check and the final
-            # outer product; the chain runs the check only when H != 0
-            assert (len(outer_calls) == 2) == rank_one, (name, n)
             seen.add(rank_one)
             if name in ("rank1_vanishing", "zero"):
                 assert projector.is_zero()
@@ -259,6 +277,141 @@ def test_structure_checks_n1_trivial():
     report = check_structure_identities(h, g, witness)
     assert report.all_ok
     assert report.first_failing is None
+
+
+def _nonzero_scalar(spec, rng):
+    while True:
+        x = random_scalar(spec, rng)
+        if not x.is_zero():
+            return x
+
+
+def _scaled_rank_one(spec, n, rng, zero_head=0):
+    """A rank-1 H = u v^T and a random G that build, u scaled so that
+    v^T G^(n-1) u = 1; u and v start with ``zero_head`` zeros."""
+    for _ in range(500):
+        u = _nonzero_vector(spec, n, rng, zero_head=zero_head)
+        v = _nonzero_vector(spec, n, rng, zero_head=zero_head)
+        g = random_dense(spec, n, n, rng)
+        t = (v.transpose() @ g.power(n - 1) @ u).entry(1, 1)
+        if t.is_zero():
+            continue
+        h = outer_product(u.scale(t.inv()), v)
+        try:
+            return h, g, build_conjugator(h, g, n)
+        except SingularConjugator:
+            continue
+    raise AssertionError("no scaled rank-1 pair built")
+
+
+def _chain_break(spec, n, k, rng):
+    """H = e_n v^T with v = e_1 + x e_(n-k), x != 0, and G = S, both conjugated
+    by a random invertible C.  v^T S^m e_n = v_(n-m), so H G^m H = 0 fails at
+    m = k alone, and v^T S^(n-1) e_n = 1 lets the pair build."""
+    v = [spec.zero] * n
+    v[0], v[n - k - 1] = spec.one, _nonzero_scalar(spec, rng)
+    h = outer_product(ColumnVector.standard_basis(spec, n, n), ColumnVector(spec, v))
+    conj = AutomorphismOracle.conjugation_by(random_invertible(spec, n, rng, 4))
+    h, g = conj.apply(h), conj.apply(shift_matrix(spec, n))
+    return h, g, build_conjugator(h, g, n)
+
+
+def _random_pair_that_builds(spec, n, rng):
+    """Random H and G, H corrected by a rank-1 term so that G^(n-1) H x = x
+    for a random x: I - P is singular, and H has rank >= 2 as a rule."""
+    for _ in range(500):
+        g = random_dense(spec, n, n, rng)
+        x = _nonzero_vector(spec, n, rng)
+        try:
+            z = g.power(n - 1).inverse() @ x
+        except SingularMatrix:
+            continue
+        h0 = random_dense(spec, n, n, rng)
+        lead = x.first_nonzero_index()
+        y = ColumnVector.standard_basis(spec, n, lead).scale(x.entry(lead).inv())
+        h = h0 + outer_product(z - h0 @ x, y)
+        try:
+            return h, g, build_conjugator(h, g, n)
+        except SingularConjugator:
+            continue
+    raise AssertionError("no random pair built")
+
+
+def _forced_rank_one(spec, n, rng, vanishing=False):
+    """A hand-made witness whose corner row holds although the pair does not
+    build: H = u v^T, column i of A is c G^(n-i) u with c = v^T a != 0, and
+    P = G^(n-1) H, so v^T G^(n-1) u is rarely 1.  With ``vanishing``, G is
+    strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0."""
+    g = _strictly_upper(spec, n, rng) if vanishing else random_dense(spec, n, n, rng)
+    u = _nonzero_vector(spec, n, rng, zero_tail=int(vanishing))
+    v = _nonzero_vector(spec, n, rng)
+    a = _nonzero_vector(spec, n, rng)
+    while (v.transpose() @ a).is_zero():
+        a = _nonzero_vector(spec, n, rng)
+    h = outer_product(u, v)
+    columns, vec = [], h @ a
+    for _ in range(n):
+        columns.insert(0, vec)
+        vec = g @ vec
+    a_mat = Matrix.from_columns(columns)
+    projector = g.power(n - 1) @ h
+    return h, g, ConjugationWitness(a_mat, a_mat, a, n, spec, projector, v)  # inverse unused
+
+
+def _structure_cases(spec, n, rng):
+    """(name, H, G, witness) for each kind of structure-check input."""
+    b = random_invertible(spec, n, rng, 4)
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    genuine = build_conjugator(h, g, n)
+    yield "genuine", h, g, genuine
+    yield "scaled_rank1", *_scaled_rank_one(spec, n, rng)
+    yield "random_pair", *_random_pair_that_builds(spec, n, rng)
+    # hand-made: no corner row, or a replaced conjugator without one
+    yield "hand_genuine", h, g, dataclasses.replace(genuine, corner_row=None)
+    perturbed = genuine.conjugator + elementary_matrix(spec, n, 1, 1)
+    yield "hand_perturbed", h, g, dataclasses.replace(
+        genuine, conjugator=perturbed, corner_row=None
+    )
+    yield "forced_rank1", *_forced_rank_one(spec, n, rng)
+    if n == 1:
+        return
+    yield "forced_vanishing", *_forced_rank_one(spec, n, rng, vanishing=True)
+    # first nonzero entry of H off row 1 and column 1
+    yield "scaled_rank1_inner", *_scaled_rank_one(spec, n, rng, zero_head=1)
+    for k in range(n - 1):
+        yield f"chain_break_{k}", *_chain_break(spec, n, k, rng)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)],
+    ids=str,
+)
+def test_structure_checks_match_matrix_reference(spec):
+    rng = random.Random(83)
+    paths, scalar_flags = set(), set()
+    for n in range(1, 7):
+        for name, h, g, witness in _structure_cases(spec, n, rng):
+            report = check_structure_identities(h, g, witness)
+            assert report == matrix_structure_identities(h, g, witness), (name, n)
+            scalar = witness.corner_row is not None
+            paths.add(scalar)
+            if scalar:
+                scalar_flags.add(
+                    (report.corner_chain_ok, report.idempotent_ok, report.kernel_rank_ok)
+                )
+            if name in ("genuine", "hand_genuine"):
+                assert report.all_ok, (name, n)
+            if name.startswith("chain_break"):
+                assert scalar and report.first_failing == "nilpotent", (name, n)
+            if name == "forced_vanishing":
+                assert witness.projector.is_zero(), n
+    assert paths == {True, False}
+    # the scalar path reads a broken chain, a non-idempotent P (tr P != 1)
+    # and an idempotent P = 0 whose I - P has full rank
+    assert any(not chain for chain, _, _ in scalar_flags)
+    assert (False, False) in {flags[1:] for flags in scalar_flags}
+    assert (True, False) in {flags[1:] for flags in scalar_flags}
 
 
 # -- verify_conjugation ------------------------------------------------------
