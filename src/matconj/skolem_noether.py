@@ -21,9 +21,9 @@ sweep of :func:`verify_conjugation` for a map given by conjugation or by a
 table.  :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  For a rank-1
-H = u v^T the report reads H G^k H = 0, P^2 = P and rank(I - P) = n - 1 off
-the scalars v^T A and tr P, O(n^3 log n); a witness without v takes their
-O(n^4) matrix forms.
+H = u v^T the report reads H G^k H = 0 off the scalars v^T G^k u, and for a
+P of rank <= 1 it reads P^2 = P and rank(I - P) = n - 1 off tr P, O(n^3 log n)
+in all; inputs of higher rank take the O(n^4) matrix forms.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -63,10 +63,7 @@ class ConjugationWitness:
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
     from, and ``projector`` is P = G^{n-1} H, whose fixed vectors it was drawn
-    from.  ``corner_row`` is v with H = u v^T when H has rank 1, and None
-    otherwise.  It asserts that column i of ``conjugator`` is c G^{n-i} u
-    with c = v^T a, which :func:`check_structure_identities` relies on; a
-    witness whose ``conjugator`` is replaced must drop it.
+    from.
     """
 
     conjugator: Matrix
@@ -75,7 +72,6 @@ class ConjugationWitness:
     n: int
     spec: FieldSpec
     projector: Matrix
-    corner_row: ColumnVector | None = None
 
 
 @dataclass(frozen=True)
@@ -217,8 +213,7 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     Columns are produced right to left with n-1 matrix-vector products:
     the last column is Ha, and each step left-multiplies by G, so column i
     holds G^{n-i} H a.  The inverse is computed eagerly; if it does not exist
-    the input pair was invalid and SingularConjugator is raised.  When H = u v^T
-    has rank 1, v is recorded as the witness's ``corner_row``.
+    the input pair was invalid and SingularConjugator is raised.
     """
     _check_pair(h, g, n)
     projector = projected_idempotent(h, g, n)
@@ -236,9 +231,7 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    factors = _rank_one_factors(h)
-    row = None if factors is None else factors[1]
-    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector, row)
+    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector)
 
 
 def check_structure_identities(
@@ -246,34 +239,37 @@ def check_structure_identities(
 ) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    The witness must have been built from this (H, G): P = G^{n-1} H is read
-    from ``witness.projector``, not formed again.  G^n = 0 is a
-    repeated-squaring power and the two intertwines are the products of
-    :func:`certify`, O(n^3 log n) together.  With ``witness.corner_row`` set,
-    H = u v^T and column j of A is c G^{n-j} u with c = v^T a, nonzero
-    because A is invertible; so r = v^T A, one vector-matrix product, holds
-    c v^T G^{n-j} u, and with t = tr P = v^T G^{n-1} u:
+    P = G^{n-1} H is read from ``witness.projector``, not formed again.
+    G^n = 0 is a repeated-squaring power and the two intertwines are the
+    products of :func:`certify`, O(n^3 log n) together.  The other three
+    identities are read off scalars where the rank of the input allows:
 
-    * H G^k H = (v^T G^k u) H = 0 for 0 <= k <= n-2 iff r_2 = ... = r_n = 0;
-    * P^2 = t P, so P is idempotent iff P = 0 or t = 1;
-    * det(I - P) = 1 - t, so rank(I - P) = n - 1 iff t = 1.
+    * H = u v^T of rank 1 (see :func:`_rank_one_factors`) gives
+      H G^k H = (v^T G^k u) H, so the chain H G^k H = 0 for 0 <= k <= n-2
+      holds iff v^T K = 0 for the Krylov matrix K = [u | G u | ... |
+      G^{n-2} u]: n-2 mat-vecs and one vector-matrix product, O(n^3);
+    * P of rank <= 1 gives P^2 = (tr P) P and det(I - P) = 1 - tr P, so P is
+      idempotent iff P = 0 or tr P = 1, and rank(I - P) = n - 1 iff tr P = 1.
 
-    Without ``corner_row`` (a hand-made witness, or H not of rank 1) these
-    three take their matrix forms: the chain of 2(n-1) dense products, P P
-    and the rank of I - P, O(n^4).  The chain is indexed by 0 <= k <= n-2
-    and is therefore empty at n = 1; the remaining checks degenerate
-    gracefully there.
+    Which form runs depends only on the ranks of H and P, and neither reads
+    A, so the flags hold for whatever witness is passed.  Any other H (zero,
+    or of rank >= 2) runs the chain of 2(n-1) dense products, and any P of
+    rank >= 2 forms P P and the rank of I - P, O(n^4).
+    The chain is indexed by 0 <= k <= n-2 and is therefore empty at n = 1;
+    the remaining checks degenerate gracefully there.
     """
     n = witness.n
     _check_pair(h, g, n)
     projector = witness.projector
     shift_nilpotent_ok = g.power(n).is_zero()
-    if witness.corner_row is not None:
-        r = witness.corner_row.transpose() @ witness.conjugator
-        trace_one = projector.trace().is_one()
-        corner_chain_ok = not any(r._data[1:])
-        idempotent_ok = trace_one or projector.is_zero()
-        kernel_rank_ok = trace_one
+    factors = _rank_one_factors(h)
+    if factors is not None:
+        krylov = [factors[0]]  # u, G u, ..., G^{n-2} u
+        while len(krylov) < n - 1:
+            krylov.append(g @ krylov[-1])
+        corner_chain_ok = (
+            n == 1 or (factors[1].transpose() @ Matrix.from_columns(krylov)).is_zero()
+        )
     else:
         corner_chain_ok = True
         left = h  # H G^k, advanced by one G per step
@@ -282,6 +278,10 @@ def check_structure_identities(
                 corner_chain_ok = False
                 break
             left = left @ g
+    if projector.is_zero() or _rank_one_factors(projector) is not None:
+        kernel_rank_ok = projector.trace().is_one()
+        idempotent_ok = kernel_rank_ok or projector.is_zero()
+    else:
         idempotent_ok = projector @ projector == projector
         kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
     intertwine_E_ok, intertwine_S_ok = _intertwines(witness, h, g)

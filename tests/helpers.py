@@ -122,10 +122,10 @@ def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
 def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheckReport:
     """Every flag of ``check_structure_identities`` from its matrix form.
 
-    The reference for the scalar reading from the witness's corner row: G^n,
-    the chain H G^k H for 0 <= k <= n-2, P P, the rank of I - P and both
-    intertwines are evaluated whatever the rank of H, with products through
-    ``naive_mul``.
+    The reference for the scalar readings off v^T G^k u and tr P: G^n, the
+    chain H G^k H for 0 <= k <= n-2, P P, the rank of I - P and both
+    intertwines are evaluated whatever the ranks of H and P, with products
+    through ``naive_mul``.
     """
     n, spec = witness.n, witness.spec
     zero = Matrix.zero(spec, n, n)

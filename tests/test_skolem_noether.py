@@ -1,6 +1,7 @@
 """The recovery construction itself: projector, kernel, conjugator, checks."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -338,24 +339,15 @@ def _random_pair_that_builds(spec, n, rng):
 
 
 def _forced_rank_one(spec, n, rng, vanishing=False):
-    """A hand-made witness whose corner row holds although the pair does not
-    build: H = u v^T, column i of A is c G^(n-i) u with c = v^T a != 0, and
-    P = G^(n-1) H, so v^T G^(n-1) u is rarely 1.  With ``vanishing``, G is
-    strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0."""
+    """A hand-made witness for a rank-1 H = u v^T whose pair need not build:
+    P = G^(n-1) H, so tr P = v^T G^(n-1) u is rarely 1.  With ``vanishing``,
+    G is strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0."""
     g = _strictly_upper(spec, n, rng) if vanishing else random_dense(spec, n, n, rng)
     u = _nonzero_vector(spec, n, rng, zero_tail=int(vanishing))
-    v = _nonzero_vector(spec, n, rng)
-    a = _nonzero_vector(spec, n, rng)
-    while (v.transpose() @ a).is_zero():
-        a = _nonzero_vector(spec, n, rng)
-    h = outer_product(u, v)
-    columns, vec = [], h @ a
-    for _ in range(n):
-        columns.insert(0, vec)
-        vec = g @ vec
-    a_mat = Matrix.from_columns(columns)
-    projector = g.power(n - 1) @ h
-    return h, g, ConjugationWitness(a_mat, a_mat, a, n, spec, projector, v)  # inverse unused
+    h = outer_product(u, _nonzero_vector(spec, n, rng))
+    a_mat = random_dense(spec, n, n, rng)
+    # inverse and kernel vector unused
+    return h, g, ConjugationWitness(a_mat, a_mat, u, n, spec, g.power(n - 1) @ h)
 
 
 def _structure_cases(spec, n, rng):
@@ -364,14 +356,17 @@ def _structure_cases(spec, n, rng):
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
     genuine = build_conjugator(h, g, n)
     yield "genuine", h, g, genuine
-    yield "scaled_rank1", *_scaled_rank_one(spec, n, rng)
+    scaled = _scaled_rank_one(spec, n, rng)
+    yield "scaled_rank1", *scaled
     yield "random_pair", *_random_pair_that_builds(spec, n, rng)
-    # hand-made: no corner row, or a replaced conjugator without one
-    yield "hand_genuine", h, g, dataclasses.replace(genuine, corner_row=None)
+    # hand-made: a replaced conjugator or projector, a witness passed with
+    # another pair, a zero H, and rank-1 H whose pair does not build
     perturbed = genuine.conjugator + elementary_matrix(spec, n, 1, 1)
-    yield "hand_perturbed", h, g, dataclasses.replace(
-        genuine, conjugator=perturbed, corner_row=None
-    )
+    yield "hand_perturbed", h, g, dataclasses.replace(genuine, conjugator=perturbed)
+    identity = Matrix.identity(spec, n)
+    yield "hand_projector", h, g, dataclasses.replace(genuine, projector=identity)
+    yield "hand_mismatched", scaled[0], scaled[1], genuine
+    yield "hand_zero_h", Matrix.zero(spec, n, n), g, genuine
     yield "forced_rank1", *_forced_rank_one(spec, n, rng)
     if n == 1:
         return
@@ -389,29 +384,62 @@ def _structure_cases(spec, n, rng):
 )
 def test_structure_checks_match_matrix_reference(spec):
     rng = random.Random(83)
-    paths, scalar_flags = set(), set()
+    paths, chain_flags, projector_flags = set(), set(), set()
     for n in range(1, 7):
         for name, h, g, witness in _structure_cases(spec, n, rng):
             report = check_structure_identities(h, g, witness)
             assert report == matrix_structure_identities(h, g, witness), (name, n)
-            scalar = witness.corner_row is not None
-            paths.add(scalar)
-            if scalar:
-                scalar_flags.add(
-                    (report.corner_chain_ok, report.idempotent_ok, report.kernel_rank_ok)
-                )
-            if name in ("genuine", "hand_genuine"):
-                assert report.all_ok, (name, n)
+            # the scalar chain runs for a rank-1 H, the trace reading for a
+            # projector of rank <= 1
+            p = witness.projector
+            scalar_chain = sn._rank_one_factors(h) is not None
+            scalar_trace = p.is_zero() or sn._rank_one_factors(p) is not None
+            paths.update({("chain", scalar_chain), ("trace", scalar_trace)})
+            if scalar_chain:
+                chain_flags.add(report.corner_chain_ok)
+            if scalar_trace:
+                projector_flags.add((report.idempotent_ok, report.kernel_rank_ok))
+            if name == "genuine":
+                assert report.all_ok and scalar_chain and scalar_trace, n
             if name.startswith("chain_break"):
-                assert scalar and report.first_failing == "nilpotent", (name, n)
+                assert scalar_chain and report.first_failing == "nilpotent", (name, n)
             if name == "forced_vanishing":
-                assert witness.projector.is_zero(), n
-    assert paths == {True, False}
-    # the scalar path reads a broken chain, a non-idempotent P (tr P != 1)
+                assert p.is_zero(), n
+    assert paths == {(path, s) for path in ("chain", "trace") for s in (True, False)}
+    # the scalar forms read a broken chain, a non-idempotent P (tr P != 1)
     # and an idempotent P = 0 whose I - P has full rank
-    assert any(not chain for chain, _, _ in scalar_flags)
-    assert (False, False) in {flags[1:] for flags in scalar_flags}
-    assert (True, False) in {flags[1:] for flags in scalar_flags}
+    assert chain_flags == {True, False}
+    assert {(True, True), (False, False), (True, False)} <= projector_flags
+
+
+def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch):
+    # G^n by repeated squaring, the scalars v^T G^k u, tr P and the two
+    # intertwines: no H G^k H chain, no P P and no rank of I - P
+    spec = prime_field(2**61 - 1)
+    rng = random.Random(97)
+    eliminate, matmul = Matrix._eliminate, Matrix.__matmul__
+    calls = {"eliminate": 0, "products": 0}
+
+    def counted_eliminate(self, reduced):
+        calls["eliminate"] += 1
+        return eliminate(self, reduced)
+
+    def counted_matmul(left, right):
+        calls["products"] += not isinstance(right, ColumnVector)
+        return matmul(left, right)
+
+    for n in (8, 16):
+        b = random_invertible(spec, n, rng, 4)
+        h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+        witness = build_conjugator(h, g, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "_eliminate", counted_eliminate)
+            patch.setattr(Matrix, "__matmul__", counted_matmul)
+            calls.update(eliminate=0, products=0)
+            report = check_structure_identities(h, g, witness)
+        assert report.all_ok
+        assert calls["eliminate"] == 0, n
+        assert calls["products"] <= 2 * math.ceil(math.log2(n)) + 4, (n, calls)
 
 
 # -- verify_conjugation ------------------------------------------------------
