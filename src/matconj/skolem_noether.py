@@ -6,12 +6,20 @@ module makes that effective from just two images of the map:
 
 1. ask the oracle for H = phi(E_{n,1}) and G = phi(S), where S is the
    superdiagonal shift;
-2. pick a nonzero vector a in the kernel of I - G^{n-1} H (that difference is
-   singular whenever phi is an automorphism, because G^{n-1} H is the image of
-   the rank-1 idempotent E_{1,1}).  H has rank 1, so H = u v^T and
-   G^{n-1} H = (G^{n-1} u) v^T costs n-1 mat-vecs, O(n^3); an H of any other
-   rank falls back to the O(n^4) chain of dense products;
+2. pick a nonzero vector a in the kernel of I - P, P = G^{n-1} H (that
+   difference is singular whenever phi is an automorphism, because P is the
+   image of the rank-1 idempotent E_{1,1}).  H has rank 1, so H = u v^T and
+   P = w v^T with w = G^{n-1} u: the Krylov vectors u, G u, ..., w cost n-1
+   mat-vecs, O(n^3).  P of rank <= 1 gives det(I - P) = 1 - tr P, so the
+   kernel is empty unless tr P = 1, and is then span(w): a is w divided by
+   its first nonzero entry, read off in O(n^2) with no elimination.  An H of
+   any other rank falls back to the O(n^4) chain of dense products, and a P
+   of rank >= 2 to the O(n^3) rref of I - P;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
+   For H = u v^T column i is (v^T a) G^{n-i} u, a scaled Krylov vector of
+   step 2, so only v^T a is left to compute; any other H runs Ha and n-1
+   more mat-vecs.  A^-1 is one elimination, O(n^3), so a rank-1 build runs
+   one elimination and n mat-vecs in all.
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
 identities pin down conjugation everywhere, because E_{n,1} and S generate
@@ -130,6 +138,9 @@ class RecoveryReport:
     rng_algorithm: str | None = None
 
 
+_INJECTIVE = "identity minus projector is injective"
+
+
 def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     """(u, v) with H = u v^T, or None when H is zero or of rank >= 2.
 
@@ -171,6 +182,26 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     return u, v
 
 
+def _krylov_projector(
+    h: Matrix, g: Matrix, n: int
+) -> tuple[Matrix, ColumnVector | None, list[ColumnVector] | None]:
+    """(P, v, K): P = G^{n-1} H and, when H = u v^T has rank 1, v and the
+    Krylov vectors K = [u, G u, ..., G^{n-1} u] (else None, None).  H is
+    factored once; :func:`projected_idempotent` gives both paths' costs.
+    """
+    factors = _rank_one_factors(h)
+    if factors is None:
+        result = h
+        for _ in range(n - 1):
+            result = g @ result
+        return result, None, None
+    u, v = factors
+    krylov = [u]
+    for _ in range(n - 1):
+        krylov.append(g @ krylov[-1])
+    return outer_product(krylov[-1], v), v, krylov
+
+
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
@@ -184,47 +215,65 @@ def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     identity, so the result is H itself.
     """
     _check_pair(h, g, n)
-    factors = _rank_one_factors(h)
-    result = h if factors is None else factors[0]
-    for _ in range(n - 1):
-        result = g @ result
-    return result if factors is None else outer_product(result, factors[1])
+    return _krylov_projector(h, g, n)[0]
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
     """The canonical nonzero vector annihilated by I - projector.
 
-    Takes the first vector of the deterministic nullspace basis.  Raises
-    EmptyKernel when I - projector is injective, which signals that the
+    That is the first vector of the deterministic nullspace basis of I - P:
+    the kernel vector scaled so that its first nonzero coordinate is 1.
+    Raises EmptyKernel when I - P is injective, which signals that the
     generator images did not come from an automorphism.
+
+    A P of rank <= 1 needs no elimination.  P = w v^T gives
+    det(I - P) = 1 - tr P, so the kernel is empty unless tr P = 1, and then
+    it is span(w): a one-dimensional kernel has one canonical vector, w
+    divided by its first nonzero entry.  w is P's column through its first
+    nonzero entry (see :func:`_rank_one_factors`), so the reading costs
+    O(n^2).  A P of rank >= 2 takes the rref of I - P, O(n^3).
     """
     if not projector.is_square:
         raise DimensionMismatch("projector must be square")
+    factors = _rank_one_factors(projector)
+    if factors is not None or projector.is_zero():
+        if not projector.trace().is_one():
+            raise EmptyKernel(_INJECTIVE)
+        w = factors[0]
+        lead = w._data[w.first_nonzero_index() - 1]
+        return w.scale(projector.spec.invert_value(lead))
     diff = Matrix.identity(projector.spec, projector.rows) - projector
     basis = diff.nullspace_basis()
     if not basis:
-        raise EmptyKernel("identity minus projector is injective")
+        raise EmptyKernel(_INJECTIVE)
     return basis[0]
 
 
 def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     """Assemble the conjugator from the two generator images.
 
-    Columns are produced right to left with n-1 matrix-vector products:
-    the last column is Ha, and each step left-multiplies by G, so column i
-    holds G^{n-i} H a.  The inverse is computed eagerly; if it does not exist
-    the input pair was invalid and SingularConjugator is raised.
+    Column i of A is G^{n-i} H a, for the kernel vector a of
+    :func:`kernel_vector`.  When H = u v^T has rank 1 that is
+    (v^T a) G^{n-i} u, a multiple of a Krylov vector that P = G^{n-1} H was
+    formed from: the build runs n mat-vecs (n-1 for the Krylov vectors, one
+    for v^T a), reads a off tr P and w = G^{n-1} u without an elimination,
+    and eliminates once, for A^-1, O(n^3) in all.  Any other H runs the
+    chain of dense products for P, the rref of I - P when P has rank >= 2,
+    and n-1 mat-vecs by G from Ha for the columns.  The inverse is computed
+    eagerly; if it does not exist the input pair was invalid and
+    SingularConjugator is raised.
     """
     _check_pair(h, g, n)
-    projector = projected_idempotent(h, g, n)
+    projector, v, krylov = _krylov_projector(h, g, n)
     a = kernel_vector(projector)
-    columns = [None] * n
-    vec = h @ a
-    for i in range(n, 0, -1):
-        columns[i - 1] = vec
-        if i > 1:
-            vec = g @ vec
-    conjugator = Matrix.from_columns(columns)
+    if krylov is None:
+        columns = [h @ a]  # Ha, GHa, ..., G^{n-1}Ha
+        for _ in range(n - 1):
+            columns.append(g @ columns[-1])
+    else:
+        c = (v.transpose() @ a)._data[0]
+        columns = [vec.scale(c) for vec in krylov]
+    conjugator = Matrix.from_columns(columns[::-1])
     try:
         conjugator_inv = conjugator.inverse()
     except SingularMatrix as exc:

@@ -10,7 +10,14 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from matconj import FieldSpec, Matrix, StructureCheckReport, elementary_matrix, shift_matrix
+from matconj import (
+    EmptyKernel,
+    FieldSpec,
+    Matrix,
+    StructureCheckReport,
+    elementary_matrix,
+    shift_matrix,
+)
 
 
 def naive_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -117,6 +124,31 @@ def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
     for _ in range(n - 1):
         result = naive_mul(g, result)
     return result
+
+
+def rref_kernel_vector(p: Matrix):
+    """The first vector of the nullspace basis of I - P, whatever P's rank.
+
+    The reference for ``kernel_vector``, which reads the vector off tr P and
+    P's column when P has rank <= 1.  Raises EmptyKernel, with the message
+    ``kernel_vector`` uses, when I - P is injective.
+    """
+    basis = (Matrix.identity(p.spec, p.rows) - p).nullspace_basis()
+    if not basis:
+        raise EmptyKernel("identity minus projector is injective")
+    return basis[0]
+
+
+def column_loop_conjugator(h: Matrix, g: Matrix, a) -> Matrix:
+    """[G^(n-1)Ha | ... | GHa | Ha] from Ha and n-1 mat-vecs by G.
+
+    The reference for the columns of ``build_conjugator``, which scales the
+    Krylov vectors G^(n-i) u by v^T a when H = u v^T has rank 1.
+    """
+    columns = [h @ a]
+    for _ in range(h.rows - 1):
+        columns.append(g @ columns[-1])
+    return Matrix.from_columns(columns[::-1])
 
 
 def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheckReport:

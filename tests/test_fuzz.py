@@ -201,8 +201,7 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
     ):
         counted(fuzz_module, name)
     # P = G^(n-1) H is formed once per trial, by build_conjugator
-    counted(sn, "projected_idempotent")
-    counted(fuzz_module, "projected_idempotent")
+    counted(sn, "_krylov_projector")
     summary = IdentitySummary()
     reports = run_roundtrip_suite(SMALL, summary)
     assert len(reports) == summary.total_trials == 24
@@ -211,7 +210,7 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "build_conjugator": 24,
         "check_structure_identities": 24,
         "certify": 24,
-        "projected_idempotent": 24,
+        "_krylov_projector": 24,
     }
 
 

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 import matconj.skolem_noether as sn
 from helpers import (
     chain_projector,
+    column_loop_conjugator,
     matrix_structure_identities,
     random_dense,
     random_scalar,
+    rref_kernel_vector,
 )
 from matconj import (
     AutomorphismOracle,
@@ -184,6 +186,106 @@ def test_kernel_vector_empty():
         kernel_vector(Matrix.zero(QQ, 2, 2))
 
 
+FIELDS = [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the construction failure."""
+    try:
+        return fn(*args)
+    except (EmptyKernel, SingularConjugator) as exc:
+        return type(exc), str(exc)
+
+
+def _rank_one_with_trace(spec, n, rng, trace, zero_head=0):
+    """A rank-1 P = u v^T with tr P = v^T u = ``trace``; u and v start with
+    ``zero_head`` zeros.  A zero trace needs two free coordinates."""
+    while True:
+        u = _nonzero_vector(spec, n, rng, zero_head=zero_head)
+        v = _nonzero_vector(spec, n, rng, zero_head=zero_head)
+        t = (v.transpose() @ u).entry(1, 1)
+        if trace.is_zero():
+            # move v off u at u's first nonzero coordinate k
+            k = u.first_nonzero_index()
+            v = v - ColumnVector.standard_basis(spec, n, k).scale(t / u.entry(k))
+            if not v.is_zero():
+                return outer_product(u, v)
+        elif not t.is_zero():
+            return outer_product(u.scale(trace / t), v)
+
+
+def _other_trace(spec, rng):
+    while True:
+        t = random_scalar(spec, rng)
+        if not (t.is_zero() or t.is_one()):
+            return t
+
+
+def _rank_ge_2_projector(spec, n, rng, singular):
+    """P = I - M of rank >= 2, M singular (I - P has a kernel) or not."""
+    identity = Matrix.identity(spec, n)
+    while True:
+        m = random_dense(spec, n, n, rng)
+        if singular:
+            # the last column of M is a multiple of the first
+            x = random_scalar(spec, rng)
+            cols = [m.column(j) for j in range(1, n)]
+            m = Matrix.from_columns(cols + [cols[0].scale(x)])
+        p = identity - m
+        if p.rank() >= 2 and (m.rank() < n) == singular:
+            return p
+
+
+def _kernel_cases(spec, n, rng):
+    """(name, P) for each kind of kernel_vector input."""
+    yield "zero", Matrix.zero(spec, n, n)
+    yield "trace_one", _rank_one_with_trace(spec, n, rng, spec.one)
+    if spec.modulus != 2:
+        yield "trace_other", _rank_one_with_trace(spec, n, rng, _other_trace(spec, rng))
+    if n == 1:
+        return
+    yield "trace_zero", _rank_one_with_trace(spec, n, rng, spec.zero)
+    # first nonzero entry of P off row 1 and column 1
+    head = rng.randint(1, n - 1)
+    yield "inner_one", _rank_one_with_trace(spec, n, rng, spec.one, zero_head=head)
+    if spec.modulus != 2:
+        other = _other_trace(spec, rng)
+        yield "inner_other", _rank_one_with_trace(spec, n, rng, other, zero_head=head)
+    yield "rank_ge_2_kernel", _rank_ge_2_projector(spec, n, rng, singular=True)
+    yield "rank_ge_2_injective", _rank_ge_2_projector(spec, n, rng, singular=False)
+    if n >= 3:
+        # an idempotent of rank 2: I - P has a kernel of dimension 2
+        yield "rank_2_idempotent", elementary_matrix(spec, n, 1, 1) + elementary_matrix(
+            spec, n, n, n
+        )
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_kernel_vector_matches_rref_reference(spec, monkeypatch):
+    rng = random.Random(101)
+    eliminate = Matrix._eliminate
+    eliminations = []
+
+    def counted_eliminate(self, reduced):
+        eliminations.append(reduced)
+        return eliminate(self, reduced)
+
+    paths = set()
+    for n in range(1, 7):
+        for name, p in _kernel_cases(spec, n, rng):
+            expected = _outcome(rref_kernel_vector, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "_eliminate", counted_eliminate)
+                eliminations.clear()
+                got = _outcome(kernel_vector, p)
+            assert got == expected, (name, n)
+            # a P of rank <= 1 is read off tr P and its column, with no elimination
+            read = p.rank() <= 1
+            assert not eliminations if read else eliminations, (name, n)
+            paths.add((read, isinstance(got, ColumnVector)))
+    assert paths == {(read, found) for read in (True, False) for found in (True, False)}
+
+
 # -- build_conjugator --------------------------------------------------------
 
 
@@ -231,6 +333,143 @@ def test_build_singular_conjugator():
 def test_build_n1():
     witness = build_conjugator(Matrix.from_rows(QQ, [[1]]), Matrix.zero(QQ, 1, 1), 1)
     assert witness.conjugator == Matrix.identity(QQ, 1)
+
+
+def _reference_build(h, g, n):
+    """(P, a, A, A^-1) from the dense chain, the rref of I - P and the column
+    loop, or the type and message of the failure build_conjugator raises."""
+    p = chain_projector(h, g, n)
+    try:
+        a = rref_kernel_vector(p)
+    except EmptyKernel as exc:
+        return type(exc), str(exc)
+    a_mat = column_loop_conjugator(h, g, a)
+    try:
+        return p, a, a_mat, a_mat.inverse()
+    except SingularMatrix:
+        return SingularConjugator, "assembled candidate conjugator is singular"
+
+
+def _built(h, g, n):
+    witness = build_conjugator(h, g, n)
+    assert (witness.n, witness.spec) == (n, h.spec)
+    return (
+        witness.projector,
+        witness.kernel_vector,
+        witness.conjugator,
+        witness.conjugator_inv,
+    )
+
+
+def _eigen_rank_one(spec, n, rng):
+    """H = u v^T with G u = x u for a random x != 0, scaled so that
+    v^T G^(n-1) u = 1: the kernel is span(u), and every column of A is a
+    multiple of u, so A is singular for n >= 2."""
+    while True:
+        u = _nonzero_vector(spec, n, rng)
+        v = _nonzero_vector(spec, n, rng)
+        r = random_dense(spec, n, n, rng)
+        x = _nonzero_scalar(spec, rng)
+        k = u.first_nonzero_index()
+        y = ColumnVector.standard_basis(spec, n, k).scale(u.entry(k).inv())
+        g = r - outer_product(r @ u - u.scale(x), y)
+        t = (v.transpose() @ g.power(n - 1) @ u).entry(1, 1)
+        if not t.is_zero():
+            return outer_product(u.scale(t.inv()), v), g
+
+
+def _build_cases(spec, n, rng):
+    """(name, H, G) for each kind of build_conjugator input."""
+    b = random_invertible(spec, n, rng, 4)
+    yield "genuine", *AutomorphismOracle.conjugation_by(b).query_generators()
+    yield "rank1_builds", *_scaled_rank_one(spec, n, rng)[:2]
+    for _ in range(3):
+        h = outer_product(_nonzero_vector(spec, n, rng), _nonzero_vector(spec, n, rng))
+        yield "rank1_random", h, random_dense(spec, n, n, rng)
+    yield "zero_h", Matrix.zero(spec, n, n), random_dense(spec, n, n, rng)
+    yield "random", random_dense(spec, n, n, rng), random_dense(spec, n, n, rng)
+    if n == 1:
+        return
+    yield "rank1_inner", *_scaled_rank_one(spec, n, rng, zero_head=1)[:2]
+    yield "rank1_singular", *_eigen_rank_one(spec, n, rng)
+    g = _strictly_upper(spec, n, rng)
+    u = _nonzero_vector(spec, n, rng, zero_tail=1)
+    yield "rank1_vanishing", outer_product(u, _nonzero_vector(spec, n, rng)), g
+    yield "random_builds", *_random_pair_that_builds(spec, n, rng)[:2]
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_build_matches_column_loop_reference(spec, monkeypatch):
+    rng = random.Random(103)
+    krylov_paths = []
+    krylov_projector = sn._krylov_projector
+
+    def spied_projector(h, g, n):
+        result = krylov_projector(h, g, n)
+        krylov_paths.append(result[2] is not None)
+        return result
+
+    monkeypatch.setattr(sn, "_krylov_projector", spied_projector)
+    outcomes = set()
+    for n in range(1, 7):
+        for name, h, g in _build_cases(spec, n, rng):
+            krylov_paths.clear()
+            got = _outcome(_built, h, g, n)
+            assert got == _reference_build(h, g, n), (name, n)
+            # the Krylov columns run exactly when H has rank 1
+            rank_one = h.rank() == 1
+            assert krylov_paths == [rank_one], (name, n)
+            kind = got[0] if isinstance(got[0], type) else "built"
+            outcomes.add((rank_one, kind))
+            if name in ("genuine", "rank1_builds", "rank1_inner"):
+                assert kind == "built", (name, n)
+            if name == "rank1_singular":
+                assert got[0] is SingularConjugator, n
+    assert outcomes >= {
+        (True, "built"),
+        (True, EmptyKernel),
+        (True, SingularConjugator),
+        (False, "built"),
+        (False, EmptyKernel),
+    }
+
+
+def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
+    # the Krylov vectors and v^T a are n mat-vecs, tr P and w give a without
+    # an elimination, and A^-1 is the one elimination; no dense product
+    spec = prime_field(2**61 - 1)
+    rng = random.Random(107)
+    eliminate, matmul = Matrix._eliminate, Matrix.__matmul__
+    calls = {"eliminate": 0, "matvecs": 0, "products": 0}
+
+    def counted_eliminate(self, reduced):
+        calls["eliminate"] += 1
+        return eliminate(self, reduced)
+
+    def counted_matmul(left, right):
+        calls["matvecs" if isinstance(right, ColumnVector) else "products"] += 1
+        return matmul(left, right)
+
+    for n in (8, 16):
+        b = random_invertible(spec, n, rng, 4)
+        h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "_eliminate", counted_eliminate)
+            patch.setattr(Matrix, "__matmul__", counted_matmul)
+            calls.update(eliminate=0, matvecs=0, products=0)
+            witness = build_conjugator(h, g, n)
+            assert calls["eliminate"] == 1, (n, calls)
+            assert calls["matvecs"] <= n, (n, calls)
+            assert calls["products"] == 0, (n, calls)
+            # kernel_vector on a P of rank <= 1 eliminates nothing
+            calls.update(eliminate=0)
+            assert kernel_vector(witness.projector) == witness.kernel_vector
+            with pytest.raises(EmptyKernel):
+                kernel_vector(witness.projector.scale(2))
+            with pytest.raises(EmptyKernel):
+                kernel_vector(Matrix.zero(spec, n, n))
+            assert calls["eliminate"] == 0, (n, calls)
+        assert scalar_relation(witness.conjugator, b) is not None
 
 
 # -- check_structure_identities ---------------------------------------------
