@@ -15,7 +15,7 @@ Usage:
     python scripts/bench_pairs.py --parent DIR --change DIR \\
         --parent-out BENCH_<commit>.json --change-out BENCH_<name>.json \\
         --parent-label <commit> --workload two-query-recover --seeds 801-810 \\
-        [--workload fuzz-grid ...] [--seconds 25] [--note TEXT]
+        [--workload fuzz-grid ...] [--seconds 25]
 
 Only the standard library is used.
 """
@@ -90,7 +90,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--note", default="")
     args = parser.parse_args()
 
     shared = {
@@ -106,7 +105,7 @@ def main() -> int:
     })
     change = load(args.change_out, {
         "parent": args.parent_label,
-        "note": args.note or f"each run alternated with a run of the same seed on "
+        "note": "each run alternated with a run of the same seed on "
                 f"{args.parent_label}, recorded in {args.parent_out.name}",
         **shared,
     })

@@ -44,6 +44,7 @@ from matconj import (
 )
 
 QQ = rationals()
+FIELDS = [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)]
 
 
 def identity_generators(n, spec=QQ):
@@ -122,11 +123,7 @@ def _projector_cases(spec, n, rng):
             break
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)],
-    ids=str,
-)
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_projector_matches_chain_reference(spec, monkeypatch):
     rng = random.Random(79)
     factored, matvecs = [], []
@@ -184,9 +181,6 @@ def test_kernel_vector_swapped_corner():
 def test_kernel_vector_empty():
     with pytest.raises(EmptyKernel):
         kernel_vector(Matrix.zero(QQ, 2, 2))
-
-
-FIELDS = [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)]
 
 
 def _outcome(fn, *args):
@@ -616,11 +610,7 @@ def _structure_cases(spec, n, rng):
         yield f"chain_break_{k}", *_chain_break(spec, n, k, rng)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [QQ, prime_field(2), prime_field(3), prime_field(2**61 - 1)],
-    ids=str,
-)
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_structure_checks_match_matrix_reference(spec):
     rng = random.Random(83)
     paths, chain_flags, projector_flags = set(), set(), set()
