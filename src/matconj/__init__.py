@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     SingularConjugator,
     SingularMatrix,
-    UnsupportedInput,
     UnsupportedQuery,
     ValueTooLarge,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "SingularConjugator",
     "SingularMatrix",
     "StructureCheckReport",
-    "UnsupportedInput",
     "UnsupportedQuery",
     "ValidationReport",
     "ValueTooLarge",

@@ -25,6 +25,8 @@ Exit codes: 0 recovered / all checks passed, 1 a ``check-aut`` map that is
 not an automorphism or a ``fuzz`` sweep whose summary is not ok, 2 parse,
 flag or output errors (a JSON object on stderr), 3 construction
 impossibilities (empty kernel, singular conjugator), 4 verification failure.
+A singular ``conjugator`` parses and is refused (exit 2) when its oracle is
+built; ``main`` writes every error, a ``MatconjError`` from any command.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import (
     ParseError,
     SingularConjugator,
     SingularMatrix,
-    UnsupportedInput,
 )
 from .field import FieldKind, FieldSpec, prime_field, rationals
 from .fuzz import (
@@ -160,7 +161,8 @@ def vector_to_json(vec: ColumnVector) -> list[str]:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A parsed problem: the field, the dimension, and exactly one input variant."""
+    """A parsed problem: the field, the dimension, and exactly one input
+    variant.  A ``conjugator`` may be singular; ``oracle_from_problem`` refuses it."""
 
     spec: FieldSpec
     n: int
@@ -169,6 +171,7 @@ class ProblemFile:
 
 
 def problem_from_json(obj) -> ProblemFile:
+    """Parse a problem file; the ``conjugator`` it holds may be singular."""
     if not isinstance(obj, dict):
         raise ParseError("problem file must be a JSON object")
     if "field" not in obj or "n" not in obj:
@@ -189,10 +192,6 @@ def problem_from_json(obj) -> ProblemFile:
     body = obj[variant]
     if variant == "conjugator":
         matrix = matrix_from_json(spec, body, n, "conjugator")
-        if matrix.det().is_zero():
-            raise ParseError(
-                "conjugator matrix is singular; the inner map needs det != 0"
-            )
         return ProblemFile(spec, n, variant, matrix)
     if variant == "generator_pair":
         if not isinstance(body, dict) or set(body) != {"H", "G"}:
@@ -260,7 +259,12 @@ def load_problem(path: str) -> tuple[ProblemFile, str]:
 
 def oracle_from_problem(problem: ProblemFile) -> AutomorphismOracle:
     if problem.variant == "conjugator":
-        return AutomorphismOracle.conjugation_by(problem.payload)
+        try:
+            return AutomorphismOracle.conjugation_by(problem.payload)
+        except SingularMatrix:
+            raise ParseError(
+                "conjugator matrix is singular; the inner map needs det != 0"
+            )
     if problem.variant == "generator_pair":
         h, g = problem.payload
         return AutomorphismOracle.from_generator_pair(h, g)
@@ -344,12 +348,8 @@ def _fail_parse(message: str) -> int:
 
 
 def cmd_recover(args) -> int:
-    try:
-        problem, digest = load_problem(args.problem)
-        oracle = oracle_from_problem(problem)
-    except (ParseError, SingularMatrix) as exc:
-        return _fail_parse(str(exc))
-
+    problem, digest = load_problem(args.problem)
+    oracle = oracle_from_problem(problem)
     output: dict = {
         "command": "recover",
         "input_sha256": digest,
@@ -400,16 +400,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check_aut(args) -> int:
-    try:
-        problem, digest = load_problem(args.problem)
-        if problem.variant == "generator_pair":
-            raise UnsupportedInput(
-                "a generator pair carries too little information to validate"
-            )
-        oracle = oracle_from_problem(problem)
-    except (ParseError, SingularMatrix, UnsupportedInput) as exc:
-        return _fail_parse(str(exc))
-    report = oracle.validate()
+    problem, digest = load_problem(args.problem)
+    report = oracle_from_problem(problem).validate()
     output = {
         "command": "check-aut",
         "input_sha256": digest,
@@ -605,8 +597,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MatconjError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return EXIT_PARSE
+        return _fail_parse(str(exc))
 
 
 if __name__ == "__main__":

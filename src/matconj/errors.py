@@ -53,7 +53,3 @@ class OutputError(MatconjError):
 
 class ValueTooLarge(MatconjError):
     """A scalar has too many digits to be written out as text."""
-
-
-class UnsupportedInput(MatconjError):
-    """The command cannot operate on this input variant."""

@@ -132,20 +132,20 @@ class IdentitySummary:
         failed = isinstance(built, (EmptyKernel, SingularConjugator))
         projector = projected_idempotent(h, g, n) if failed else built.projector
         identity = Matrix.identity(h.spec, n)
-        diff = identity - projector
         if isinstance(built, EmptyKernel):
-            self._record("det_projector_zero", diff.det().is_zero(), context)
+            singular = (identity - projector).det().is_zero()
+            self._record("det_projector_zero", singular, context)
             self._record("kernel_vector_nonzero", False, context)
             return
         a_vec = kernel_vector(projector) if failed else built.kernel_vector
         nonzero = not a_vec.is_zero()
-        annihilated = (diff @ a_vec).is_zero()
-        # a nonzero vector that I - P annihilates proves det(I - P) = 0
-        det_zero = (nonzero and annihilated) or diff.det().is_zero()
+        # (I - P)a = 0 is P a = a, and a nonzero such a proves det(I - P) = 0
+        fixed = projector @ a_vec == a_vec
+        det_zero = (nonzero and fixed) or (identity - projector).det().is_zero()
         self._record("det_projector_zero", det_zero, context)
         self._record("kernel_vector_nonzero", nonzero, context)
-        self._record("kernel_vector_annihilated", annihilated, context)
-        self._record("fixed_point", projector @ a_vec == a_vec, context)
+        self._record("kernel_vector_annihilated", fixed, context)
+        self._record("fixed_point", fixed, context)
         if failed:
             self._record("conjugator_built", False, f"{context}: {built}")
             return

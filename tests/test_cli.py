@@ -21,6 +21,7 @@ from matconj.cli import (
     exit_code_for,
     main,
     matrix_to_json,
+    oracle_from_problem,
     parse_field_descriptor,
     parse_field_flag,
     problem_from_json,
@@ -157,8 +158,9 @@ def test_problem_rejects_singular_conjugator():
 
     obj = swap_problem()
     obj["conjugator"] = [["1", "1"], ["1", "1"]]
+    problem = problem_from_json(obj)  # parses: building the oracle refuses it
     with pytest.raises(ParseError, match="det"):
-        problem_from_json(obj)
+        oracle_from_problem(problem)
 
 
 def test_exit_codes_total_over_outcomes():
@@ -274,11 +276,13 @@ def test_recover_parse_error_exit_2(tmp_path, capsys):
     assert main(["recover", str(tmp_path / "missing.json")]) == EXIT_PARSE
 
 
-def _assert_parse_failure(capsys, code):
+def _assert_parse_failure(capsys, code, stderr=None):
     assert code == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]
+    if stderr is not None:
+        assert captured.err == stderr
 
 
 def test_recover_oversized_scalar_exit_2(tmp_path, capsys):
@@ -382,6 +386,11 @@ def test_check_aut_transpose_fails(tmp_path, capsys):
     assert out["first_violation"]
 
 
+SINGULAR_CONJUGATOR_ERROR = (
+    '{"error": "conjugator matrix is singular; the inner map needs det != 0"}\n'
+)
+
+
 def test_check_aut_rejects_generator_pair(tmp_path, capsys):
     obj = {
         "field": {"type": "Q"},
@@ -392,14 +401,55 @@ def test_check_aut_rejects_generator_pair(tmp_path, capsys):
         },
     }
     path = write_problem(tmp_path, obj)
-    assert main(["check-aut", path]) == EXIT_PARSE
+    _assert_parse_failure(
+        capsys,
+        main(["check-aut", path]),
+        '{"error": "a generator pair carries too little information to validate"}\n',
+    )
 
 
-def test_check_aut_rejects_singular_conjugator(tmp_path):
+def test_check_aut_rejects_singular_conjugator(tmp_path, capsys):
     obj = swap_problem()
     obj["conjugator"] = [["1", "2"], ["2", "4"]]
     path = write_problem(tmp_path, obj)
-    assert main(["check-aut", path]) == EXIT_PARSE
+    _assert_parse_failure(capsys, main(["check-aut", path]), SINGULAR_CONJUGATOR_ERROR)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"field": {"type": "Q"}, "n": 2, "conjugator": [["1", "2"], ["2", "4"]]},
+        {"field": {"type": "GFp", "p": 7}, "n": 2, "conjugator": [["0", "0"], ["0", "0"]]},
+    ],
+    ids=["rank-1", "zero"],
+)
+def test_recover_rejects_singular_conjugator(tmp_path, capsys, obj, flags):
+    path = write_problem(tmp_path, obj)
+    code = main(["recover", path, *flags])
+    _assert_parse_failure(capsys, code, SINGULAR_CONJUGATOR_ERROR)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+@pytest.mark.parametrize("field", ["q", "gfp:2305843009213693951"])
+def test_recover_of_a_conjugator_runs_three_eliminations(
+    tmp_path, capsys, monkeypatch, field, flags
+):
+    # B's inverse (which also refuses a singular B), A's inverse and the rank
+    # behind the scalar relation A = cB: B is not eliminated a second time
+    path = str(tmp_path / "problem.json")
+    assert main(["gen", "--field", field, "--n", "5", "--seed", "3", "--out", path]) == 0
+    eliminate = Matrix._eliminate
+    eliminations = []
+
+    def counted_eliminate(self, reduced):
+        eliminations.append(reduced)
+        return eliminate(self, reduced)
+
+    monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
+    assert main(["recover", path, *flags]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["outcome"] == "recovered"
+    assert len(eliminations) == 3
 
 
 # -- gen ---------------------------------------------------------------------

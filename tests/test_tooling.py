@@ -72,3 +72,13 @@ def test_acceptance_sweep_runs():
     result = _run_script("acceptance_sweep.py", "--trials", "1")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "SWEEP OK"
+
+
+def test_byte_identity_finds_no_difference_between_a_checkout_and_itself():
+    result = _run_script(
+        "byte_identity.py", "--parent", str(ROOT), "--change", str(ROOT),
+        "--max-n", "2", "--seeds", "1",
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    last = result.stdout.splitlines()[-1]
+    assert last.startswith("byte identity: ") and last.endswith(", 0 differ"), last
