@@ -8,8 +8,12 @@ one pair to the next, so a drift in host speed lands on both sides.  The last
 stdout line of each run (its JSON result) is stored, keyed by workload and
 seed, in two BENCH files: one for the parent and one for the change.  An
 existing file is extended, so workloads can be run in separate calls.  After
-the runs, the script prints the median of each end-to-end metric per side and
-the number of pairs in which the change was better.
+the runs, the script prints the median of each end-to-end metric per side,
+the number of pairs in which the change was better, and whether the change's
+median is inside the metric's relative ``bound`` from BENCHMARK.json: no
+worse than the parent's median by more than that fraction.  A metric whose
+parent IQR is wider than its bound (relative to the parent's median) is
+"unresolved": its pairs are too noisy to tell, and more pairs are needed.
 
 Usage:
     python scripts/bench_pairs.py --parent DIR --change DIR \\
@@ -58,26 +62,55 @@ def load(path: Path, header: dict) -> dict:
     return {**header, "runs": runs}
 
 
-def directions(checkout: Path) -> dict:
+def end_to_end(checkout: Path) -> dict:
+    """Each end-to-end metric's (direction, relative bound) from BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
-def summarize(parent: dict, change: dict, workload: str, seeds, better: dict) -> None:
+def compare(before: list, after: list, better: str, bound: float) -> dict:
+    """Medians, parent IQR, wins and the bound verdict of one metric's pairs.
+
+    ``before[i]`` and ``after[i]`` are the parent's and the change's values in
+    pair i.  The verdict is "unresolved" when the parent's IQR exceeds
+    ``bound`` times its median, else "inside bound" when the change's median
+    is worse than the parent's by at most that fraction, else "outside bound".
+    """
+    sign = 1 if better == "higher" else -1
+    mb, ma = statistics.median(before), statistics.median(after)
+    q = statistics.quantiles(before, n=4) if len(before) > 1 else [mb, mb, mb]
+    iqr = q[2] - q[0]
+    base = mb or 1.0
+    if iqr / base > bound:
+        verdict = "unresolved"
+    elif sign * (mb - ma) / base <= bound:
+        verdict = "inside bound"
+    else:
+        verdict = "outside bound"
+    return {
+        "parent": mb,
+        "change": ma,
+        "iqr": iqr,
+        "wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+        "verdict": verdict,
+    }
+
+
+def summarize(parent: dict, change: dict, workload: str, seeds, metrics: dict) -> None:
     pairs = [(parent[workload][str(s)], change[workload][str(s)]) for s in seeds]
     print(f"{workload}: {len(pairs)} pairs, medians parent -> change")
     counts = " ".join(f"{p['attempted']}/{c['attempted']}" for p, c in pairs)
     print(f"  attempted {counts}")
-    for name, direction in better.items():
+    for name, (better, bound) in metrics.items():
         before = [p["metrics"][name]["value"] for p, _ in pairs]
         after = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
-        mb, ma = statistics.median(before), statistics.median(after)
-        q = statistics.quantiles(before, n=4) if len(before) > 1 else [mb, mb, mb]
-        rel = (ma - mb) / mb * 100 if mb else 0.0
-        print(f"  {name:<16} {mb:10.4g} -> {ma:10.4g} ({rel:+6.1f}%)  "
-              f"parent IQR {q[2] - q[0]:.3g}  change better in {wins}/{len(pairs)}")
+        r = compare(before, after, better, bound)
+        mb = r["parent"]
+        rel = (r["change"] - mb) / mb * 100 if mb else 0.0
+        print(f"  {name:<16} {r['parent']:10.4g} -> {r['change']:10.4g} "
+              f"({rel:+6.1f}%)  parent IQR {r['iqr']:.3g}  "
+              f"change better in {r['wins']}/{len(pairs)}  "
+              f"{r['verdict']} ({bound:.0%})")
 
 
 def main() -> int:
@@ -125,9 +158,9 @@ def main() -> int:
                 print(f"{workload} {seed} {side}: {ops:.4g} ops/s",
                       file=sys.stderr, flush=True)
             pair += 1
-    better = directions(args.change)
+    metrics = end_to_end(args.change)
     for workload in args.workload:
-        summarize(parent["runs"], change["runs"], workload, args.seeds, better)
+        summarize(parent["runs"], change["runs"], workload, args.seeds, metrics)
     return 0
 
 

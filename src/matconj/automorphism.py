@@ -290,8 +290,9 @@ class AutomorphismOracle:
         phi(E_{i,1}) phi(E_{1,1}) = phi(E_{i,1}) is the j = 1 case and so
         phi(E_{i,j}) phi(E_{k,l}) = phi(E_{i,1}) phi(E_{1,j}) phi(E_{k,1}) phi(E_{1,l})
         = delta_{jk} phi(E_{i,1}) phi(E_{1,1}) phi(E_{1,l}) = delta_{jk} phi(E_{i,l}).
-        Bijectivity: the n^2 x n^2 matrix whose columns are the vectorized
-        images must have full rank.  Failures are reported, never thrown.
+        Bijectivity: the n^2 x n^2 matrix whose rows are the vectorized
+        images (the transpose of the map's matrix, of the same rank) must
+        have full rank.  Failures are reported, never thrown.
         """
         images = self._images_for_validation()
         n = self.n
@@ -311,14 +312,13 @@ class AutomorphismOracle:
             first_violation = violation
 
         nn = n * n
-        big = []
-        for r in range(nn):
-            row = []
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    row.append(images[(i, j)]._data[r])
-            big.extend(row)
-        bijective_ok = Matrix._raw_new(spec, nn, nn, tuple(big)).rank() == nn
+        big = tuple(
+            x
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for x in images[(i, j)]._data
+        )
+        bijective_ok = Matrix._raw_new(spec, nn, nn, big).rank() == nn
         if not bijective_ok and first_violation is None:
             first_violation = "vectorized map is rank-deficient"
 

@@ -107,16 +107,19 @@ class Matrix:
         return Matrix._raw_new(spec, n, n, tuple(data))
 
     @staticmethod
-    def from_columns(columns: Sequence[ColumnVector]) -> "Matrix":
-        """Matrix whose i-th column is columns[i-1]."""
+    def from_columns(columns: Sequence["Matrix"]) -> "Matrix":
+        """Matrix whose i-th column is columns[i-1], each an n x 1 Matrix
+        (a ColumnVector or any Matrix with one column)."""
         if not columns:
             raise DimensionMismatch("need at least one column")
         spec = columns[0].spec
-        dim = columns[0].dim
+        dim = columns[0].rows
         for c in columns:
             if c.spec != spec:
                 raise FieldMismatch("columns over different fields")
-            if c.dim != dim:
+            if c.cols != 1:
+                raise DimensionMismatch("a column must be an n x 1 matrix")
+            if c.rows != dim:
                 raise DimensionMismatch("columns of different dimensions")
         data = []
         for i in range(dim):

@@ -10,16 +10,15 @@ module makes that effective from just two images of the map:
    difference is singular whenever phi is an automorphism, because P is the
    image of the rank-1 idempotent E_{1,1}).  H has rank 1, so H = u v^T and
    P = w v^T with w = G^{n-1} u: the Krylov vectors u, G u, ..., w cost n-1
-   mat-vecs, O(n^3).  P of rank <= 1 gives det(I - P) = 1 - tr P, so the
-   kernel is empty unless tr P = 1, and is then span(w): a is w divided by
-   its first nonzero entry, read off in O(n^2) with no elimination.  An H of
-   any other rank falls back to the O(n^4) chain of dense products, and a P
-   of rank >= 2 to the O(n^3) rref of I - P;
+   mat-vecs, O(n^3).  Then det(I - P) = 1 - v^T w, so the kernel is empty
+   unless v^T w = 1, and is then span(w): a is w divided by its first
+   nonzero entry, with no elimination.  An H of any other rank falls back to
+   the O(n^4) chain of dense products and the O(n^3) rref of I - P;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
-   For H = u v^T column i is (v^T a) G^{n-i} u, a scaled Krylov vector of
-   step 2, so only v^T a is left to compute; any other H runs Ha and n-1
-   more mat-vecs.  A^-1 is one elimination, O(n^3), so a rank-1 build runs
-   one elimination and n mat-vecs in all.
+   For H = u v^T column i is (v^T a) G^{n-i} u = G^{n-i} u / lead(w), a
+   scaled Krylov vector of step 2; any other H runs Ha and n-1 more
+   mat-vecs.  A^-1 is one elimination, O(n^3), so a rank-1 build runs one
+   elimination and n mat-vecs in all.
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
 identities pin down conjugation everywhere, because E_{n,1} and S generate
@@ -28,10 +27,12 @@ certificate: the two intertwines for a generator pair, and the n^2-pair basis
 sweep of :func:`verify_conjugation` for a map given by conjugation or by a
 table.  :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
-conjugators up to the scalar factor conjugation cannot see.  For a rank-1
-H = u v^T the report reads H G^k H = 0 off the scalars v^T G^k u, and for a
-P of rank <= 1 it reads P^2 = P and rank(I - P) = n - 1 off tr P, O(n^3 log n)
-in all; inputs of higher rank take the O(n^4) matrix forms.
+conjugators up to the scalar factor conjugation cannot see.  The rank-1
+corner is read in one place, :func:`_krylov`: the build, the projector and
+the structure report all take u's Krylov vectors from it, and nothing
+factors P.  For a rank-1 H the report reads H G^k H = 0, P^2 = P and
+rank(I - P) = n - 1 off the scalars v^T G^k u, O(n^3 log n) in all; any
+other H takes the O(n^4) matrix forms.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -71,7 +72,7 @@ class ConjugationWitness:
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
     from, and ``projector`` is P = G^{n-1} H, whose fixed vectors it was drawn
-    from.
+    from.  :func:`check_structure_identities` reads only ``conjugator``.
     """
 
     conjugator: Matrix
@@ -87,7 +88,8 @@ class StructureCheckReport:
     """Exact per-identity outcome for the relations the construction rests on.
 
     All flags are true whenever (H, G) arise from a genuine automorphism and
-    the witness came from :func:`build_conjugator`.
+    the witness came from :func:`build_conjugator`.  The two intertwines are
+    the only flags that depend on the witness, through its A.
     """
 
     shift_nilpotent_ok: bool  # G^n = 0
@@ -182,66 +184,59 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     return u, v
 
 
-def _krylov_projector(
+def _krylov(
     h: Matrix, g: Matrix, n: int
-) -> tuple[Matrix, ColumnVector | None, list[ColumnVector] | None]:
-    """(P, v, K): P = G^{n-1} H and, when H = u v^T has rank 1, v and the
-    Krylov vectors K = [u, G u, ..., G^{n-1} u] (else None, None).  H is
-    factored once; :func:`projected_idempotent` gives both paths' costs.
+) -> tuple[ColumnVector | None, list[ColumnVector] | None, Matrix | None]:
+    """The one reading of the rank-1 corner H = phi(E_{n,1}).
+
+    When H = u v^T has rank 1 (see :func:`_rank_one_factors`) this is
+    (v, K, None) with the Krylov vectors K = [u, G u, ..., G^{n-1} u]: n-1
+    mat-vecs, O(n^3).  P = G^{n-1} H is then w v^T for w = K[-1], and
+    H G^k H = (v^T G^k u) H, so both are read off these vectors.  Any other H
+    (zero, or of rank >= 2) gives (None, None, P), P from the chain of n-1
+    dense products, O(n^4).
     """
     factors = _rank_one_factors(h)
     if factors is None:
         result = h
         for _ in range(n - 1):
             result = g @ result
-        return result, None, None
+        return None, None, result
     u, v = factors
     krylov = [u]
     for _ in range(n - 1):
         krylov.append(g @ krylov[-1])
-    return outer_product(krylov[-1], v), v, krylov
+    return v, krylov, None
 
 
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
-    H = phi(E_{n,1}) has rank 1 for every automorphism, and then H = u v^T
-    with u the column and v^T the row of H's first nonzero entry (see
-    :func:`_rank_one_factors`, which checks u v^T = H row by row).  Then
-    G^{n-1} H = (G^{n-1} u) v^T takes n-1 mat-vecs and an outer product:
-    O(n^3) in all, against O(n^4) for the chain of n-1 dense products.  Any
-    other H (zero, or of rank >= 2) runs that chain.  Products are exact, so
-    both paths give the same matrix.  For n = 1 the empty power is the
-    identity, so the result is H itself.
+    H = phi(E_{n,1}) has rank 1 for every automorphism, and then
+    G^{n-1} H = (G^{n-1} u) v^T is the last Krylov vector of :func:`_krylov`
+    times v^T: n-1 mat-vecs and an outer product, O(n^3) in all, against
+    O(n^4) for the chain of n-1 dense products that any other H runs.
+    Products are exact, so both paths give the same matrix.  For n = 1 the
+    empty power is the identity, so the result is H itself.
     """
     _check_pair(h, g, n)
-    return _krylov_projector(h, g, n)[0]
+    v, krylov, chain = _krylov(h, g, n)
+    return chain if krylov is None else outer_product(krylov[-1], v)
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
     """The canonical nonzero vector annihilated by I - projector.
 
-    That is the first vector of the deterministic nullspace basis of I - P:
-    the kernel vector scaled so that its first nonzero coordinate is 1.
-    Raises EmptyKernel when I - P is injective, which signals that the
-    generator images did not come from an automorphism.
-
-    A P of rank <= 1 needs no elimination.  P = w v^T gives
-    det(I - P) = 1 - tr P, so the kernel is empty unless tr P = 1, and then
-    it is span(w): a one-dimensional kernel has one canonical vector, w
-    divided by its first nonzero entry.  w is P's column through its first
-    nonzero entry (see :func:`_rank_one_factors`), so the reading costs
-    O(n^2).  A P of rank >= 2 takes the rref of I - P, O(n^3).
+    That is the first vector of the deterministic nullspace basis of I - P,
+    from the rref of I - P, O(n^3): the kernel vector scaled so that its
+    first nonzero coordinate is 1.  Raises EmptyKernel when I - P is
+    injective, which signals that the generator images did not come from an
+    automorphism.  :func:`build_conjugator` calls this only for an H that is
+    not of rank 1; a rank-1 H has its kernel vector read off the Krylov
+    vectors instead.
     """
     if not projector.is_square:
         raise DimensionMismatch("projector must be square")
-    factors = _rank_one_factors(projector)
-    if factors is not None or projector.is_zero():
-        if not projector.trace().is_one():
-            raise EmptyKernel(_INJECTIVE)
-        w = factors[0]
-        lead = w._data[w.first_nonzero_index() - 1]
-        return w.scale(projector.spec.invert_value(lead))
     diff = Matrix.identity(projector.spec, projector.rows) - projector
     basis = diff.nullspace_basis()
     if not basis:
@@ -252,27 +247,34 @@ def kernel_vector(projector: Matrix) -> ColumnVector:
 def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     """Assemble the conjugator from the two generator images.
 
-    Column i of A is G^{n-i} H a, for the kernel vector a of
-    :func:`kernel_vector`.  When H = u v^T has rank 1 that is
-    (v^T a) G^{n-i} u, a multiple of a Krylov vector that P = G^{n-1} H was
-    formed from: the build runs n mat-vecs (n-1 for the Krylov vectors, one
-    for v^T a), reads a off tr P and w = G^{n-1} u without an elimination,
-    and eliminates once, for A^-1, O(n^3) in all.  Any other H runs the
-    chain of dense products for P, the rref of I - P when P has rank >= 2,
-    and n-1 mat-vecs by G from Ha for the columns.  The inverse is computed
-    eagerly; if it does not exist the input pair was invalid and
-    SingularConjugator is raised.
+    Column i of A is G^{n-i} H a, for a nonzero a with P a = a,
+    P = G^{n-1} H.  When H = u v^T has rank 1, P = w v^T with w = G^{n-1} u
+    has det(I - P) = 1 - v^T w, so the kernel of I - P is empty unless
+    v^T w = 1 (EmptyKernel), and is then span(w).  With s = 1/lead(w), its
+    first nonzero entry, a = s w, v^T a = s, and column i is s G^{n-i} u:
+    A is s times the Krylov vectors of :func:`_krylov` in reverse order, and
+    a is its first column.  That build runs n mat-vecs (n-1 Krylov vectors
+    and v^T w) and one elimination, for A^-1, O(n^3) in all.  Any other H
+    runs the chain of dense products for P, the rref of
+    :func:`kernel_vector` and n-1 mat-vecs by G from Ha for the columns.  The
+    inverse is computed eagerly; if it does not exist the input pair was
+    invalid and SingularConjugator is raised.
     """
     _check_pair(h, g, n)
-    projector, v, krylov = _krylov_projector(h, g, n)
-    a = kernel_vector(projector)
+    v, krylov, projector = _krylov(h, g, n)
     if krylov is None:
+        a = kernel_vector(projector)
         columns = [h @ a]  # Ha, GHa, ..., G^{n-1}Ha
         for _ in range(n - 1):
             columns.append(g @ columns[-1])
     else:
-        c = (v.transpose() @ a)._data[0]
-        columns = [vec.scale(c) for vec in krylov]
+        w = krylov[-1]
+        if (v.transpose() @ w)._data[0] != h.spec.one_value:
+            raise EmptyKernel(_INJECTIVE)
+        s = h.spec.invert_value(w._data[w.first_nonzero_index() - 1])
+        columns = [vec.scale(s) for vec in krylov]
+        a = columns[-1]
+        projector = outer_product(w, v)
     conjugator = Matrix.from_columns(columns[::-1])
     try:
         conjugator_inv = conjugator.inverse()
@@ -288,37 +290,36 @@ def check_structure_identities(
 ) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    P = G^{n-1} H is read from ``witness.projector``, not formed again.
-    G^n = 0 is a repeated-squaring power and the two intertwines are the
-    products of :func:`certify`, O(n^3 log n) together.  The other three
-    identities are read off scalars where the rank of the input allows:
+    Only A is read from the witness; n is its size.  Every other flag is an
+    identity of the pair (H, G), evaluated here from the pair alone.  G^n = 0
+    is a repeated-squaring power and the two intertwines are the products of
+    :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1, the
+    Krylov vectors of :func:`_krylov` give the scalars r_k = v^T G^k u in one
+    vector-matrix product, O(n^3), and the other three identities are read
+    off them:
 
-    * H = u v^T of rank 1 (see :func:`_rank_one_factors`) gives
-      H G^k H = (v^T G^k u) H, so the chain H G^k H = 0 for 0 <= k <= n-2
-      holds iff v^T K = 0 for the Krylov matrix K = [u | G u | ... |
-      G^{n-2} u]: n-2 mat-vecs and one vector-matrix product, O(n^3);
-    * P of rank <= 1 gives P^2 = (tr P) P and det(I - P) = 1 - tr P, so P is
-      idempotent iff P = 0 or tr P = 1, and rank(I - P) = n - 1 iff tr P = 1.
+    * H G^k H = r_k H, so the chain H G^k H = 0 for 0 <= k <= n-2 holds iff
+      r_0, ..., r_{n-2} are 0;
+    * P = w v^T with w = G^{n-1} u has P^2 = r_{n-1} P and
+      det(I - P) = 1 - r_{n-1}, so rank(I - P) = n - 1 iff r_{n-1} = 1, and
+      P is idempotent iff r_{n-1} = 1 or w = 0.
 
-    Which form runs depends only on the ranks of H and P, and neither reads
-    A, so the flags hold for whatever witness is passed.  Any other H (zero,
-    or of rank >= 2) runs the chain of 2(n-1) dense products, and any P of
-    rank >= 2 forms P P and the rank of I - P, O(n^4).
-    The chain is indexed by 0 <= k <= n-2 and is therefore empty at n = 1;
-    the remaining checks degenerate gracefully there.
+    Any other H (zero, or of rank >= 2) runs the chain of 2(n-1) dense
+    products, and P P and the rank of I - P on the P of that chain, O(n^4).
+    Which form runs depends only on the rank of H.  The chain is indexed by
+    0 <= k <= n-2 and is therefore empty at n = 1; the remaining checks
+    degenerate gracefully there.
     """
-    n = witness.n
+    a_mat = witness.conjugator
+    n = a_mat.rows
     _check_pair(h, g, n)
-    projector = witness.projector
     shift_nilpotent_ok = g.power(n).is_zero()
-    factors = _rank_one_factors(h)
-    if factors is not None:
-        krylov = [factors[0]]  # u, G u, ..., G^{n-2} u
-        while len(krylov) < n - 1:
-            krylov.append(g @ krylov[-1])
-        corner_chain_ok = (
-            n == 1 or (factors[1].transpose() @ Matrix.from_columns(krylov)).is_zero()
-        )
+    v, krylov, projector = _krylov(h, g, n)
+    if krylov is not None:
+        r = (v.transpose() @ Matrix.from_columns(krylov))._data
+        corner_chain_ok = not any(r[:-1])
+        kernel_rank_ok = r[-1] == h.spec.one_value
+        idempotent_ok = kernel_rank_ok or krylov[-1].is_zero()
     else:
         corner_chain_ok = True
         left = h  # H G^k, advanced by one G per step
@@ -327,13 +328,9 @@ def check_structure_identities(
                 corner_chain_ok = False
                 break
             left = left @ g
-    if projector.is_zero() or _rank_one_factors(projector) is not None:
-        kernel_rank_ok = projector.trace().is_one()
-        idempotent_ok = kernel_rank_ok or projector.is_zero()
-    else:
         idempotent_ok = projector @ projector == projector
         kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
-    intertwine_E_ok, intertwine_S_ok = _intertwines(witness, h, g)
+    intertwine_E_ok, intertwine_S_ok = _intertwines(a_mat, h, g)
     named = (
         ("nilpotent", shift_nilpotent_ok and corner_chain_ok),
         ("idempotent", idempotent_ok),
@@ -352,12 +349,9 @@ def check_structure_identities(
     )
 
 
-def _intertwines(
-    witness: ConjugationWitness, h: Matrix, g: Matrix
-) -> tuple[bool, bool]:
-    """Whether A E_{n,1} = H A and whether A S = G A, for the witness's A."""
-    a_mat = witness.conjugator
-    spec, n = witness.spec, witness.n
+def _intertwines(a_mat: Matrix, h: Matrix, g: Matrix) -> tuple[bool, bool]:
+    """Whether A E_{n,1} = H A and whether A S = G A."""
+    spec, n = a_mat.spec, a_mat.rows
     return (
         a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat,
         a_mat @ shift_matrix(spec, n) == g @ a_mat,
@@ -386,7 +380,7 @@ def certify(
     if oracle.backing_kind != "generator_pair":
         return verify_conjugation(oracle, witness)
     n = witness.n
-    if all(_intertwines(witness, h, g)):
+    if all(_intertwines(witness.conjugator, h, g)):
         return RecoveryReport(
             outcome=Outcome.RECOVERED,
             n=n,

@@ -129,9 +129,9 @@ def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
 def rref_kernel_vector(p: Matrix):
     """The first vector of the nullspace basis of I - P, whatever P's rank.
 
-    The reference for ``kernel_vector``, which reads the vector off tr P and
-    P's column when P has rank <= 1.  Raises EmptyKernel, with the message
-    ``kernel_vector`` uses, when I - P is injective.
+    The reference for the kernel vector of ``build_conjugator``, which reads
+    it off w = G^(n-1) u when H = u v^T has rank 1.  Raises EmptyKernel, with
+    the message ``kernel_vector`` uses, when I - P is injective.
     """
     basis = (Matrix.identity(p.spec, p.rows) - p).nullspace_basis()
     if not basis:
@@ -154,12 +154,13 @@ def column_loop_conjugator(h: Matrix, g: Matrix, a) -> Matrix:
 def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheckReport:
     """Every flag of ``check_structure_identities`` from its matrix form.
 
-    The reference for the scalar readings off v^T G^k u and tr P: G^n, the
-    chain H G^k H for 0 <= k <= n-2, P P, the rank of I - P and both
-    intertwines are evaluated whatever the ranks of H and P, with products
-    through ``naive_mul``.
+    The reference for the scalar readings off v^T G^k u: G^n, the chain
+    H G^k H for 0 <= k <= n-2, P P and the rank of I - P for the P of
+    ``chain_projector``, and both intertwines for the witness's A, are
+    evaluated whatever the rank of H, with products through ``naive_mul``.
     """
-    n, spec = witness.n, witness.spec
+    a = witness.conjugator
+    n, spec = a.rows, h.spec
     zero = Matrix.zero(spec, n, n)
     power = Matrix.identity(spec, n)
     for _ in range(n):
@@ -171,8 +172,7 @@ def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheck
             corner_chain_ok = False
             break
         left = naive_mul(left, g)
-    p = witness.projector
-    a = witness.conjugator
+    p = chain_projector(h, g, n)
     flags = dict(
         shift_nilpotent_ok=power == zero,
         corner_chain_ok=corner_chain_ok,

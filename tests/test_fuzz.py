@@ -200,17 +200,25 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "certify",
     ):
         counted(fuzz_module, name)
-    # P = G^(n-1) H is formed once per trial, by build_conjugator
-    counted(sn, "_krylov_projector")
+    # H is read once by the build and once by the report, and nothing calls
+    # projected_idempotent; P = G^(n-1) H is formed once per trial, by
+    # build_conjugator: every other outer product is one of certify's n^2
+    # basis pairs
+    for name in ("_krylov", "outer_product", "projected_idempotent"):
+        counted(sn, name)
+    counted(fuzz_module, "projected_idempotent")
     summary = IdentitySummary()
     reports = run_roundtrip_suite(SMALL, summary)
     assert len(reports) == summary.total_trials == 24
+    certified = sum(report.verified_pairs for report in reports)
+    assert certified == sum(report.n**2 for report in reports)
     assert calls == {
         "random_invertible": 24,
         "build_conjugator": 24,
         "check_structure_identities": 24,
         "certify": 24,
-        "_krylov_projector": 24,
+        "_krylov": 48,
+        "outer_product": 24 + certified,
     }
 
 
@@ -247,9 +255,9 @@ def test_identity_summary_records_construction_failures(monkeypatch):
     ]
 
     # an empty kernel stops before the kernel-vector identities
-    stub = _raise(EmptyKernel, "stubbed empty kernel")
-    monkeypatch.setattr(sn, "kernel_vector", stub)
-    monkeypatch.setattr(fuzz_module, "kernel_vector", stub)
+    monkeypatch.setattr(
+        fuzz_module, "build_conjugator", _raise(EmptyKernel, "stubbed empty kernel")
+    )
     summary = run_identity_suite(cfg)
     assert summary.assertion_counts == {
         "query_economy": 8,

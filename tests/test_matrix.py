@@ -286,6 +286,18 @@ def test_from_columns_single():
     assert m.column(1) == v
 
 
+def test_from_columns_takes_any_n_by_1_matrix():
+    # a ColumnVector equals the n x 1 Matrix, so either serves as a column
+    m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    plain = [Matrix.from_rows(QQ, [[2], [4]]), Matrix.from_rows(QQ, [[1], [3]])]
+    assert Matrix.from_columns(plain) == Matrix.from_rows(QQ, [[2, 1], [4, 3]])
+    assert Matrix.from_columns([m.column(2), plain[1]]) == Matrix.from_columns(plain)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns([m])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns([plain[0], m])
+
+
 def test_from_columns_mismatch():
     with pytest.raises(DimensionMismatch):
         Matrix.from_columns([ColumnVector(QQ, [1]), ColumnVector(QQ, [1, 2])])

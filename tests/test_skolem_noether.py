@@ -273,10 +273,9 @@ def test_kernel_vector_matches_rref_reference(spec, monkeypatch):
                 eliminations.clear()
                 got = _outcome(kernel_vector, p)
             assert got == expected, (name, n)
-            # a P of rank <= 1 is read off tr P and its column, with no elimination
-            read = p.rank() <= 1
-            assert not eliminations if read else eliminations, (name, n)
-            paths.add((read, isinstance(got, ColumnVector)))
+            # every P, whatever its rank, takes the rref of I - P
+            assert eliminations, (name, n)
+            paths.add((p.rank() <= 1, isinstance(got, ColumnVector)))
     assert paths == {(read, found) for read in (True, False) for found in (True, False)}
 
 
@@ -396,14 +395,14 @@ def _build_cases(spec, n, rng):
 def test_build_matches_column_loop_reference(spec, monkeypatch):
     rng = random.Random(103)
     krylov_paths = []
-    krylov_projector = sn._krylov_projector
+    krylov = sn._krylov
 
-    def spied_projector(h, g, n):
-        result = krylov_projector(h, g, n)
-        krylov_paths.append(result[2] is not None)
+    def spied_krylov(h, g, n):
+        result = krylov(h, g, n)
+        krylov_paths.append(result[1] is not None)
         return result
 
-    monkeypatch.setattr(sn, "_krylov_projector", spied_projector)
+    monkeypatch.setattr(sn, "_krylov", spied_krylov)
     outcomes = set()
     for n in range(1, 7):
         for name, h, g in _build_cases(spec, n, rng):
@@ -429,12 +428,14 @@ def test_build_matches_column_loop_reference(spec, monkeypatch):
 
 
 def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
-    # the Krylov vectors and v^T a are n mat-vecs, tr P and w give a without
-    # an elimination, and A^-1 is the one elimination; no dense product
+    # H is factored once, the Krylov vectors and v^T w are n mat-vecs, w gives
+    # a without an elimination, and A^-1 is the one elimination; no dense
+    # product
     spec = prime_field(2**61 - 1)
     rng = random.Random(107)
     eliminate, matmul = Matrix._eliminate, Matrix.__matmul__
-    calls = {"eliminate": 0, "matvecs": 0, "products": 0}
+    rank_one_factors = sn._rank_one_factors
+    calls = {"eliminate": 0, "matvecs": 0, "products": 0, "factors": 0}
 
     def counted_eliminate(self, reduced):
         calls["eliminate"] += 1
@@ -444,25 +445,29 @@ def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
         calls["matvecs" if isinstance(right, ColumnVector) else "products"] += 1
         return matmul(left, right)
 
+    def counted_factors(m):
+        calls["factors"] += 1
+        return rank_one_factors(m)
+
     for n in (8, 16):
         b = random_invertible(spec, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
-            calls.update(eliminate=0, matvecs=0, products=0)
+            patch.setattr(sn, "_rank_one_factors", counted_factors)
+            calls.update(eliminate=0, matvecs=0, products=0, factors=0)
             witness = build_conjugator(h, g, n)
             assert calls["eliminate"] == 1, (n, calls)
             assert calls["matvecs"] <= n, (n, calls)
             assert calls["products"] == 0, (n, calls)
-            # kernel_vector on a P of rank <= 1 eliminates nothing
-            calls.update(eliminate=0)
-            assert kernel_vector(witness.projector) == witness.kernel_vector
-            with pytest.raises(EmptyKernel):
-                kernel_vector(witness.projector.scale(2))
-            with pytest.raises(EmptyKernel):
-                kernel_vector(Matrix.zero(spec, n, n))
-            assert calls["eliminate"] == 0, (n, calls)
+            assert calls["factors"] == 1, (n, calls)
+        # the rref of I - P agrees with the reading off w
+        assert kernel_vector(witness.projector) == witness.kernel_vector
+        with pytest.raises(EmptyKernel):
+            kernel_vector(witness.projector.scale(2))
+        with pytest.raises(EmptyKernel):
+            kernel_vector(Matrix.zero(spec, n, n))
         assert scalar_relation(witness.conjugator, b) is not None
 
 
@@ -611,43 +616,74 @@ def _structure_cases(spec, n, rng):
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
-def test_structure_checks_match_matrix_reference(spec):
+def test_structure_checks_match_matrix_reference(spec, monkeypatch):
     rng = random.Random(83)
     paths, chain_flags, projector_flags = set(), set(), set()
+    krylov_paths = []
+    krylov = sn._krylov
+
+    def spied_krylov(h, g, n):
+        result = krylov(h, g, n)
+        krylov_paths.append(result[1] is not None)
+        return result
+
     for n in range(1, 7):
         for name, h, g, witness in _structure_cases(spec, n, rng):
-            report = check_structure_identities(h, g, witness)
+            with monkeypatch.context() as patch:
+                patch.setattr(sn, "_krylov", spied_krylov)
+                krylov_paths.clear()
+                report = check_structure_identities(h, g, witness)
             assert report == matrix_structure_identities(h, g, witness), (name, n)
-            # the scalar chain runs for a rank-1 H, the trace reading for a
-            # projector of rank <= 1
-            p = witness.projector
-            scalar_chain = sn._rank_one_factors(h) is not None
-            scalar_trace = p.is_zero() or sn._rank_one_factors(p) is not None
-            paths.update({("chain", scalar_chain), ("trace", scalar_trace)})
-            if scalar_chain:
+            # the scalars v^T G^k u give the chain, P^2 = P and rank(I - P)
+            # exactly when H has rank 1
+            scalar = h.rank() == 1
+            assert krylov_paths == [scalar], (name, n)
+            paths.add(scalar)
+            if scalar:
                 chain_flags.add(report.corner_chain_ok)
-            if scalar_trace:
                 projector_flags.add((report.idempotent_ok, report.kernel_rank_ok))
             if name == "genuine":
-                assert report.all_ok and scalar_chain and scalar_trace, n
+                assert report.all_ok and scalar, n
             if name.startswith("chain_break"):
-                assert scalar_chain and report.first_failing == "nilpotent", (name, n)
+                assert scalar and report.first_failing == "nilpotent", (name, n)
             if name == "forced_vanishing":
-                assert p.is_zero(), n
-    assert paths == {(path, s) for path in ("chain", "trace") for s in (True, False)}
-    # the scalar forms read a broken chain, a non-idempotent P (tr P != 1)
+                assert chain_projector(h, g, n).is_zero(), n
+    assert paths == {True, False}
+    # the scalar forms read a broken chain, a non-idempotent P (v^T w != 1)
     # and an idempotent P = 0 whose I - P has full rank
     assert chain_flags == {True, False}
     assert {(True, True), (False, False), (True, False)} <= projector_flags
 
 
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_structure_report_reads_only_the_conjugator(spec):
+    # every witness field but A replaced: the flags are identities of (H, G),
+    # and the intertwines read A alone
+    rng = random.Random(89)
+    for n in range(1, 6):
+        for name, h, g, witness in _structure_cases(spec, n, rng):
+            replaced = dataclasses.replace(
+                witness,
+                conjugator_inv=Matrix.zero(spec, n, n),
+                kernel_vector=ColumnVector(spec, [spec.zero] * n),
+                n=n + 1,
+                spec=prime_field(5),
+                projector=Matrix.identity(spec, n).scale(2),
+            )
+            assert check_structure_identities(
+                h, g, replaced
+            ) == check_structure_identities(h, g, witness), (name, n)
+
+
 def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch):
-    # G^n by repeated squaring, the scalars v^T G^k u, tr P and the two
-    # intertwines: no H G^k H chain, no P P and no rank of I - P
+    # G^n by repeated squaring, the scalars v^T G^k u and the two
+    # intertwines: H factored once, no H G^k H chain, no P, no P P and no
+    # rank of I - P
     spec = prime_field(2**61 - 1)
     rng = random.Random(97)
     eliminate, matmul = Matrix._eliminate, Matrix.__matmul__
-    calls = {"eliminate": 0, "products": 0}
+    rank_one_factors = sn._rank_one_factors
+    calls = {"eliminate": 0, "products": 0, "factors": 0, "projectors": 0}
 
     def counted_eliminate(self, reduced):
         calls["eliminate"] += 1
@@ -657,6 +693,14 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
         calls["products"] += not isinstance(right, ColumnVector)
         return matmul(left, right)
 
+    def counted_factors(m):
+        calls["factors"] += 1
+        return rank_one_factors(m)
+
+    def counted_outer(col, row):
+        calls["projectors"] += 1
+        return outer_product(col, row)
+
     for n in (8, 16):
         b = random_invertible(spec, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
@@ -664,10 +708,14 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
-            calls.update(eliminate=0, products=0)
+            patch.setattr(sn, "_rank_one_factors", counted_factors)
+            patch.setattr(sn, "outer_product", counted_outer)
+            calls.update(eliminate=0, products=0, factors=0, projectors=0)
             report = check_structure_identities(h, g, witness)
         assert report.all_ok
         assert calls["eliminate"] == 0, n
+        assert calls["factors"] == 1, (n, calls)
+        assert calls["projectors"] == 0, (n, calls)
         assert calls["products"] <= 2 * math.ceil(math.log2(n)) + 4, (n, calls)
 
 

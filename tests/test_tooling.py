@@ -82,3 +82,36 @@ def test_byte_identity_finds_no_difference_between_a_checkout_and_itself():
     assert result.returncode == 0, result.stdout + result.stderr
     last = result.stdout.splitlines()[-1]
     assert last.startswith("byte identity: ") and last.endswith(", 0 differ"), last
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_reads_each_metric_against_its_bound():
+    compare = _load_script("bench_pairs").compare
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9]
+    # 15% slower is inside an 18% bound; 25% slower is outside it
+    slower = [x * 0.85 for x in parent]
+    result = compare(parent, slower, "higher", 0.18)
+    assert (result["verdict"], result["wins"]) == ("inside bound", 0)
+    assert compare(parent, [x * 0.75 for x in parent], "higher", 0.18)["verdict"] == (
+        "outside bound"
+    )
+    # for a lower-is-better metric the same rise is the worse direction
+    assert compare(parent, [x * 1.25 for x in parent], "lower", 0.18)["verdict"] == (
+        "outside bound"
+    )
+    assert compare(parent, [x * 1.25 for x in parent], "higher", 0.18)["wins"] == 5
+    # a parent IQR wider than the bound leaves the metric unresolved, even
+    # when the change's median is the parent's
+    noisy = [10.0, 13.0, 7.0, 12.0, 8.0]
+    result = compare(noisy, noisy, "lower", 0.13)
+    assert (result["parent"], result["change"]) == (10.0, 10.0)
+    assert result["verdict"] == "unresolved"
+    assert compare([1.0, 1.0, 1.0], [1.0, 1.0, 0.99], "higher", 0.01)["verdict"] == (
+        "inside bound"
+    )
