@@ -121,16 +121,16 @@ class IdentitySummary:
         """Record one conjugation trial's assertions from what its recovery
         built: the images (h, g), the queries they took, ``built`` (the witness,
         or the EmptyKernel or SingularConjugator that stopped the construction)
-        and the witness's structure report ``checks``.  P = G^(n-1) H and the
-        kernel vector are the witness's; P is formed here only when the
-        construction failed and there is no witness.  det(I - P) and rank(A)
-        are eliminated only when the kernel vector and A^-1 fail to settle
-        them."""
+        and the witness's structure report ``checks``.  P = G^(n-1) H is
+        formed here by ``projected_idempotent`` on every path, since the build
+        does not form it; the kernel vector is the witness's when there is
+        one.  det(I - P) and rank(A) are eliminated only when the kernel
+        vector and A^-1 fail to settle them."""
         n = h.rows
         self.total_trials += 1
         self._record("query_economy", queries == 2, context)
         failed = isinstance(built, (EmptyKernel, SingularConjugator))
-        projector = projected_idempotent(h, g, n) if failed else built.projector
+        projector = projected_idempotent(h, g, n)
         identity = Matrix.identity(h.spec, n)
         if isinstance(built, EmptyKernel):
             singular = (identity - projector).det().is_zero()

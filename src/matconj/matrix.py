@@ -16,7 +16,8 @@ that inverse and nullspace_basis read.
 
 A column vector is an n x 1 Matrix (the ColumnVector subclass).  One product
 loop over plain ints serves both fields and every shape, mat-vec included;
-over Q it first scales the factors' rows and columns to integers.
+over Q it first scales the factors' rows and columns to integers.  Only
+:func:`krylov_sequence` runs its mat-vecs apart, on integer lists.
 
 Indexing in the public API is 1-based: ``elementary_matrix(spec, n, i, j)``
 puts its 1 in row i, column j counted from 1, and ``entry``/``column``/
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -506,3 +508,45 @@ def outer_product(col: ColumnVector, row: ColumnVector) -> Matrix:
             data.extend(x * y for y in row._data)
     return Matrix._raw_new(spec, col.dim, row.dim, tuple(data))
 
+
+def integer_form(spec: FieldSpec, values: Sequence) -> tuple:
+    """Raw values as (c, y), values = c * y for ints y: the residues and c = 1
+    over GF(p), a primitive y (gcd 1, or all 0) and a Fraction c over Q."""
+    if spec.is_prime_field:
+        return 1, list(values)
+    d = math.lcm(*[x.denominator for x in values])
+    y = [x.numerator * (d // x.denominator) for x in values]
+    k = math.gcd(*y)
+    return Fraction(k, d), [t // k for t in y] if k > 1 else y
+
+
+def from_integer_form(spec: FieldSpec, c, y: Sequence[int]) -> ColumnVector:
+    """The vector c * y, its entries built once."""
+    p = spec.modulus
+    data = tuple(c * t % p for t in y) if p else tuple(c * t for t in y)
+    return ColumnVector._raw_new(spec, len(y), 1, data)
+
+
+def krylov_sequence(g: Matrix, u: ColumnVector, count: int) -> tuple[list, list]:
+    """u, G u, ..., G^(count-1) u as G^k u = c_k y_k in :func:`integer_form`.
+
+    G is put in integer form once.  A step is one integer mat-vec, then over
+    GF(p) one ``% p`` per entry, over Q one gcd over the n entries and one
+    update of c_k: no Fraction is built per entry.  O(count n^2).
+    """
+    n, p = g.rows, g.spec.modulus
+    cg, entries = integer_form(g.spec, g._data)
+    rows = [entries[i : i + n] for i in range(0, n * n, n)]
+    c, y = integer_form(g.spec, u._data)
+    cs, ys = [c], [y]
+    for _ in range(count - 1):
+        if p:
+            y = [sum(map(mul, row, y)) % p for row in rows]
+        else:
+            y = [sum(map(mul, row, y)) for row in rows]
+            k = math.gcd(*y)
+            y = [t // k for t in y] if k > 1 else y
+            c = c * cg * k
+        cs.append(c)
+        ys.append(y)
+    return cs, ys

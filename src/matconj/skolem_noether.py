@@ -10,15 +10,15 @@ module makes that effective from just two images of the map:
    difference is singular whenever phi is an automorphism, because P is the
    image of the rank-1 idempotent E_{1,1}).  H has rank 1, so H = u v^T and
    P = w v^T with w = G^{n-1} u: the Krylov vectors u, G u, ..., w cost n-1
-   mat-vecs, O(n^3).  Then det(I - P) = 1 - v^T w, so the kernel is empty
-   unless v^T w = 1, and is then span(w): a is w divided by its first
-   nonzero entry, with no elimination.  An H of any other rank falls back to
-   the O(n^4) chain of dense products and the O(n^3) rref of I - P;
+   integer mat-vecs, O(n^3).  Then det(I - P) = 1 - v^T w, so the kernel is
+   empty unless v^T w = 1, and is then span(w): a is w divided by its first
+   nonzero entry, with no elimination and no P.  An H of any other rank falls
+   back to the O(n^4) chain of dense products and the O(n^3) rref of I - P;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
    For H = u v^T column i is (v^T a) G^{n-i} u = G^{n-i} u / lead(w), a
-   scaled Krylov vector of step 2; any other H runs Ha and n-1 more
-   mat-vecs.  A^-1 is one elimination, O(n^3), so a rank-1 build runs one
-   elimination and n mat-vecs in all.
+   scaled Krylov vector of step 2; any other H runs the Krylov vectors of
+   Ha.  A^-1 is one elimination, O(n^3), so a rank-1 build runs one
+   elimination, n-1 integer mat-vecs and n integer dot products in all.
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
 identities pin down conjugation everywhere, because E_{n,1} and S generate
@@ -29,10 +29,10 @@ table.  :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  The rank-1
 corner is read in one place, :func:`_krylov`: the build, the projector and
-the structure report all take u's Krylov vectors from it, and nothing
-factors P.  For a rank-1 H the report reads H G^k H = 0, P^2 = P and
-rank(I - P) = n - 1 off the scalars v^T G^k u, O(n^3 log n) in all; any
-other H takes the O(n^4) matrix forms.
+the structure report all take u's Krylov vectors from it, in the integer form
+of :func:`~matconj.matrix.krylov_sequence`.  For a rank-1 H the report reads
+H G^k H = 0, P^2 = P and rank(I - P) = n - 1 off the scalars v^T G^k u,
+O(n^3 log n) in all; any other H takes the O(n^4) matrix forms.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from .automorphism import AutomorphismOracle
 from .errors import (
@@ -55,6 +56,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec
 from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
+from .matrix import from_integer_form, integer_form, krylov_sequence
 
 
 class Outcome(Enum):
@@ -71,8 +73,8 @@ class ConjugationWitness:
     ``conjugator_inv`` is computed eagerly: every downstream verification
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
-    from, and ``projector`` is P = G^{n-1} H, whose fixed vectors it was drawn
-    from.  :func:`check_structure_identities` reads only ``conjugator``.
+    from, fixed by P = G^{n-1} H, which the build does not form.
+    :func:`check_structure_identities` reads only ``conjugator``.
     """
 
     conjugator: Matrix
@@ -80,7 +82,6 @@ class ConjugationWitness:
     kernel_vector: ColumnVector
     n: int
     spec: FieldSpec
-    projector: Matrix
 
 
 @dataclass(frozen=True)
@@ -149,52 +150,42 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     u is the column and v^T the row of H's first nonzero entry h_ij in
     row-major order, v scaled by 1/h_ij.  Each later row r of H must then be
     u_r v^T; the rows above row i are zero, and row i is u_i v^T by
-    construction.  Over Q the test h_rc = u_r v_c runs as
-    h_rc h_ij = u_r h_ic on numerators and denominators, so no Fraction is
-    normalized per entry.
+    construction.  Over Q a nonzero row is a multiple of v^T iff the two
+    primitive integer forms agree up to sign: no Fraction per entry.
     """
-    data, n = h._data, h.cols
+    data, n, spec = h._data, h.cols, h.spec
     k = next((k for k, x in enumerate(data) if x), None)
     if k is None:
         return None
     i, j = divmod(k, n)
     u = h.column(j + 1)
-    v = h.row_vector(i + 1).scale(h.spec.invert_value(data[k]))
-    p = h.spec.modulus if h.spec.is_prime_field else None
-    if p is None:
-        pivot, pivot_row = data[k], data[i * n : (i + 1) * n]
-        nums = [y.numerator for y in pivot_row]
-        dens = [y.denominator for y in pivot_row]
+    v = h.row_vector(i + 1).scale(spec.invert_value(data[k]))
+    p, y = spec.modulus, integer_form(spec, v._data)[1]
+    signs = (y, [-t for t in y])
     for r in range(i + 1, h.rows):
         x, row = u._data[r], data[r * n : (r + 1) * n]
         if not x:
             if any(row):
                 return None
         elif p:
-            if row != tuple(x * y % p for y in v._data):
+            if row != tuple(x * t % p for t in v._data):
                 return None
-        else:
-            k1 = pivot.numerator * x.denominator
-            k2 = x.numerator * pivot.denominator
-            if any(
-                z.numerator * d * k1 != m * z.denominator * k2
-                for z, m, d in zip(row, nums, dens)
-            ):
-                return None
+        elif integer_form(spec, row)[1] not in signs:
+            return None
     return u, v
 
 
 def _krylov(
     h: Matrix, g: Matrix, n: int
-) -> tuple[ColumnVector | None, list[ColumnVector] | None, Matrix | None]:
+) -> tuple[ColumnVector | None, tuple | None, Matrix | None]:
     """The one reading of the rank-1 corner H = phi(E_{n,1}).
 
     When H = u v^T has rank 1 (see :func:`_rank_one_factors`) this is
-    (v, K, None) with the Krylov vectors K = [u, G u, ..., G^{n-1} u]: n-1
-    mat-vecs, O(n^3).  P = G^{n-1} H is then w v^T for w = K[-1], and
-    H G^k H = (v^T G^k u) H, so both are read off these vectors.  Any other H
-    (zero, or of rank >= 2) gives (None, None, P), P from the chain of n-1
-    dense products, O(n^4).
+    (v, (r, cs, ys), None): G^k u = cs[k] ys[k], k < n, from
+    :func:`~matconj.matrix.krylov_sequence`, O(n^3), and r[k] = v^T G^k u, n
+    integer dot products.  P = G^{n-1} H is then w v^T for w = G^{n-1} u, and
+    H G^k H = r[k] H.  Any other H (zero, or of rank >= 2) gives
+    (None, None, P), P from the chain of n-1 dense products, O(n^4).
     """
     factors = _rank_one_factors(h)
     if factors is None:
@@ -203,10 +194,10 @@ def _krylov(
             result = g @ result
         return None, None, result
     u, v = factors
-    krylov = [u]
-    for _ in range(n - 1):
-        krylov.append(g @ krylov[-1])
-    return v, krylov, None
+    cs, ys = krylov_sequence(g, u, n)
+    cv, yv = integer_form(h.spec, v._data)
+    r = [h.spec.coerce(c * cv * sum(map(mul, yv, y))) for c, y in zip(cs, ys)]
+    return v, (r, cs, ys), None
 
 
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
@@ -214,14 +205,17 @@ def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
 
     H = phi(E_{n,1}) has rank 1 for every automorphism, and then
     G^{n-1} H = (G^{n-1} u) v^T is the last Krylov vector of :func:`_krylov`
-    times v^T: n-1 mat-vecs and an outer product, O(n^3) in all, against
-    O(n^4) for the chain of n-1 dense products that any other H runs.
-    Products are exact, so both paths give the same matrix.  For n = 1 the
-    empty power is the identity, so the result is H itself.
+    times v^T: n-1 integer mat-vecs and an outer product, O(n^3) in all,
+    against O(n^4) for the chain of n-1 dense products that any other H
+    runs.  Products are exact, so both paths give the same matrix.  For
+    n = 1 the empty power is the identity, so the result is H itself.
     """
     _check_pair(h, g, n)
     v, krylov, chain = _krylov(h, g, n)
-    return chain if krylov is None else outer_product(krylov[-1], v)
+    if krylov is None:
+        return chain
+    _, cs, ys = krylov
+    return outer_product(from_integer_form(h.spec, cs[-1], ys[-1]), v)
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
@@ -253,28 +247,26 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     v^T w = 1 (EmptyKernel), and is then span(w).  With s = 1/lead(w), its
     first nonzero entry, a = s w, v^T a = s, and column i is s G^{n-i} u:
     A is s times the Krylov vectors of :func:`_krylov` in reverse order, and
-    a is its first column.  That build runs n mat-vecs (n-1 Krylov vectors
-    and v^T w) and one elimination, for A^-1, O(n^3) in all.  Any other H
-    runs the chain of dense products for P, the rref of
-    :func:`kernel_vector` and n-1 mat-vecs by G from Ha for the columns.  The
+    a is its first column.  v^T w is r[n-1] of :func:`_krylov`, and an entry
+    of A is built once, as (s c_k) y_k for G^k u = c_k y_k.  That build runs
+    n-1 integer mat-vecs, n dot products and one elimination, for A^-1,
+    O(n^3), and forms no P.  Any other H runs the chain of dense products for
+    P, the rref of :func:`kernel_vector` and the Krylov vectors of Ha.  The
     inverse is computed eagerly; if it does not exist the input pair was
     invalid and SingularConjugator is raised.
     """
     _check_pair(h, g, n)
-    v, krylov, projector = _krylov(h, g, n)
+    _, krylov, projector = _krylov(h, g, n)
     if krylov is None:
-        a = kernel_vector(projector)
-        columns = [h @ a]  # Ha, GHa, ..., G^{n-1}Ha
-        for _ in range(n - 1):
-            columns.append(g @ columns[-1])
+        s = h.spec.one_value
+        cs, ys = krylov_sequence(g, h @ kernel_vector(projector), n)
     else:
-        w = krylov[-1]
-        if (v.transpose() @ w)._data[0] != h.spec.one_value:
+        r, cs, ys = krylov
+        if r[-1] != h.spec.one_value:
             raise EmptyKernel(_INJECTIVE)
-        s = h.spec.invert_value(w._data[w.first_nonzero_index() - 1])
-        columns = [vec.scale(s) for vec in krylov]
-        a = columns[-1]
-        projector = outer_product(w, v)
+        s = h.spec.invert_value(cs[-1] * next(t for t in ys[-1] if t))
+    columns = [from_integer_form(h.spec, s * c, y) for c, y in zip(cs, ys)]
+    a = columns[-1]  # G^{n-1} H a = P a = a
     conjugator = Matrix.from_columns(columns[::-1])
     try:
         conjugator_inv = conjugator.inverse()
@@ -282,7 +274,7 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec, projector)
+    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec)
 
 
 def check_structure_identities(
@@ -293,10 +285,10 @@ def check_structure_identities(
     Only A is read from the witness; n is its size.  Every other flag is an
     identity of the pair (H, G), evaluated here from the pair alone.  G^n = 0
     is a repeated-squaring power and the two intertwines are the products of
-    :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1, the
-    Krylov vectors of :func:`_krylov` give the scalars r_k = v^T G^k u in one
-    vector-matrix product, O(n^3), and the other three identities are read
-    off them:
+    :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1,
+    :func:`_krylov` gives the scalars r_k = v^T G^k u as integer dot products
+    with its integer Krylov vectors, O(n^3), and the other three identities
+    are read off them:
 
     * H G^k H = r_k H, so the chain H G^k H = 0 for 0 <= k <= n-2 holds iff
       r_0, ..., r_{n-2} are 0;
@@ -314,12 +306,12 @@ def check_structure_identities(
     n = a_mat.rows
     _check_pair(h, g, n)
     shift_nilpotent_ok = g.power(n).is_zero()
-    v, krylov, projector = _krylov(h, g, n)
+    _, krylov, projector = _krylov(h, g, n)
     if krylov is not None:
-        r = (v.transpose() @ Matrix.from_columns(krylov))._data
+        r, _, ys = krylov
         corner_chain_ok = not any(r[:-1])
         kernel_rank_ok = r[-1] == h.spec.one_value
-        idempotent_ok = kernel_rank_ok or krylov[-1].is_zero()
+        idempotent_ok = kernel_rank_ok or not any(ys[-1])
     else:
         corner_chain_ok = True
         left = h  # H G^k, advanced by one G per step
@@ -440,21 +432,23 @@ def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
 
     Conjugation cannot distinguish scalar multiples, because only scalar
     matrices commute with the whole algebra; two valid conjugators for the same map
-    differ exactly by such a c.  The comparison is entrywise: c is the ratio of
-    the two entries at the first nonzero entry of right, and the answer is None
-    unless left equals right scaled by c.  Both inputs must be invertible
-    (SingularMatrix otherwise; right is checked by its rank).
+    differ exactly by such a c.  The comparison is entrywise, O(n^2), with c the
+    ratio at right's first nonzero entry; right's rank is taken only when
+    left != c right.  SingularMatrix: a zero right, a singular right that left
+    is no multiple of, or c = 0.  A nonzero multiple of a singular right gives c.
     """
     if not left.is_square or not right.is_square:
         raise DimensionMismatch("scalar comparison needs square matrices")
     if left.spec != right.spec or left.rows != right.rows:
         raise DimensionMismatch("matrices must share field and size")
-    if right.rank() < right.rows:
+    k = next((k for k, v in enumerate(right._data) if v), None)
+    if k is None:
         raise SingularMatrix("right matrix is singular")
-    k = next(k for k, v in enumerate(right._data) if v)
     spec = left.spec
     c = FieldElement(spec, left._data[k]) / FieldElement(spec, right._data[k])
     if left != right.scale(c):
+        if right.rank() < right.rows:
+            raise SingularMatrix("right matrix is singular")
         return None
     if c.is_zero():
         raise SingularMatrix("left matrix is singular")

@@ -126,6 +126,18 @@ def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
     return result
 
 
+def matrix_krylov_chain(g: Matrix, u, count: int) -> list:
+    """u, G u, ..., G^(count-1) u as a chain of ``Matrix.__matmul__`` mat-vecs.
+
+    The reference for ``krylov_sequence``, which runs the chain on integer
+    lists: primitive integers times one Fraction over Q, residues over GF(p).
+    """
+    chain = [u]
+    for _ in range(count - 1):
+        chain.append(g @ chain[-1])
+    return chain
+
+
 def rref_kernel_vector(p: Matrix):
     """The first vector of the nullspace basis of I - P, whatever P's rank.
 

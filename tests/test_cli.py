@@ -432,11 +432,11 @@ def test_recover_rejects_singular_conjugator(tmp_path, capsys, obj, flags):
 
 @pytest.mark.parametrize("flags", [[], ["--no-verify"]], ids=["verify", "no-verify"])
 @pytest.mark.parametrize("field", ["q", "gfp:2305843009213693951"])
-def test_recover_of_a_conjugator_runs_three_eliminations(
+def test_recover_of_a_conjugator_runs_two_eliminations(
     tmp_path, capsys, monkeypatch, field, flags
 ):
-    # B's inverse (which also refuses a singular B), A's inverse and the rank
-    # behind the scalar relation A = cB: B is not eliminated a second time
+    # B's inverse (which also refuses a singular B) and A's inverse: the
+    # scalar relation A = cB holds, so scalar_relation takes no rank of B
     path = str(tmp_path / "problem.json")
     assert main(["gen", "--field", field, "--n", "5", "--seed", "3", "--out", path]) == 0
     eliminate = Matrix._eliminate
@@ -449,7 +449,7 @@ def test_recover_of_a_conjugator_runs_three_eliminations(
     monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
     assert main(["recover", path, *flags]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["outcome"] == "recovered"
-    assert len(eliminations) == 3
+    assert len(eliminations) == 2
 
 
 # -- gen ---------------------------------------------------------------------

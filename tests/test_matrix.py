@@ -1,5 +1,6 @@
 """Exact dense matrices: generators, elimination, kernels, determinants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matconj import (
+    AutomorphismOracle,
     ColumnVector,
     DimensionMismatch,
     IndexOutOfRange,
@@ -16,11 +18,20 @@ from matconj import (
     elementary_matrix,
     outer_product,
     prime_field,
+    random_invertible,
     rationals,
     shift_matrix,
 )
+from matconj.matrix import from_integer_form, integer_form, krylov_sequence
 
-from helpers import det_bareiss, leibniz_det, naive_mul, random_dense
+from helpers import (
+    det_bareiss,
+    leibniz_det,
+    matrix_krylov_chain,
+    naive_mul,
+    random_dense,
+    random_scalar,
+)
 
 QQ = rationals()
 GF2 = prime_field(2)
@@ -376,3 +387,76 @@ def test_rational_matmul_matches_naive(rows):
     for j in (1, 2, 3):
         assert m @ m.column(j) == naive_mul(m, m.column(j))
     assert det_bareiss(m) == m.det() == leibniz_det(m)
+
+
+# -- krylov_sequence ---------------------------------------------------------
+
+
+def _large_denominators(n, rng):
+    """A Q matrix whose entries have numerators and denominators of up to 80
+    bits, a quarter of them zero."""
+    entries = [
+        Fraction(rng.randint(-(2**80), 2**80), rng.randint(1, 2**80))
+        if rng.random() < 0.75
+        else Fraction(0)
+        for _ in range(n * n)
+    ]
+    return Matrix(QQ, n, n, entries)
+
+
+def _krylov_inputs(spec, n, rng):
+    """(name, G, u) for each kind of krylov_sequence input."""
+    b = random_invertible(spec, n, rng, 4)
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    j = next(j for j in range(1, n + 1) if not h.column(j).is_zero())
+    yield "genuine", g, h.column(j)
+    u = ColumnVector(spec, [random_scalar(spec, rng) for _ in range(n)])
+    yield "random", random_dense(spec, n, n, rng), u
+    yield "zero_u", random_dense(spec, n, n, rng), ColumnVector(spec, [0] * n)
+    # G strictly upper triangular and u zero below row m: G^m u = 0, so the
+    # chain reaches zero at step m < n; m = 1 is G u = 0
+    m = rng.randint(1, max(1, n - 1))
+    upper = Matrix.from_rows(
+        spec,
+        [[random_scalar(spec, rng) if c > r else 0 for c in range(n)] for r in range(n)],
+    )
+    head = [random_scalar(spec, rng) for _ in range(m)]
+    head[-1] = spec.one
+    yield "reaches_zero", upper, ColumnVector(spec, head + [0] * (n - m))
+    if not spec.is_prime_field:
+        big = ColumnVector(QQ, _large_denominators(n, rng).column(1).entries())
+        yield "large_denominators", _large_denominators(n, rng), big
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, prime_field(3), GF_BIG], ids=str)
+def test_krylov_sequence_matches_matrix_chain(spec):
+    rng = random.Random(109)
+    seen = set()
+    for n in range(1, 9):
+        for name, g, u in _krylov_inputs(spec, n, rng):
+            cs, ys = krylov_sequence(g, u, n)
+            expected = matrix_krylov_chain(g, u, n)
+            assert len(cs) == len(ys) == n, (name, n)
+            for k, (c, y, vec) in enumerate(zip(cs, ys, expected)):
+                assert from_integer_form(spec, c, y) == vec, (name, n, k)
+                assert all(type(t) is int for t in y), (name, n, k)
+                if spec.is_prime_field:
+                    # residues: one % p per entry, and no scale
+                    assert c == 1 and all(0 <= t < spec.modulus for t in y)
+                else:
+                    # primitive, and zero exactly when the scale is
+                    assert math.gcd(*y) == (1 if any(y) else 0), (name, n, k)
+                    assert (c == 0) == vec.is_zero(), (name, n, k)
+            seen.add((name, expected[-1].is_zero()))
+    assert ("reaches_zero", True) in seen and ("genuine", False) in seen
+
+
+@pytest.mark.parametrize("spec", [QQ, GF5], ids=str)
+def test_integer_form_round_trip(spec):
+    rng = random.Random(113)
+    for n in range(1, 6):
+        values = [random_scalar(spec, rng).value for _ in range(n)]
+        for entries in (values, [spec.zero_value] * n):
+            c, y = integer_form(spec, entries)
+            assert from_integer_form(spec, c, y)._data == tuple(entries)
+    assert integer_form(QQ, [Fraction(2, 3), Fraction(-4, 9)]) == (Fraction(2, 9), [3, -2])

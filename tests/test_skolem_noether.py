@@ -1,6 +1,7 @@
 """The recovery construction itself: projector, kernel, conjugator, checks."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -126,8 +127,9 @@ def _projector_cases(spec, n, rng):
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_projector_matches_chain_reference(spec, monkeypatch):
     rng = random.Random(79)
-    factored, matvecs = [], []
+    factored, products, sequences = [], [], []
     rank_one_factors, matmul = sn._rank_one_factors, Matrix.__matmul__
+    sequence = sn.krylov_sequence
 
     def spied_factors(h):
         factors = rank_one_factors(h)
@@ -135,21 +137,29 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
         return factors
 
     def counted_matmul(left, right):
-        matvecs.append(isinstance(right, ColumnVector))
+        products.append(isinstance(right, ColumnVector))
         return matmul(left, right)
 
+    def counted_sequence(g, u, count):
+        sequences.append(count)
+        return sequence(g, u, count)
+
     monkeypatch.setattr(sn, "_rank_one_factors", spied_factors)
+    monkeypatch.setattr(sn, "krylov_sequence", counted_sequence)
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     seen = set()
     for n in range(1, 7):
         for name, h, g, rank_one in _projector_cases(spec, n, rng):
             factored.clear()
-            matvecs.clear()
+            products.clear()
+            sequences.clear()
             projector = projected_idempotent(h, g, n)
-            # the rank-1 path factors H and runs n-1 mat-vecs; the chain
-            # runs n-1 dense products
+            # the rank-1 path factors H and runs one integer Krylov sequence
+            # of n vectors, with no Matrix product; the chain runs n-1 dense
+            # products
             assert factored == [rank_one], (name, n)
-            assert matvecs == [rank_one] * (n - 1), (name, n)
+            assert sequences == [n] * rank_one, (name, n)
+            assert products == [False] * (0 if rank_one else n - 1), (name, n)
             assert projector == chain_projector(h, g, n), (name, n)
             seen.add(rank_one)
             if name in ("rank1_vanishing", "zero"):
@@ -329,16 +339,15 @@ def test_build_n1():
 
 
 def _reference_build(h, g, n):
-    """(P, a, A, A^-1) from the dense chain, the rref of I - P and the column
+    """(a, A, A^-1) from the dense chain, the rref of I - P and the column
     loop, or the type and message of the failure build_conjugator raises."""
-    p = chain_projector(h, g, n)
     try:
-        a = rref_kernel_vector(p)
+        a = rref_kernel_vector(chain_projector(h, g, n))
     except EmptyKernel as exc:
         return type(exc), str(exc)
     a_mat = column_loop_conjugator(h, g, a)
     try:
-        return p, a, a_mat, a_mat.inverse()
+        return a, a_mat, a_mat.inverse()
     except SingularMatrix:
         return SingularConjugator, "assembled candidate conjugator is singular"
 
@@ -346,12 +355,7 @@ def _reference_build(h, g, n):
 def _built(h, g, n):
     witness = build_conjugator(h, g, n)
     assert (witness.n, witness.spec) == (n, h.spec)
-    return (
-        witness.projector,
-        witness.kernel_vector,
-        witness.conjugator,
-        witness.conjugator_inv,
-    )
+    return witness.kernel_vector, witness.conjugator, witness.conjugator_inv
 
 
 def _eigen_rank_one(spec, n, rng):
@@ -428,44 +432,46 @@ def test_build_matches_column_loop_reference(spec, monkeypatch):
 
 
 def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
-    # H is factored once, the Krylov vectors and v^T w are n mat-vecs, w gives
-    # a without an elimination, and A^-1 is the one elimination; no dense
-    # product
-    spec = prime_field(2**61 - 1)
+    # H is factored once, the n Krylov vectors are one integer sequence of
+    # n-1 mat-vecs, v^T w is a dot product, w gives a without an
+    # elimination, and A^-1 is the one elimination; no Matrix product at all
     rng = random.Random(107)
     eliminate, matmul = Matrix._eliminate, Matrix.__matmul__
-    rank_one_factors = sn._rank_one_factors
-    calls = {"eliminate": 0, "matvecs": 0, "products": 0, "factors": 0}
+    rank_one_factors, sequence = sn._rank_one_factors, sn.krylov_sequence
+    calls = {"eliminate": 0, "matmul": 0, "factors": 0, "krylov_vectors": 0}
 
     def counted_eliminate(self, reduced):
         calls["eliminate"] += 1
         return eliminate(self, reduced)
 
     def counted_matmul(left, right):
-        calls["matvecs" if isinstance(right, ColumnVector) else "products"] += 1
+        calls["matmul"] += 1
         return matmul(left, right)
 
     def counted_factors(m):
         calls["factors"] += 1
         return rank_one_factors(m)
 
-    for n in (8, 16):
+    def counted_sequence(g, u, count):
+        calls["krylov_vectors"] += count
+        return sequence(g, u, count)
+
+    for spec, n in itertools.product((QQ, prime_field(2**61 - 1)), (8, 16)):
         b = random_invertible(spec, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
             patch.setattr(sn, "_rank_one_factors", counted_factors)
-            calls.update(eliminate=0, matvecs=0, products=0, factors=0)
+            patch.setattr(sn, "krylov_sequence", counted_sequence)
+            calls.update(eliminate=0, matmul=0, factors=0, krylov_vectors=0)
             witness = build_conjugator(h, g, n)
-            assert calls["eliminate"] == 1, (n, calls)
-            assert calls["matvecs"] <= n, (n, calls)
-            assert calls["products"] == 0, (n, calls)
-            assert calls["factors"] == 1, (n, calls)
+            assert calls == dict(eliminate=1, matmul=0, factors=1, krylov_vectors=n)
         # the rref of I - P agrees with the reading off w
-        assert kernel_vector(witness.projector) == witness.kernel_vector
+        projector = projected_idempotent(h, g, n)
+        assert kernel_vector(projector) == witness.kernel_vector
         with pytest.raises(EmptyKernel):
-            kernel_vector(witness.projector.scale(2))
+            kernel_vector(projector.scale(2))
         with pytest.raises(EmptyKernel):
             kernel_vector(Matrix.zero(spec, n, n))
         assert scalar_relation(witness.conjugator, b) is not None
@@ -496,7 +502,7 @@ def test_structure_checks_forced_non_automorphism():
     a = ColumnVector.standard_basis(QQ, 2, 1)
     ha = h @ a
     forced = Matrix.from_columns([g @ ha, ha])
-    witness = ConjugationWitness(forced, forced, a, 2, QQ, g @ h)  # inverse unused
+    witness = ConjugationWitness(forced, forced, a, 2, QQ)  # inverse unused
     report = check_structure_identities(h, g, witness)
     assert report.shift_nilpotent_ok
     assert not report.corner_chain_ok
@@ -585,7 +591,7 @@ def _forced_rank_one(spec, n, rng, vanishing=False):
     h = outer_product(u, _nonzero_vector(spec, n, rng))
     a_mat = random_dense(spec, n, n, rng)
     # inverse and kernel vector unused
-    return h, g, ConjugationWitness(a_mat, a_mat, u, n, spec, g.power(n - 1) @ h)
+    return h, g, ConjugationWitness(a_mat, a_mat, u, n, spec)
 
 
 def _structure_cases(spec, n, rng):
@@ -597,12 +603,12 @@ def _structure_cases(spec, n, rng):
     scaled = _scaled_rank_one(spec, n, rng)
     yield "scaled_rank1", *scaled
     yield "random_pair", *_random_pair_that_builds(spec, n, rng)
-    # hand-made: a replaced conjugator or projector, a witness passed with
-    # another pair, a zero H, and rank-1 H whose pair does not build
+    # hand-made: a replaced conjugator or kernel vector, a witness passed
+    # with another pair, a zero H, and rank-1 H whose pair does not build
     perturbed = genuine.conjugator + elementary_matrix(spec, n, 1, 1)
     yield "hand_perturbed", h, g, dataclasses.replace(genuine, conjugator=perturbed)
-    identity = Matrix.identity(spec, n)
-    yield "hand_projector", h, g, dataclasses.replace(genuine, projector=identity)
+    other = ColumnVector.standard_basis(spec, n, n)
+    yield "hand_kernel_vector", h, g, dataclasses.replace(genuine, kernel_vector=other)
     yield "hand_mismatched", scaled[0], scaled[1], genuine
     yield "hand_zero_h", Matrix.zero(spec, n, n), g, genuine
     yield "forced_rank1", *_forced_rank_one(spec, n, rng)
@@ -668,7 +674,6 @@ def test_structure_report_reads_only_the_conjugator(spec):
                 kernel_vector=ColumnVector(spec, [spec.zero] * n),
                 n=n + 1,
                 spec=prime_field(5),
-                projector=Matrix.identity(spec, n).scale(2),
             )
             assert check_structure_identities(
                 h, g, replaced
@@ -748,7 +753,6 @@ def test_verify_scalar_multiple_still_passes():
         witness.kernel_vector,
         2,
         QQ,
-        witness.projector,
     )
     assert verify_conjugation(phi, doubled).outcome is Outcome.RECOVERED
 
@@ -775,7 +779,6 @@ def test_verify_perturbed_witness_fails():
             witness.kernel_vector,
             2,
             QQ,
-            witness.projector,
         )
         report = verify_conjugation(phi, perturbed)
         assert report.outcome is Outcome.VERIFICATION_FAILED
@@ -952,6 +955,41 @@ def test_scalar_relation_singular_inputs():
         scalar_relation(Matrix.identity(QQ, 2), elementary_matrix(QQ, 2, 1, 1))
     with pytest.raises(SingularMatrix):
         scalar_relation(Matrix.zero(QQ, 2, 2), Matrix.identity(QQ, 2))
+
+
+def test_scalar_relation_singular_contract(monkeypatch):
+    # SingularMatrix for a zero right, for a singular right that left is not
+    # a multiple of, and for c = 0; a nonzero multiple of a singular right
+    # gives its c, since right's rank is taken only when left != c right
+    eliminate = Matrix._eliminate
+    eliminations = []
+
+    def counted_eliminate(self, reduced):
+        eliminations.append(reduced)
+        return eliminate(self, reduced)
+
+    b = random_invertible(prime_field(7), 4, random.Random(127), 4)
+    monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
+    zero, identity = Matrix.zero(QQ, 3, 3), Matrix.identity(QQ, 3)
+    singular = Matrix.from_rows(QQ, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    refused = [
+        (identity, zero, "right matrix is singular"),
+        (zero, zero, "right matrix is singular"),
+        (identity, singular, "right matrix is singular"),
+        (zero, identity, "left matrix is singular"),
+        (zero, singular, "left matrix is singular"),
+    ]
+    for left, right, message in refused:
+        with pytest.raises(SingularMatrix, match=message):
+            scalar_relation(left, right)
+    assert len(eliminations) == 1  # the non-proportional singular right only
+    eliminations.clear()
+    assert scalar_relation(singular.scale(Fraction(-2, 3)), singular) == QQ.element(
+        Fraction(-2, 3)
+    )
+    assert scalar_relation(b.scale(3), b) == prime_field(7).element(3)
+    assert scalar_relation(b, Matrix.identity(prime_field(7), 4)) is None
+    assert len(eliminations) == 1  # the rank behind the last None alone
 
 
 # -- roundtrip properties ----------------------------------------------------
