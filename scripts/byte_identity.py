@@ -3,8 +3,11 @@
 
 The parent checkout's package writes a seeded corpus of problem files over
 Q, GF(2), GF(3), GF(5) and GF(2^61-1) for n = 1..max-n: conjugators, singular
-and zero conjugators, genuine and random generator pairs, genuine and
-transposed tables (n <= 6), and a fixed set of malformed files.  Each
+and zero conjugators, genuine and random generator pairs, tables (n <= 6),
+and a fixed set of malformed files.  The tables are genuine, transposed,
+genuine with one entry bumped, zero, and the diagonal projection
+X -> diag(X), so ``check-aut`` reads bijectivity both off phi(I) and off the
+rank of a map that is not multiplicative.  Each
 checkout then runs every call of the corpus in process through its own
 ``matconj.cli.main``, in a subprocess of its own:
 
@@ -43,7 +46,7 @@ FIELDS = ({"type": "Q"}, {"type": "GFp", "p": 2}, {"type": "GFp", "p": 3},
           {"type": "GFp", "p": 5}, {"type": "GFp", "p": 2**61 - 1})
 GEN_FIELDS = ("q", "gfp:2", "gfp:3", "gfp:7", "gfp:101", f"gfp:{2**61 - 1}")
 FUZZ_FIELDS = "q,gfp:2,gfp:3,gfp:7,gfp:101"
-MAX_TABLE_N = 6  # check-aut's validate is O(n^6), and a table holds n^4 scalars
+MAX_TABLE_N = 6  # a table holds n^4 scalars; validate ranks a non-multiplicative one in O(n^6)
 TIMING_LINE = re.compile(r"fuzz: \d+ trials in [0-9.]+s\n")
 
 SWAP = [["0", "1"], ["1", "0"]]
@@ -78,6 +81,7 @@ def build_corpus(corpus: Path, max_n: int, seeds: int) -> list[list[str]]:
     Runs in a worker whose ``matconj`` is the parent checkout's package."""
     from matconj import (
         AutomorphismOracle,
+        Matrix,
         elementary_matrix,
         random_invertible,
         random_matrix,
@@ -117,16 +121,25 @@ def build_corpus(corpus: Path, max_n: int, seeds: int) -> list[list[str]]:
                 write(f"random_pair_{tag}", n, problem("generator_pair", pair))
                 if n > MAX_TABLE_N:
                     continue
-                for kind, flip in (("table", False), ("transposed", True)):
-                    table = [
-                        [
-                            matrix_to_json(oracle.apply(
-                                elementary_matrix(spec, n, *((j, i) if flip else (i, j)))
-                            ))
-                            for j in range(1, n + 1)
-                        ]
-                        for i in range(1, n + 1)
-                    ]
+                units = range(1, n + 1)
+                genuine = {(i, j): oracle.apply(elementary_matrix(spec, n, i, j))
+                           for i in units for j in units}
+                bumped = dict(genuine)
+                key = (rng.randint(1, n), rng.randint(1, n))
+                bumped[key] = bumped[key] + elementary_matrix(
+                    spec, n, rng.randint(1, n), rng.randint(1, n))
+                zero = Matrix.zero(spec, n, n)
+                tables = {
+                    "table": genuine,
+                    "transposed": {(i, j): genuine[(j, i)] for (i, j) in genuine},
+                    "bumped": bumped,
+                    "zero_table": dict.fromkeys(genuine, zero),
+                    "diagonal": {(i, j): elementary_matrix(spec, n, i, i) if i == j
+                                 else zero for (i, j) in genuine},
+                }
+                for kind, images in tables.items():
+                    table = [[matrix_to_json(images[(i, j)]) for j in units]
+                             for i in units]
                     write(f"{kind}_{tag}", n, problem("full_table", table))
     for name, content in MALFORMED.items():
         write(f"malformed_{name}", 0, content)

@@ -15,7 +15,9 @@ which is what makes the "two queries suffice" contract mechanically checkable.
 automorphism; it is entirely optional, since the recovery itself never needs
 it.  Multiplicativity is checked on 2n^2 generator products rather than all
 n^4 basis products (see ``validate`` for why that suffices), so the check costs
-O(n^5) scalar work, and the rank test for bijectivity adds O(n^6).
+O(n^5) scalar work.  Bijectivity of a multiplicative map is read off
+phi(I) != 0, at no extra cost; only a map that is not multiplicative pays the
+O(n^6) rank of its n^2 x n^2 matrix.
 """
 
 from __future__ import annotations
@@ -290,9 +292,17 @@ class AutomorphismOracle:
         phi(E_{i,1}) phi(E_{1,1}) = phi(E_{i,1}) is the j = 1 case and so
         phi(E_{i,j}) phi(E_{k,l}) = phi(E_{i,1}) phi(E_{1,j}) phi(E_{k,1}) phi(E_{1,l})
         = delta_{jk} phi(E_{i,1}) phi(E_{1,1}) phi(E_{1,l}) = delta_{jk} phi(E_{i,l}).
-        Bijectivity: the n^2 x n^2 matrix whose rows are the vectorized
-        images (the transpose of the map's matrix, of the same rank) must
-        have full rank.  Failures are reported, never thrown.
+        Bijectivity of a multiplicative map: phi must not send I to zero.
+        The kernel of a multiplicative linear map is a two-sided ideal
+        (phi(x) = 0 gives phi(yxz) = phi(y) phi(x) phi(z) = 0), and M_n(K) is
+        simple, so the kernel is 0 or everything.  It is everything exactly
+        when phi(I) = 0, since phi(x) = phi(x I) = phi(x) phi(I).  So phi is
+        injective iff phi(I) != 0, and an injective linear map of a
+        finite-dimensional space to itself is bijective.  phi(I) is the sum
+        of the diagonal-unit images that the unitality check forms.
+        Bijectivity of any other map: the n^2 x n^2 matrix whose rows are the
+        vectorized images (the transpose of the map's matrix, of the same
+        rank) must have full rank.  Failures are reported, never thrown.
         """
         images = self._images_for_validation()
         n = self.n
@@ -311,14 +321,17 @@ class AutomorphismOracle:
         if first_violation is None:
             first_violation = violation
 
-        nn = n * n
-        big = tuple(
-            x
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for x in images[(i, j)]._data
-        )
-        bijective_ok = Matrix._raw_new(spec, nn, nn, big).rank() == nn
+        if multiplicative_ok:
+            bijective_ok = not total.is_zero()
+        else:
+            nn = n * n
+            big = tuple(
+                x
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                for x in images[(i, j)]._data
+            )
+            bijective_ok = Matrix._raw_new(spec, nn, nn, big).rank() == nn
         if not bijective_ok and first_violation is None:
             first_violation = "vectorized map is rank-deficient"
 

@@ -114,6 +114,33 @@ def full_multiplicativity(images, n: int) -> bool:
     return True
 
 
+def vectorized_rank_bijective(images, n: int) -> bool:
+    """Whether the n^2 x n^2 matrix of the vectorized images has full rank.
+
+    The reference for ``AutomorphismOracle.validate``'s bijectivity flag,
+    which reads it off phi(I) != 0 when the map is multiplicative.  Row
+    (i, j) holds phi(E_ij) entry by entry, and Gaussian elimination runs on
+    FieldElement arithmetic, not on ``Matrix.rank``.
+    """
+    rows = [
+        [images[(i, j)].entry(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+    size = n * n
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inv()
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if not factor.is_zero():
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return True
+
+
 def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^(n-1) H as the chain of n-1 dense products, whatever H's rank.
 

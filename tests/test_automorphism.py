@@ -20,12 +20,19 @@ from matconj import (
     shift_matrix,
 )
 
-from helpers import full_multiplicativity, naive_mul, random_dense, random_scalar
+from helpers import (
+    full_multiplicativity,
+    naive_mul,
+    random_dense,
+    random_scalar,
+    vectorized_rank_bijective,
+)
 
 QQ = rationals()
 GF7 = prime_field(7)
 GF2 = prime_field(2)
 GF3 = prime_field(3)
+GF_P61 = prime_field(2**61 - 1)
 
 
 def transpose_table(spec, n):
@@ -342,6 +349,88 @@ def test_generator_products_match_full_multiplicativity():
                     assert report.multiplicative_ok, violation
     assert seen[True] >= 100 and seen[False] >= 100, seen
     assert named >= 100
+
+
+def _diagonal_projection(spec, n):
+    """X -> diag(X): unital, not multiplicative for n >= 2, of rank n."""
+    return {
+        (i, j): elementary_matrix(spec, n, i, i) if i == j else Matrix.zero(spec, n, n)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+
+
+def _genuine_transposed_zero_diagonal(spec, n, rng):
+    genuine = AutomorphismOracle.conjugation_by(
+        random_invertible(spec, n, rng, 4)
+    )._images_for_validation()
+    yield genuine
+    yield {(i, j): genuine[(j, i)] for (i, j) in genuine}
+    yield _zero_table(spec, n)
+    yield _diagonal_projection(spec, n)
+
+
+def test_bijectivity_matches_vectorized_rank():
+    # a multiplicative table is bijective iff phi(I) != 0; every table,
+    # multiplicative or not, must agree with the n^2 x n^2 rank, and the
+    # unital diagonal projection is not bijective
+    rng = random.Random(17)
+    batteries = [
+        (spec, n, _equivalence_tables(spec, n, rng))
+        for spec in (QQ, GF2, GF3)
+        for n in range(1, 4)
+    ]
+    batteries += [
+        (spec, n, _genuine_transposed_zero_diagonal(spec, n, rng))
+        for spec in (QQ, GF_P61)
+        for n in range(1, 5)
+    ]
+    seen = {"phi(I) != 0": 0, "phi(I) = 0": 0, "not multiplicative": 0}
+    for spec, n, tables in batteries:
+        for images in tables:
+            report = AutomorphismOracle.from_table(spec, n, images).validate()
+            assert report.bijective_ok == vectorized_rank_bijective(images, n)
+            if not report.multiplicative_ok:
+                seen["not multiplicative"] += 1
+            elif all(images[(i, i)].is_zero() for i in range(1, n + 1)):
+                seen["phi(I) = 0"] += 1
+            else:
+                seen["phi(I) != 0"] += 1
+    assert seen["phi(I) != 0"] >= 200 and seen["phi(I) = 0"] >= 100, seen
+    assert seen["not multiplicative"] >= 500, seen
+
+
+@pytest.mark.parametrize("spec", [QQ, GF_P61], ids=str)
+def test_validate_ranks_only_a_map_that_is_not_multiplicative(spec, monkeypatch):
+    # a multiplicative table reads bijectivity off phi(I): no elimination;
+    # any other table takes one rank of its n^2 x n^2 matrix
+    rng = random.Random(19)
+    cases = []
+    for n in range(1, 5):
+        b = random_invertible(spec, n, rng, 4)
+        conjugation = AutomorphismOracle.conjugation_by(b)
+        table = conjugation.to_full_table()
+        cases += [(conjugation, 0), (table, 0)]
+        cases.append((AutomorphismOracle.from_table(spec, n, _zero_table(spec, n)), 0))
+        if n >= 2:
+            images = table._images_for_validation()
+            transposed = {(i, j): images[(j, i)] for (i, j) in images}
+            cases.append((AutomorphismOracle.from_table(spec, n, transposed), 1))
+            diagonal = _diagonal_projection(spec, n)
+            cases.append((AutomorphismOracle.from_table(spec, n, diagonal), 1))
+    eliminate = Matrix._eliminate
+    eliminations = []
+
+    def counted_eliminate(self, reduced):
+        eliminations.append(reduced)
+        return eliminate(self, reduced)
+
+    monkeypatch.setattr(Matrix, "_eliminate", counted_eliminate)
+    for oracle, expected in cases:
+        eliminations.clear()
+        report = oracle.validate()
+        assert len(eliminations) == expected, (oracle.n, report)
+        assert report.multiplicative_ok == (expected == 0)
 
 
 @pytest.mark.slow

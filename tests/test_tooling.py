@@ -115,3 +115,23 @@ def test_bench_pairs_reads_each_metric_against_its_bound():
     assert compare([1.0, 1.0, 1.0], [1.0, 1.0, 0.99], "higher", 0.01)["verdict"] == (
         "inside bound"
     )
+
+
+def test_kind_times_summarizes_each_kind_and_the_median_op():
+    summarize = _load_script("kind_times").summarize
+    kinds = ["fast", "fast", "slow", "mid"]
+    times = {
+        "parent": [[1.0, 3.0, 30.0, 10.0], [2.0, 4.0, 50.0, 12.0], [2.0, 3.0, 40.0, 11.0]],
+        "change": [[1.0, 3.0, 20.0, 10.0], [2.0, 4.0, 22.0, 12.0], [2.0, 3.0, 21.0, 11.0]],
+    }
+    summary = summarize(kinds, [1.0, 1.0, 1.0, 1.0], times)
+    assert summary["kinds"]["fast"] == {"ops": 2, "parent": 2.5, "change": 2.5}
+    assert summary["kinds"]["slow"] == {"ops": 1, "parent": 40.0, "change": 21.0}
+    # 12 samples: the sixth is the slowest fast op, and a mid op is next
+    assert summary["median"]["parent"] == {"ms": 4.0, "kind": "fast", "above": "mid"}
+    # weighting the fast ops by half moves the median into the mid ops
+    half = summarize(kinds, [0.5, 0.5, 1.0, 1.0], times)["median"]["change"]
+    assert half == {"ms": 11.0, "kind": "mid", "above": "slow"}
+    # the slowest kind has no kind above it
+    last = summarize(["a", "b"], [1.0, 3.0], {"s": [[1.0, 2.0]]})["median"]["s"]
+    assert last == {"ms": 2.0, "kind": "b", "above": None}
