@@ -14,6 +14,10 @@ median is inside the metric's relative ``bound`` from BENCHMARK.json: no
 worse than the parent's median by more than that fraction.  A metric whose
 parent IQR is wider than its bound (relative to the parent's median) is
 "unresolved": its pairs are too noisy to tell, and more pairs are needed.
+Beside the median of ``peak_rss_mb`` it prints the largest rise in any one
+pair and that pair's ratio of attempted ops (change / parent): the harness
+keeps state per op, so a pair whose change run made many more ops can break
+the RSS bound on its own even when the median is inside it.
 
 Usage:
     python scripts/bench_pairs.py --parent DIR --change DIR \\
@@ -96,6 +100,21 @@ def compare(before: list, after: list, better: str, bound: float) -> dict:
     }
 
 
+def largest_rise(pairs: list, name: str) -> dict:
+    """The pair in which metric ``name`` rose the most, relative to the parent.
+
+    ``pairs`` holds (parent run, change run) tuples.  Returns the rise as a
+    fraction, the pair's index and its attempted-ops ratio (change / parent).
+    """
+    rises = []
+    for index, (p, c) in enumerate(pairs):
+        before, after = p["metrics"][name]["value"], c["metrics"][name]["value"]
+        rises.append(((after - before) / before if before else 0.0, index))
+    rise, index = max(rises)
+    p, c = pairs[index]
+    return {"rise": rise, "pair": index, "ops_ratio": c["attempted"] / p["attempted"]}
+
+
 def summarize(parent: dict, change: dict, workload: str, seeds, metrics: dict) -> None:
     pairs = [(parent[workload][str(s)], change[workload][str(s)]) for s in seeds]
     print(f"{workload}: {len(pairs)} pairs, medians parent -> change")
@@ -111,6 +130,11 @@ def summarize(parent: dict, change: dict, workload: str, seeds, metrics: dict) -
               f"({rel:+6.1f}%)  parent IQR {r['iqr']:.3g}  "
               f"change better in {r['wins']}/{len(pairs)}  "
               f"{r['verdict']} ({bound:.0%})")
+        if name == "peak_rss_mb":
+            worst = largest_rise(pairs, name)
+            print(f"  {'':<16} largest pair rise {worst['rise'] * 100:+.1f}% "
+                  f"(seed {seeds[worst['pair']]}), attempted ops ratio "
+                  f"{worst['ops_ratio']:.2f}")
 
 
 def main() -> int:

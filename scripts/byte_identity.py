@@ -4,10 +4,11 @@
 The parent checkout's package writes a seeded corpus of problem files over
 Q, GF(2), GF(3), GF(5) and GF(2^61-1) for n = 1..max-n: conjugators, singular
 and zero conjugators, genuine and random generator pairs, tables (n <= 6),
-and a fixed set of malformed files.  The tables are genuine, transposed,
-genuine with one entry bumped, zero, and the diagonal projection
-X -> diag(X), so ``check-aut`` reads bijectivity both off phi(I) and off the
-rank of a map that is not multiplicative.  Each
+and a fixed set of malformed files, among them bad scalars of each error
+kind in a conjugator, in a table's last cell and in a pair's ``G``.  The
+tables are genuine, transposed, genuine with one entry bumped, zero, and the
+diagonal projection X -> diag(X), so ``check-aut`` reads bijectivity both
+off phi(I) and off the rank of a map that is not multiplicative.  Each
 checkout then runs every call of the corpus in process through its own
 ``matconj.cli.main``, in a subprocess of its own:
 
@@ -50,6 +51,18 @@ MAX_TABLE_N = 6  # a table holds n^4 scalars; validate ranks a non-multiplicativ
 TIMING_LINE = re.compile(r"fuzz: \d+ trials in [0-9.]+s\n")
 
 SWAP = [["0", "1"], ["1", "0"]]
+E = {(i, j): [["1" if (r, c) == (i, j) else "0" for c in (1, 2)] for r in (1, 2)]
+     for i in (1, 2) for j in (1, 2)}  # the 2x2 matrix units as scalar strings
+
+
+def _with_last_cell(cell) -> list:
+    """The identity map's 2x2 table, its very last scalar replaced by ``cell``."""
+    table = [[[row[:] for row in E[(i, j)]] for j in (1, 2)] for i in (1, 2)]
+    table[-1][-1][-1][-1] = cell
+    return table
+
+
+GF7 = {"type": "GFp", "p": 7}
 MALFORMED = {
     "not_json": b"{not json",
     "empty": b"",
@@ -68,6 +81,19 @@ MALFORMED = {
                      "generator_pair": {"H": SWAP, "G": SWAP}},
     "pair_without_G": {"field": {"type": "Q"}, "n": 2, "generator_pair": {"H": SWAP}},
     "oversized_scalar": {"field": {"type": "Q"}, "n": 1, "conjugator": [["1" * 5000]]},
+    "gfp_fraction": {"field": GF7, "n": 2, "conjugator": [["1/2", "0"], ["0", "1"]]},
+    "non_ascii_digit": {"field": {"type": "Q"}, "n": 1, "conjugator": [["\uff11"]]},
+    "integer_cell": {"field": GF7, "n": 2, "conjugator": [["0", "1"], ["1", 0]]},
+    "null_cell": {"field": {"type": "Q"}, "n": 1, "conjugator": [[None]]},
+    "zero_denominator": {"field": {"type": "Q"}, "n": 2, "conjugator": [["1/0", "0"], SWAP[1]]},
+    "oversized_table_cell": {"field": {"type": "Q"}, "n": 2,
+                             "full_table": _with_last_cell("7" * 4301)},
+    "table_gfp_fraction": {"field": GF7, "n": 2, "full_table": _with_last_cell("1/2")},
+    "table_boolean_cell": {"field": GF7, "n": 2, "full_table": _with_last_cell(True)},
+    "bad_G_cell": {"field": GF7, "n": 2,
+                   "generator_pair": {"H": E[(2, 1)], "G": [["0", "1"], ["0", "\u0663"]]}},
+    "integer_G_cell": {"field": {"type": "Q"}, "n": 2,
+                       "generator_pair": {"H": E[(2, 1)], "G": [["0", "1"], ["0", 0]]}},
 }
 
 

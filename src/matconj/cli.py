@@ -3,8 +3,9 @@
 Commands: ``recover``, ``check-aut``, ``gen``, ``fuzz``.  All I/O is UTF-8
 JSON with every scalar encoded as a string ("-3/4", "7" for rationals,
 decimal residues for prime fields), so no numeric type of any consumer can
-distort a value.  Matrices serialize as row-major arrays of arrays of scalar
-strings; 1-based positions appear only in human-readable messages.
+distort a value; a problem file's scalars are each decoded once, by
+``FieldSpec.parse_value``.  Matrices serialize as row-major arrays of arrays
+of scalar strings; 1-based positions appear only in human-readable messages.
 
 A problem file looks like::
 
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 from .automorphism import AutomorphismOracle, ValidationReport
 from .errors import (
+    DimensionMismatch,
     EmptyKernel,
     MatconjError,
     OutputError,
@@ -145,11 +147,10 @@ def matrix_from_json(spec: FieldSpec, obj, n: int, what: str) -> Matrix:
         or any(not isinstance(row, list) or len(row) != n for row in obj)
     ):
         raise ParseError(f"{what} must be an {n}x{n} array of scalar strings")
-    flat = []
-    for row in obj:
-        for cell in row:
-            flat.append(spec.parse(cell).value)
-    return Matrix(spec, n, n, flat)
+    if n < 1:  # _raw_new takes the dimensions on trust
+        raise DimensionMismatch("matrix needs positive dimensions")
+    parse = spec.parse_value  # each cell is decoded once, to its raw value
+    return Matrix._raw_new(spec, n, n, tuple(parse(c) for r in obj for c in r))
 
 
 def vector_to_json(vec: ColumnVector) -> list[str]:

@@ -105,14 +105,14 @@ class FieldSpec:
         """Canonical raw representation of ``value`` in this field.
 
         Accepts FieldElement (same spec only), int, Fraction, and the textual
-        encoding handled by :meth:`parse`.
+        encoding, which :meth:`parse_value` decodes.
         """
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise FieldMismatch(f"element of {value.spec} used in {self}")
             return value.value
         if isinstance(value, str):
-            return self.parse(value).value
+            return self.parse_value(value)
         if self.is_prime_field:
             p = self.modulus
             if isinstance(value, int):
@@ -150,10 +150,14 @@ class FieldSpec:
         return -value
 
     def parse(self, text: str) -> "FieldElement":
-        """Parse the textual scalar encoding.
+        """The textual scalar encoding as an element; see :meth:`parse_value`."""
+        return FieldElement(self, self.parse_value(text))
 
-        Rationals: ``"num/den"`` or a bare integer string (``"-3/4"``, ``"7"``).
-        Prime fields: a decimal integer string, reduced to its residue.
+    def parse_value(self, text: str) -> RawValue:
+        """Parse the textual scalar encoding to its canonical raw value: the one parser.
+
+        Rationals: ``"num/den"`` or a bare integer string (``"-3/4"``, ``"7"``), as
+        a reduced Fraction.  Prime fields: a decimal integer string, as its residue.
         Digits are ASCII only, at most ``MAX_SCALAR_DIGITS`` per integer.
         """
         if not isinstance(text, str):
@@ -164,7 +168,7 @@ class FieldSpec:
                 raise ParseError(f"invalid GF({self.modulus}) scalar: {text!r}")
             if len(s) > MAX_SCALAR_DIGITS:
                 _check_digit_count(s)
-            return FieldElement(self, int(s) % self.modulus)
+            return int(s) % self.modulus
         if not _RATIONAL_RE.fullmatch(s):
             raise ParseError(f"invalid rational scalar: {text!r}")
         if len(s) > MAX_SCALAR_DIGITS:
@@ -173,8 +177,8 @@ class FieldSpec:
             num, den = s.split("/")
             if int(den) == 0:
                 raise ParseError(f"zero denominator in {text!r}")
-            return FieldElement(self, Fraction(int(num), int(den)))
-        return FieldElement(self, Fraction(int(s)))
+            return Fraction(int(num), int(den))
+        return Fraction(int(s))
 
     def format_value(self, value: RawValue) -> str:
         try:

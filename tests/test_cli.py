@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matconj import Matrix, Outcome, elementary_matrix, prime_field, rationals
+from matconj.field import FieldSpec
 from matconj.fuzz import MAX_FUZZ_N
 from matconj.cli import (
     EXIT_CONSTRUCTION,
@@ -19,7 +20,10 @@ from matconj.cli import (
     ProblemFile,
     build_parser,
     exit_code_for,
+    field_descriptor,
+    load_problem,
     main,
+    matrix_from_json,
     matrix_to_json,
     oracle_from_problem,
     parse_field_descriptor,
@@ -450,6 +454,71 @@ def test_recover_of_a_conjugator_runs_two_eliminations(
     assert main(["recover", path, *flags]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["outcome"] == "recovered"
     assert len(eliminations) == 2
+
+
+def test_load_problem_decodes_each_table_scalar_once(tmp_path, monkeypatch):
+    # n^4 cells, each through parse_value alone: no FieldElement and no
+    # second coerce of the parsed value
+    n = 3
+    gf = prime_field(2**61 - 1)
+    table = [
+        [matrix_to_json(elementary_matrix(gf, n, i, j)) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    path = write_problem(tmp_path, {"field": field_descriptor(gf), "n": n, "full_table": table})
+    calls = {"parse_value": 0, "coerce": 0, "parse": 0}
+    for name in calls:
+        method = getattr(FieldSpec, name)
+
+        def counted(self, value, method=method, name=name):
+            calls[name] += 1
+            return method(self, value)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    problem, _ = load_problem(path)
+    assert calls == {"parse_value": n**4, "coerce": 0, "parse": 0}
+    assert problem.payload[(2, 3)] == elementary_matrix(gf, n, 2, 3)
+
+
+BAD_CELLS = [
+    (7, "scalar must be a string, got int"),
+    (None, "scalar must be a string, got NoneType"),
+    ("1/2", "invalid GF(7) scalar: '1/2'"),
+    ("\uff11", "invalid GF(7) scalar: '\\uff11'"),
+]
+
+
+def _bad_cell_problem(where, bad):
+    gf7 = prime_field(7)
+    if where == "full_table":
+        body = [
+            [matrix_to_json(elementary_matrix(gf7, 2, i, j)) for j in (1, 2)]
+            for i in (1, 2)
+        ]
+        body[-1][-1][-1][-1] = bad
+    else:
+        body = {"H": [["0", "0"], ["1", "0"]], "G": [["0", "1"], ["0", "0"]]}
+        body["G"][-1][-1] = bad
+    return {"field": {"type": "GFp", "p": 7}, "n": 2, where: body}
+
+
+@pytest.mark.parametrize("command", ["recover", "check-aut"])
+@pytest.mark.parametrize("where", ["full_table", "generator_pair"])
+@pytest.mark.parametrize("bad, message", BAD_CELLS, ids=["int", "null", "fraction", "fullwidth"])
+def test_bad_last_cell_exit_2(tmp_path, capsys, command, where, bad, message):
+    path = write_problem(tmp_path, _bad_cell_problem(where, bad))
+    stderr = '{"error": "' + message + '"}\n'
+    _assert_parse_failure(capsys, main([command, path]), stderr)
+
+
+def test_matrix_from_json_refuses_a_non_positive_dimension():
+    from matconj import DimensionMismatch, ParseError
+
+    # an empty array has the shape of a 0x0 matrix, which no Matrix may have
+    with pytest.raises(DimensionMismatch, match="positive dimensions"):
+        matrix_from_json(QQ, [], 0, "conjugator")
+    with pytest.raises(ParseError, match="-1x-1"):
+        matrix_from_json(QQ, [], -1, "conjugator")
 
 
 # -- gen ---------------------------------------------------------------------

@@ -162,6 +162,33 @@ def test_parse_rejects_prime_field_fraction():
         GF7.parse("1/2")
 
 
+PARSE_INPUTS = [
+    "+7", "-0", " 12 ", "007", "3/6", "0/5",
+    "1/0", "1/2", "1_000", "",
+    "\uff11", "\u0663", "1/\uff12", "\U0001d7d9",
+    "7" * MAX_SCALAR_DIGITS, "7" * (MAX_SCALAR_DIGITS + 1),
+    7, None, True,
+]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("spec", [QQ, prime_field(2), GF7, prime_field(2**61 - 1)], ids=str)
+@pytest.mark.parametrize("text", PARSE_INPUTS, ids=repr)
+def test_parse_value_is_parse_without_the_element(spec, text):
+    # the same raw value of the same type, or the same ParseError message
+    expected = _outcome(lambda t: spec.parse(t).value, text)
+    assert _outcome(spec.parse_value, text) == expected
+    if isinstance(text, str):
+        assert _outcome(spec.coerce, text) == expected
+
+
 def _random_element(spec, rng):
     if spec.is_prime_field:
         return spec.element(rng.randrange(spec.modulus))

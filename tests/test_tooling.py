@@ -91,8 +91,9 @@ def _load_script(name):
     return module
 
 
-def test_bench_pairs_reads_each_metric_against_its_bound():
-    compare = _load_script("bench_pairs").compare
+def test_bench_pairs_reads_each_metric_against_its_bound(capsys):
+    bench_pairs = _load_script("bench_pairs")
+    compare = bench_pairs.compare
     parent = [10.0, 10.2, 9.8, 10.1, 9.9]
     # 15% slower is inside an 18% bound; 25% slower is outside it
     slower = [x * 0.85 for x in parent]
@@ -115,6 +116,30 @@ def test_bench_pairs_reads_each_metric_against_its_bound():
     assert compare([1.0, 1.0, 1.0], [1.0, 1.0, 0.99], "higher", 0.01)["verdict"] == (
         "inside bound"
     )
+
+    # peak RSS: the median rise is inside 8%, but one pair whose change run
+    # made 1.5x the ops rose 10%; the summary names that pair and its ratio
+    def run(rss, attempted):
+        return {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}
+
+    runs = {"parent": {"w": {}}, "change": {"w": {}}}
+    for seed, (before, after, ops) in enumerate(
+        [(30.0, 30.6, (400, 410)), (30.0, 33.0, (400, 600)), (32.0, 31.0, (420, 400))], 1
+    ):
+        runs["parent"]["w"][str(seed)] = run(before, ops[0])
+        runs["change"]["w"][str(seed)] = run(after, ops[1])
+    pairs = [(runs["parent"]["w"][s], runs["change"]["w"][s]) for s in "123"]
+    worst = bench_pairs.largest_rise(pairs, "peak_rss_mb")
+    assert worst["pair"] == 1 and worst["ops_ratio"] == 1.5
+    assert abs(worst["rise"] - 0.10) < 1e-12
+    metrics = {"peak_rss_mb": ("lower", 0.08)}
+    bench_pairs.summarize(runs["parent"], runs["change"], "w", [1, 2, 3], metrics)
+    lines = capsys.readouterr().out.splitlines()
+    assert "inside bound (8%)" in lines[2]
+    assert lines[3].split() == [
+        "largest", "pair", "rise", "+10.0%", "(seed", "2),", "attempted", "ops",
+        "ratio", "1.50",
+    ]
 
 
 def test_kind_times_summarizes_each_kind_and_the_median_op():
