@@ -6,7 +6,9 @@ checkout and once in the change checkout, each in a fresh subprocess with the
 checkout as its working directory.  The side that goes first alternates from
 one pair to the next, so a drift in host speed lands on both sides.  The last
 stdout line of each run (its JSON result) is stored, keyed by workload and
-seed, in two BENCH files: one for the parent and one for the change.  An
+seed, in two BENCH files: one for the parent and one for the change.  Each
+file's header records its checkout's ``src_lines``, the line count of the
+Python files under ``src/``, so a change's size is kept beside its numbers.  An
 existing file is extended, so workloads can be run in separate calls.  After
 the runs, the script prints the median of each end-to-end metric per side,
 the number of pairs in which the change was better, and whether the change's
@@ -64,6 +66,16 @@ def load(path: Path, header: dict) -> dict:
     """The header, then the runs already recorded in ``path``, if any."""
     runs = json.loads(path.read_text())["runs"] if path.exists() else {}
     return {**header, "runs": runs}
+
+
+def src_lines(texts) -> int:
+    """The number of lines in ``texts``, the contents of a checkout's ``src/``
+    files; a last line without a newline counts too."""
+    return sum(len(text.splitlines()) for text in texts)
+
+
+def checkout_src_lines(checkout: Path) -> int:
+    return src_lines(path.read_text() for path in (checkout / "src").rglob("*.py"))
 
 
 def end_to_end(checkout: Path) -> dict:
@@ -156,12 +168,14 @@ def main() -> int:
     }
     parent = load(args.parent_out, {
         "commit": args.parent_label,
+        "src_lines": checkout_src_lines(args.parent),
         "note": "each run alternated with a run of the same seed on the change, "
                 f"recorded in {args.change_out.name}",
         **shared,
     })
     change = load(args.change_out, {
         "parent": args.parent_label,
+        "src_lines": checkout_src_lines(args.change),
         "note": "each run alternated with a run of the same seed on "
                 f"{args.parent_label}, recorded in {args.parent_out.name}",
         **shared,

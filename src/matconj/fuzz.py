@@ -122,10 +122,10 @@ class IdentitySummary:
         built: the images (h, g), the queries they took, ``built`` (the witness,
         or the EmptyKernel or SingularConjugator that stopped the construction)
         and the witness's structure report ``checks``.  P = G^(n-1) H is
-        formed here by ``projected_idempotent`` on every path, since the build
-        does not form it; the kernel vector is the witness's when there is
-        one.  det(I - P) and rank(A) are eliminated only when the kernel
-        vector and A^-1 fail to settle them."""
+        formed here by ``projected_idempotent`` on every path, since a build
+        from a rank-1 H does not form it; the kernel vector is the witness's
+        when there is one.  det(I - P) and rank(A) are eliminated only when
+        the kernel vector and A^-1 fail to settle them."""
         n = h.rows
         self.total_trials += 1
         self._record("query_economy", queries == 2, context)
@@ -265,7 +265,7 @@ def _recovery_trial(
     scalar = None
     if ground_truth is not None:
         scalar = scalar_relation(witness.conjugator, ground_truth)
-        if scalar is None or scalar.is_zero():
+        if scalar is None:
             return report(
                 Outcome.VERIFICATION_FAILED,
                 checks=checks,

@@ -12,8 +12,8 @@ module makes that effective from just two images of the map:
    P = w v^T with w = G^{n-1} u: the Krylov vectors u, G u, ..., w cost n-1
    integer mat-vecs, O(n^3).  Then det(I - P) = 1 - v^T w, so the kernel is
    empty unless v^T w = 1, and is then span(w): a is w divided by its first
-   nonzero entry, with no elimination and no P.  An H of any other rank falls
-   back to the O(n^4) chain of dense products and the O(n^3) rref of I - P;
+   nonzero entry, with no elimination and no P.  An H of any other rank forms
+   P by repeated squaring, O(n^3 log n), and takes the O(n^3) rref of I - P;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
    For H = u v^T column i is (v^T a) G^{n-i} u = G^{n-i} u / lead(w), a
    scaled Krylov vector of step 2; any other H runs the Krylov vectors of
@@ -28,11 +28,12 @@ sweep of :func:`verify_conjugation` for a map given by conjugation or by a
 table.  :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  The rank-1
-corner is read in one place, :func:`_krylov`: the build, the projector and
-the structure report all take u's Krylov vectors from it, in the integer form
-of :func:`~matconj.matrix.krylov_sequence`.  For a rank-1 H the report reads
+corner is read in one place, :func:`_krylov`: the build and the structure
+report both take u's Krylov vectors from it, in the integer form of
+:func:`~matconj.matrix.krylov_sequence`.  For a rank-1 H the report reads
 H G^k H = 0, P^2 = P and rank(I - P) = n - 1 off the scalars v^T G^k u,
-O(n^3 log n) in all; any other H takes the O(n^4) matrix forms.
+O(n^3 log n) in all; any other H takes the matrix forms, on the P of
+:func:`projected_idempotent`, the one place that forms P (by squaring).
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
@@ -73,7 +74,7 @@ class ConjugationWitness:
     ``conjugator_inv`` is computed eagerly: every downstream verification
     needs it, and its existence doubles as the invertibility certificate.
     ``kernel_vector`` is the canonical nonzero vector a the columns were built
-    from, fixed by P = G^{n-1} H, which the build does not form.
+    from, fixed by P = G^{n-1} H, which a build from a rank-1 H does not form.
     :func:`check_structure_identities` reads only ``conjugator``.
     """
 
@@ -175,47 +176,38 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     return u, v
 
 
-def _krylov(
-    h: Matrix, g: Matrix, n: int
-) -> tuple[ColumnVector | None, tuple | None, Matrix | None]:
+def _krylov(h: Matrix, g: Matrix, n: int) -> tuple | None:
     """The one reading of the rank-1 corner H = phi(E_{n,1}).
 
     When H = u v^T has rank 1 (see :func:`_rank_one_factors`) this is
-    (v, (r, cs, ys), None): G^k u = cs[k] ys[k], k < n, from
+    (r, cs, ys): G^k u = cs[k] ys[k], k < n, from
     :func:`~matconj.matrix.krylov_sequence`, O(n^3), and r[k] = v^T G^k u, n
-    integer dot products.  P = G^{n-1} H is then w v^T for w = G^{n-1} u, and
-    H G^k H = r[k] H.  Any other H (zero, or of rank >= 2) gives
-    (None, None, P), P from the chain of n-1 dense products, O(n^4).
+    integer dot products.  H G^k H = r[k] H, and P = G^{n-1} H is w v^T for
+    w = G^{n-1} u.  Any other H (zero, or of rank >= 2) gives None; its P
+    comes from :func:`projected_idempotent`.
     """
     factors = _rank_one_factors(h)
     if factors is None:
-        result = h
-        for _ in range(n - 1):
-            result = g @ result
-        return None, None, result
+        return None
     u, v = factors
     cs, ys = krylov_sequence(g, u, n)
     cv, yv = integer_form(h.spec, v._data)
     r = [h.spec.coerce(c * cv * sum(map(mul, yv, y))) for c, y in zip(cs, ys)]
-    return v, (r, cs, ys), None
+    return r, cs, ys
 
 
 def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
-    H = phi(E_{n,1}) has rank 1 for every automorphism, and then
-    G^{n-1} H = (G^{n-1} u) v^T is the last Krylov vector of :func:`_krylov`
-    times v^T: n-1 integer mat-vecs and an outer product, O(n^3) in all,
-    against O(n^4) for the chain of n-1 dense products that any other H
-    runs.  Products are exact, so both paths give the same matrix.  For
-    n = 1 the empty power is the identity, so the result is H itself.
+    This is the one place that forms P, whatever the rank of H: G^{n-1} by
+    repeated squaring, then one product with H, so
+    popcount(n-1) + max(bit_length(n-1), 1) dense products, O(n^3 log n).
+    For n = 1 the empty power is the identity, so the result is H itself.
+    For a rank-1 H the build and the structure report do not call this:
+    they read what they need of P off the Krylov vectors of :func:`_krylov`.
     """
     _check_pair(h, g, n)
-    v, krylov, chain = _krylov(h, g, n)
-    if krylov is None:
-        return chain
-    _, cs, ys = krylov
-    return outer_product(from_integer_form(h.spec, cs[-1], ys[-1]), v)
+    return g.power(n - 1) @ h
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
@@ -226,8 +218,8 @@ def kernel_vector(projector: Matrix) -> ColumnVector:
     first nonzero coordinate is 1.  Raises EmptyKernel when I - P is
     injective, which signals that the generator images did not come from an
     automorphism.  :func:`build_conjugator` calls this only for an H that is
-    not of rank 1; a rank-1 H has its kernel vector read off the Krylov
-    vectors instead.
+    not of rank 1, on the P of :func:`projected_idempotent`; a rank-1 H has
+    its kernel vector read off the Krylov vectors instead.
     """
     if not projector.is_square:
         raise DimensionMismatch("projector must be square")
@@ -250,15 +242,17 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     a is its first column.  v^T w is r[n-1] of :func:`_krylov`, and an entry
     of A is built once, as (s c_k) y_k for G^k u = c_k y_k.  That build runs
     n-1 integer mat-vecs, n dot products and one elimination, for A^-1,
-    O(n^3), and forms no P.  Any other H runs the chain of dense products for
-    P, the rref of :func:`kernel_vector` and the Krylov vectors of Ha.  The
+    O(n^3), and forms no P.  Any other H forms P by
+    :func:`projected_idempotent`, O(n^3 log n), and runs the rref of
+    :func:`kernel_vector` and the Krylov vectors of Ha.  The
     inverse is computed eagerly; if it does not exist the input pair was
     invalid and SingularConjugator is raised.
     """
     _check_pair(h, g, n)
-    _, krylov, projector = _krylov(h, g, n)
+    krylov = _krylov(h, g, n)
     if krylov is None:
         s = h.spec.one_value
+        projector = projected_idempotent(h, g, n)
         cs, ys = krylov_sequence(g, h @ kernel_vector(projector), n)
     else:
         r, cs, ys = krylov
@@ -296,8 +290,10 @@ def check_structure_identities(
       det(I - P) = 1 - r_{n-1}, so rank(I - P) = n - 1 iff r_{n-1} = 1, and
       P is idempotent iff r_{n-1} = 1 or w = 0.
 
-    Any other H (zero, or of rank >= 2) runs the chain of 2(n-1) dense
-    products, and P P and the rank of I - P on the P of that chain, O(n^4).
+    Any other H (zero, or of rank >= 2) runs the chain H G^k H, which stops
+    at its first nonzero product (all 2(n-1) products, O(n^4), only while
+    the chain holds), and P P and the rank of I - P on the P of
+    :func:`projected_idempotent`, O(n^3 log n).
     Which form runs depends only on the rank of H.  The chain is indexed by
     0 <= k <= n-2 and is therefore empty at n = 1; the remaining checks
     degenerate gracefully there.
@@ -306,7 +302,7 @@ def check_structure_identities(
     n = a_mat.rows
     _check_pair(h, g, n)
     shift_nilpotent_ok = g.power(n).is_zero()
-    _, krylov, projector = _krylov(h, g, n)
+    krylov = _krylov(h, g, n)
     if krylov is not None:
         r, _, ys = krylov
         corner_chain_ok = not any(r[:-1])
@@ -320,6 +316,7 @@ def check_structure_identities(
                 corner_chain_ok = False
                 break
             left = left @ g
+        projector = projected_idempotent(h, g, n)
         idempotent_ok = projector @ projector == projector
         kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
     intertwine_E_ok, intertwine_S_ok = _intertwines(a_mat, h, g)

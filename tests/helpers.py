@@ -144,8 +144,8 @@ def vectorized_rank_bijective(images, n: int) -> bool:
 def chain_projector(h: Matrix, g: Matrix, n: int) -> Matrix:
     """G^(n-1) H as the chain of n-1 dense products, whatever H's rank.
 
-    The reference for ``projected_idempotent``, which forms G^(n-1) u and one
-    outer product when H = u v^T has rank 1.
+    The reference for ``projected_idempotent``, which forms G^(n-1) by
+    repeated squaring and then one product with H.
     """
     result = h
     for _ in range(n - 1):

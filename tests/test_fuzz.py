@@ -200,10 +200,10 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "certify",
     ):
         counted(fuzz_module, name)
-    # H is read once by the build, once by the report and once by
-    # record_trial's projected_idempotent, which forms P = G^(n-1) H, the
-    # build forming none: every other outer product is one of certify's n^2
-    # basis pairs
+    # H is read once by the build and once by the report; record_trial's
+    # projected_idempotent forms P = G^(n-1) H by squaring, the build and
+    # the report forming none, and every outer product is one of certify's
+    # n^2 basis pairs
     for name in ("_krylov", "outer_product"):
         counted(sn, name)
     counted(fuzz_module, "projected_idempotent")
@@ -217,8 +217,8 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "build_conjugator": 24,
         "check_structure_identities": 24,
         "certify": 24,
-        "_krylov": 72,
-        "outer_product": 24 + certified,
+        "_krylov": 48,
+        "outer_product": certified,
         "projected_idempotent": 24,
     }
 

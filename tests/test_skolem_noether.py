@@ -92,7 +92,7 @@ def _strictly_upper(spec, n, rng):
 
 
 def _projector_cases(spec, n, rng):
-    """(name, H, G, takes the rank-1 path) for each kind of input."""
+    """(name, H, G, H has rank 1) for each kind of input."""
     b = random_invertible(spec, n, rng, 4)
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
     yield "genuine", h, g, True
@@ -124,6 +124,12 @@ def _projector_cases(spec, n, rng):
             break
 
 
+def _squaring_products(n):
+    """Dense products in G^(n-1) by repeated squaring, then one with H."""
+    k = n - 1
+    return bin(k).count("1") + max(k.bit_length(), 1)
+
+
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_projector_matches_chain_reference(spec, monkeypatch):
     rng = random.Random(79)
@@ -132,9 +138,8 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
     sequence = sn.krylov_sequence
 
     def spied_factors(h):
-        factors = rank_one_factors(h)
-        factored.append(factors is not None)
-        return factors
+        factored.append(h)
+        return rank_one_factors(h)
 
     def counted_matmul(left, right):
         products.append(isinstance(right, ColumnVector))
@@ -154,12 +159,10 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
             products.clear()
             sequences.clear()
             projector = projected_idempotent(h, g, n)
-            # the rank-1 path factors H and runs one integer Krylov sequence
-            # of n vectors, with no Matrix product; the chain runs n-1 dense
-            # products
-            assert factored == [rank_one], (name, n)
-            assert sequences == [n] * rank_one, (name, n)
-            assert products == [False] * (0 if rank_one else n - 1), (name, n)
+            # whatever the rank of H: no factoring and no Krylov sequence,
+            # only G^(n-1) by repeated squaring and one product with H
+            assert factored == [] and sequences == [], (name, n)
+            assert products == [False] * _squaring_products(n), (name, n)
             assert projector == chain_projector(h, g, n), (name, n)
             seen.add(rank_one)
             if name in ("rank1_vanishing", "zero"):
@@ -403,7 +406,7 @@ def test_build_matches_column_loop_reference(spec, monkeypatch):
 
     def spied_krylov(h, g, n):
         result = krylov(h, g, n)
-        krylov_paths.append(result[1] is not None)
+        krylov_paths.append(result is not None)
         return result
 
     monkeypatch.setattr(sn, "_krylov", spied_krylov)
@@ -630,7 +633,7 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
 
     def spied_krylov(h, g, n):
         result = krylov(h, g, n)
-        krylov_paths.append(result[1] is not None)
+        krylov_paths.append(result is not None)
         return result
 
     for n in range(1, 7):
@@ -722,6 +725,63 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
         assert calls["factors"] == 1, (n, calls)
         assert calls["projectors"] == 0, (n, calls)
         assert calls["products"] <= 2 * math.ceil(math.log2(n)) + 4, (n, calls)
+
+
+def _not_rank_one_cases(spec, n, rng):
+    """(name, H, G) with H zero, and for n >= 2 with H of rank >= 2 and
+    H H != 0, so the report's chain H G^k H stops at its first product."""
+    yield "zero", Matrix.zero(spec, n, n), random_dense(spec, n, n, rng)
+    if n == 1:
+        return
+    while True:
+        h = random_dense(spec, n, n, rng)
+        if h.rank() >= 2 and not (h @ h).is_zero():
+            yield "rank_ge_2", h, random_dense(spec, n, n, rng)
+            return
+
+
+@pytest.mark.parametrize("spec", (QQ, prime_field(2**61 - 1)), ids=str)
+def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
+    # for an H not of rank 1, the build and the report each form P once, in
+    # projected_idempotent, by popcount(n-1) + max(bit_length(n-1), 1) dense
+    # products: 8 at n = 16, where the chain of products takes 15
+    rng = random.Random(109)
+    matmul, projector = Matrix.__matmul__, sn.projected_idempotent
+    products, in_projector = [0], []
+
+    def counted_matmul(left, right):
+        products[0] += not isinstance(right, ColumnVector)
+        return matmul(left, right)
+
+    def counted_projector(h, g, n):
+        before = products[0]
+        result = projector(h, g, n)
+        in_projector.append(products[0] - before)
+        return result
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(sn, "projected_idempotent", counted_projector)
+    for n in range(1, 17):
+        expected = _squaring_products(n)
+        for name, h, g in _not_rank_one_cases(spec, n, rng):
+            products[0] = 0
+            in_projector.clear()
+            _outcome(build_conjugator, h, g, n)
+            # the rref of I - P, H a and A^-1 take no dense product
+            assert in_projector == [expected] and products[0] == expected, (name, n)
+            a_mat = random_dense(spec, n, n, rng)
+            a = ColumnVector.standard_basis(spec, n, 1)
+            witness = ConjugationWitness(a_mat, a_mat, a, n, spec)  # inverse unused
+            products[0] = 0
+            in_projector.clear()
+            check_structure_identities(h, g, witness)
+            assert in_projector == [expected], (name, n)
+            # besides P: G^n by squaring, the chain H G^k H (H = 0 runs all
+            # 2(n-1) products, H H != 0 stops at the first), P P and the four
+            # intertwine products
+            power = bin(n).count("1") + n.bit_length() - 1
+            chain = 2 * (n - 1) if name == "zero" else 1
+            assert products[0] == expected + power + chain + 1 + 4, (name, n)
 
 
 # -- verify_conjugation ------------------------------------------------------

@@ -142,6 +142,19 @@ def test_bench_pairs_reads_each_metric_against_its_bound(capsys):
     ]
 
 
+def test_bench_pairs_counts_src_lines():
+    bench_pairs = _load_script("bench_pairs")
+    src_lines = bench_pairs.src_lines
+    assert src_lines([]) == 0
+    assert src_lines(["", "a\n", "a\nb\n\n", "last line without a newline"]) == 5
+    assert src_lines(["a\r\nb\r\n"]) == 2
+    # the whole checkout: one count per Python file under src/, summed
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    expected = sum(path.read_bytes().count(b"\n") for path in files)
+    assert bench_pairs.checkout_src_lines(ROOT) == expected
+
+
 def test_kind_times_summarizes_each_kind_and_the_median_op():
     summarize = _load_script("kind_times").summarize
     kinds = ["fast", "fast", "slow", "mid"]
