@@ -6,9 +6,12 @@ Q, GF(2), GF(3), GF(5) and GF(2^61-1) for n = 1..max-n: conjugators, singular
 and zero conjugators, genuine and random generator pairs, tables (n <= 6),
 and a fixed set of malformed files, among them bad scalars of each error
 kind in a conjugator, in a table's last cell and in a pair's ``G``.  The
-tables are genuine, transposed, genuine with one entry bumped, zero, and the
-diagonal projection X -> diag(X), so ``check-aut`` reads bijectivity both
-off phi(I) and off the rank of a map that is not multiplicative.  Each
+tables are genuine, transposed, genuine with one entry bumped, genuine with
+only its last image phi(E_nn) bumped, zero, and the diagonal projection
+X -> diag(X).  So ``check-aut`` accepts by construction and sweep, falls back
+to ``validate`` after a failed build and after a sweep that fails at its last
+pair, and reads bijectivity both off phi(I) and off the rank of a map that is
+not multiplicative.  Each
 checkout then runs every call of the corpus in process through its own
 ``matconj.cli.main``, in a subprocess of its own:
 
@@ -154,11 +157,14 @@ def build_corpus(corpus: Path, max_n: int, seeds: int) -> list[list[str]]:
                 key = (rng.randint(1, n), rng.randint(1, n))
                 bumped[key] = bumped[key] + elementary_matrix(
                     spec, n, rng.randint(1, n), rng.randint(1, n))
+                last_bumped = dict(genuine)
+                last_bumped[(n, n)] = genuine[(n, n)] + elementary_matrix(spec, n, 1, n)
                 zero = Matrix.zero(spec, n, n)
                 tables = {
                     "table": genuine,
                     "transposed": {(i, j): genuine[(j, i)] for (i, j) in genuine},
                     "bumped": bumped,
+                    "last_bumped": last_bumped,
                     "zero_table": dict.fromkeys(genuine, zero),
                     "diagonal": {(i, j): elementary_matrix(spec, n, i, i) if i == j
                                  else zero for (i, j) in genuine},

@@ -51,6 +51,7 @@ from .skolem_noether import (
     build_conjugator,
     certify,
     check_structure_identities,
+    decide_automorphism,
     kernel_vector,
     projected_idempotent,
     scalar_relation,
@@ -91,6 +92,7 @@ __all__ = [
     "build_conjugator",
     "certify",
     "check_structure_identities",
+    "decide_automorphism",
     "derive_trial_seed",
     "elementary_matrix",
     "is_prime",

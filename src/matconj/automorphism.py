@@ -17,7 +17,10 @@ it.  Multiplicativity is checked on 2n^2 generator products rather than all
 n^4 basis products (see ``validate`` for why that suffices), so the check costs
 O(n^5) scalar work.  Bijectivity of a multiplicative map is read off
 phi(I) != 0, at no extra cost; only a map that is not multiplicative pays the
-O(n^6) rank of its n^2 x n^2 matrix.
+O(n^6) rank of its n^2 x n^2 matrix.  ``check-aut`` runs ``validate`` only to
+explain a rejection: :func:`~matconj.skolem_noether.decide_automorphism`
+accepts an automorphism by the construction and its n^2-pair sweep, O(n^4) on
+a table.
 """
 
 from __future__ import annotations

@@ -28,6 +28,11 @@ flag or output errors (a JSON object on stderr), 3 construction
 impossibilities (empty kernel, singular conjugator), 4 verification failure.
 A singular ``conjugator`` parses and is refused (exit 2) when its oracle is
 built; ``main`` writes every error, a ``MatconjError`` from any command.
+
+``check-aut`` accepts an automorphism by the construction and its n^2-pair
+certificate (:func:`~matconj.skolem_noether.decide_automorphism`, O(n^4) on a
+table) and runs ``validate`` only to explain a rejection; it refuses a
+``generator_pair`` file (exit 2).
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .skolem_noether import (
     StructureCheckReport,
     build_conjugator,
     certify,
+    decide_automorphism,
     scalar_relation,
 )
 
@@ -402,7 +408,7 @@ def cmd_recover(args) -> int:
 
 def cmd_check_aut(args) -> int:
     problem, digest = load_problem(args.problem)
-    report = oracle_from_problem(problem).validate()
+    report = decide_automorphism(oracle_from_problem(problem))
     output = {
         "command": "check-aut",
         "input_sha256": digest,

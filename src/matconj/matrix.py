@@ -257,19 +257,28 @@ class Matrix:
         return type(other)._raw_new(self.spec, n, q, tuple(out))
 
     def power(self, k: int) -> "Matrix":
-        """k-th power, k >= 0; power(A, 0) is the identity."""
+        """k-th power, k >= 0; power(A, 0) is the identity.
+
+        Repeated squaring that starts from the power of k's lowest set bit,
+        so k >= 1 takes bit_length(k) + popcount(k) - 2 products.
+        """
         if not self.is_square:
             raise DimensionMismatch("power needs a square matrix")
         if k < 0:
             raise ValueError("power exponent must be nonnegative")
-        result = Matrix.identity(self.spec, self.rows)
+        if k == 0:
+            return Matrix.identity(self.spec, self.rows)
         base = self
+        while not k & 1:
+            base = base @ base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base @ base
             if k & 1:
                 result = result @ base
             k >>= 1
-            if k:
-                base = base @ base
         return result
 
     def transpose(self) -> "Matrix":

@@ -25,7 +25,9 @@ identities pin down conjugation everywhere, because E_{n,1} and S generate
 the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.  :func:`certify` is the one
 certificate: the two intertwines for a generator pair, and the n^2-pair basis
 sweep of :func:`verify_conjugation` for a map given by conjugation or by a
-table.  :func:`check_structure_identities` evaluates, in one place, every
+table.  The construction and that sweep also decide whether such a map is an
+automorphism at all, :func:`decide_automorphism`, O(n^4) on a table.
+:func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  The rank-1
 corner is read in one place, :func:`_krylov`: the build and the structure
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 
-from .automorphism import AutomorphismOracle
+from .automorphism import AutomorphismOracle, ValidationReport
 from .errors import (
     DimensionMismatch,
     EmptyKernel,
@@ -201,7 +203,7 @@ def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
 
     This is the one place that forms P, whatever the rank of H: G^{n-1} by
     repeated squaring, then one product with H, so
-    popcount(n-1) + max(bit_length(n-1), 1) dense products, O(n^3 log n).
+    max(popcount(n-1) + bit_length(n-1) - 1, 1) dense products, O(n^3 log n).
     For n = 1 the empty power is the identity, so the result is H itself.
     For a rank-1 H the build and the structure report do not call this:
     they read what they need of P off the Krylov vectors of :func:`_krylov`.
@@ -383,6 +385,33 @@ def certify(
         report.outcome = Outcome.VERIFICATION_FAILED
         report.detail = "conjugation does not reproduce the generator images"
     return report
+
+
+def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
+    """The report ``oracle.validate()`` gives, with ``validate`` run only for
+    a map that is not an automorphism.
+
+    The two queries, :func:`build_conjugator` and the n^2-pair sweep of
+    :func:`certify` run first.  If they pass, the map is conjugation by the
+    invertible A on every matrix unit, hence everywhere: an automorphism,
+    with the all-true report ``validate`` would give.  Every automorphism
+    passes (Skolem-Noether), and a table pays one elimination (A^-1), the
+    Krylov vectors and n^2 outer products, O(n^4), with no dense product.
+    On EmptyKernel, SingularConjugator or a failed sweep, ``validate``'s own
+    report is returned.  A generator-pair oracle answers no basis query and
+    goes straight to ``validate``, which refuses it.
+    """
+    if oracle.backing_kind != "generator_pair":
+        h, g = oracle.query_generators()
+        try:
+            witness = build_conjugator(h, g, oracle.n)
+        except (EmptyKernel, SingularConjugator):
+            return oracle.validate()
+        if certify(oracle, witness, h, g).outcome is Outcome.RECOVERED:
+            return ValidationReport(
+                linear_ok=True, unital_ok=True, multiplicative_ok=True, bijective_ok=True
+            )
+    return oracle.validate()
 
 
 def verify_conjugation(

@@ -1,16 +1,26 @@
 """Oracle backings, query accounting, and automorphism-axiom validation."""
 
+import contextlib
+import hashlib
+import io
+import itertools
+import json
 import random
 import re
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import matconj.skolem_noether as sn
 from matconj import (
     AutomorphismOracle,
     DimensionMismatch,
+    EmptyKernel,
     Matrix,
+    Outcome,
+    SingularConjugator,
     SingularMatrix,
     UnsupportedQuery,
     elementary_matrix,
@@ -18,6 +28,14 @@ from matconj import (
     random_invertible,
     rationals,
     shift_matrix,
+)
+from matconj.cli import (
+    ProblemFile,
+    field_descriptor,
+    main,
+    oracle_from_problem,
+    problem_to_json,
+    validation_to_json,
 )
 
 from helpers import (
@@ -431,6 +449,124 @@ def test_validate_ranks_only_a_map_that_is_not_multiplicative(spec, monkeypatch)
         report = oracle.validate()
         assert len(eliminations) == expected, (oracle.n, report)
         assert report.multiplicative_ok == (expected == 0)
+
+
+# -- check-aut: the construction route ----------------------------------------
+
+
+def _check_aut_problems(spec, n, rng):
+    """The equivalence battery; genuine, transposed, zero and diagonal-projection
+    tables; a genuine table with one random entry bumped and one whose image
+    (n, n) alone is bumped, so the construction's sweep fails at its last pair;
+    and conjugator files."""
+    kinds = list(_genuine_transposed_zero_diagonal(spec, n, rng))
+    genuine = kinds[0]
+    bumped, last = dict(genuine), dict(genuine)
+    key = (rng.randint(1, n), rng.randint(1, n))
+    bumped[key] = bumped[key] + elementary_matrix(spec, n, rng.randint(1, n), 1)
+    last[(n, n)] = last[(n, n)] + elementary_matrix(spec, n, 1, n)
+    tables = [*_equivalence_tables(spec, n, rng), *kinds, bumped, last]
+    problems = [ProblemFile(spec, n, "full_table", images) for images in tables]
+    for _ in range(3):
+        b = random_invertible(spec, n, rng, 4)
+        problems.append(ProblemFile(spec, n, "conjugator", b))
+    return problems
+
+
+def _check_aut(path, monkeypatch, counted):
+    """check-aut's exit code and stdout, with ``counted`` methods spied on:
+    a dict from (class, name) to a list each call appends to."""
+    out = io.StringIO()
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(out):
+        for (cls, name), calls in counted.items():
+            method = getattr(cls, name)
+
+            def spy(self, *args, _method=method, _calls=calls, **kwargs):
+                _calls.append(self)
+                return _method(self, *args, **kwargs)
+
+            patch.setattr(cls, name, spy)
+        code = main(["check-aut", str(path)])
+    return code, out.getvalue()
+
+
+def test_check_aut_matches_validate(tmp_path, monkeypatch):
+    # check-aut accepts by construction and sweep and runs validate() only
+    # for a rejection, so its exit code and bytes are those of validate()
+    # alone on every table and conjugator file
+    rng = random.Random(29)
+    path = tmp_path / "problem.json"
+    validated, stages = [], []
+    build, certify = sn.build_conjugator, sn.certify
+
+    def spied_build(h, g, n):
+        try:
+            witness = build(h, g, n)
+        except (EmptyKernel, SingularConjugator) as exc:
+            stages.append(type(exc).__name__)
+            raise
+        stages.append("built")
+        return witness
+
+    def spied_certify(*args):
+        report = certify(*args)
+        stages.append("sweep " + report.outcome.value)
+        return report
+
+    seen = Counter()
+    for spec, n in itertools.product((QQ, GF2, GF3, GF_P61), range(1, 5)):
+        for problem in _check_aut_problems(spec, n, rng):
+            raw = json.dumps(problem_to_json(problem)).encode()
+            path.write_bytes(raw)
+            report = oracle_from_problem(problem).validate()
+            expected = {
+                "command": "check-aut",
+                "input_sha256": hashlib.sha256(raw).hexdigest(),
+                "field": field_descriptor(spec),
+                "n": n,
+                **validation_to_json(report),
+            }
+            validated.clear()
+            stages.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(sn, "build_conjugator", spied_build)
+                patch.setattr(sn, "certify", spied_certify)
+                code, out = _check_aut(
+                    path, monkeypatch, {(AutomorphismOracle, "validate"): validated}
+                )
+            assert code == (0 if report.is_automorphism else 1), (n, report)
+            assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+            # validate() runs exactly for a rejection: every automorphism
+            # passes the construction and its sweep
+            assert len(validated) == (not report.is_automorphism), (n, report)
+            accepted = stages == ["built", "sweep recovered"]
+            assert accepted == report.is_automorphism, (n, stages)
+            seen[problem.variant if accepted else stages[-1]] += 1
+    assert seen["full_table"] >= 300 and seen["conjugator"] == 48, seen
+    assert seen["EmptyKernel"] >= 600 and seen["SingularConjugator"] >= 40, seen
+    assert seen["sweep verification_failed"] >= 400, seen
+
+
+@pytest.mark.parametrize("spec", [QQ, GF_P61], ids=str)
+def test_check_aut_genuine_table_costs_one_elimination(spec, tmp_path, monkeypatch):
+    # a genuine table: two queries, the build with A^-1 and the n^2-pair
+    # sweep, and no validate() and no dense product
+    rng = random.Random(31)
+    path = tmp_path / "problem.json"
+    for n in range(1, 7):
+        b = random_invertible(spec, n, rng, 4)
+        images = AutomorphismOracle.conjugation_by(b)._images_for_validation()
+        problem = ProblemFile(spec, n, "full_table", images)
+        path.write_text(json.dumps(problem_to_json(problem)))
+        counted = {
+            (AutomorphismOracle, "validate"): [],
+            (AutomorphismOracle, "_first_generator_violation"): [],
+            (Matrix, "__matmul__"): [],
+            (Matrix, "_eliminate"): [],
+        }
+        code, out = _check_aut(path, monkeypatch, counted)
+        assert code == 0 and json.loads(out)["is_automorphism"] is True
+        assert [len(calls) for calls in counted.values()] == [0, 0, 0, 1], n
 
 
 @pytest.mark.slow

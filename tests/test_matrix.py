@@ -374,6 +374,27 @@ def test_power_agrees_with_repeated_product(n, k):
     assert m.power(k) == expected
 
 
+def test_power_starts_from_lowest_set_bit(monkeypatch):
+    # no product with the identity: k >= 1 takes bit_length(k) - 1 squarings
+    # and popcount(k) - 1 multiplications into the result
+    rng = random.Random(37)
+    m = random_dense(GF5, 3, 3, rng)
+    expected = [Matrix.identity(GF5, 3)]
+    for _ in range(40):
+        expected.append(expected[-1] @ m)
+    matmul, products = Matrix.__matmul__, [0]
+
+    def counted_matmul(left, right):
+        products[0] += 1
+        return matmul(left, right)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    for k in range(41):
+        products[0] = 0
+        assert m.power(k) == expected[k], k
+        assert products[0] == max(k.bit_length() + bin(k).count("1") - 2, 0), k
+
+
 @given(
     st.lists(
         st.lists(st.fractions(max_denominator=50), min_size=3, max_size=3),

@@ -125,9 +125,10 @@ def _projector_cases(spec, n, rng):
 
 
 def _squaring_products(n):
-    """Dense products in G^(n-1) by repeated squaring, then one with H."""
+    """Dense products in G^(n-1) by repeated squaring from the power of the
+    lowest set bit of n-1 (none for n <= 2), then one with H."""
     k = n - 1
-    return bin(k).count("1") + max(k.bit_length(), 1)
+    return max(bin(k).count("1") + k.bit_length() - 1, 1)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -743,8 +744,8 @@ def _not_rank_one_cases(spec, n, rng):
 @pytest.mark.parametrize("spec", (QQ, prime_field(2**61 - 1)), ids=str)
 def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
     # for an H not of rank 1, the build and the report each form P once, in
-    # projected_idempotent, by popcount(n-1) + max(bit_length(n-1), 1) dense
-    # products: 8 at n = 16, where the chain of products takes 15
+    # projected_idempotent, by max(popcount(n-1) + bit_length(n-1) - 1, 1)
+    # dense products: 7 at n = 16, where the chain of products takes 15
     rng = random.Random(109)
     matmul, projector = Matrix.__matmul__, sn.projected_idempotent
     products, in_projector = [0], []
@@ -779,7 +780,7 @@ def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
             # besides P: G^n by squaring, the chain H G^k H (H = 0 runs all
             # 2(n-1) products, H H != 0 stops at the first), P P and the four
             # intertwine products
-            power = bin(n).count("1") + n.bit_length() - 1
+            power = bin(n).count("1") + n.bit_length() - 2
             chain = 2 * (n - 1) if name == "zero" else 1
             assert products[0] == expected + power + chain + 1 + 4, (name, n)
 
