@@ -12,7 +12,11 @@ One elimination pass, ``Matrix._eliminate``, serves rref, rank, det, inverse
 and nullspace_basis.  Its forward form clears the entries below each pivot:
 rank counts the pivots, and det is their product, negated once per row swap.
 Its reduced form also clears the entries above each pivot and gives the rref
-that inverse and nullspace_basis read.
+that inverse and nullspace_basis read.  Over GF(p) a row update is not
+reduced: a value is reduced mod p only where it is read (a pivot candidate,
+a multiplier), where the pivot row is scaled, and once per entry as the rref
+leaves the pass.  So an entry that k updates have touched stays within
+2 bit_length(p) + bit_length(k) + 1 bits.
 
 A column vector is an n x 1 Matrix (the ColumnVector subclass).  One product
 loop over plain ints serves both fields and every shape, mat-vec included;
@@ -296,19 +300,30 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, reduced: bool) -> tuple[list[list], list[int], object]:
-        """The one elimination pass: rows, 1-based pivot columns, det value.
+    def _eliminate(self, reduced: bool) -> tuple[tuple | None, list[int], object]:
+        """The one elimination pass: rref entries, 1-based pivot columns, det value.
 
         Each column's pivot is its first nonzero entry at or below the current
         row; that row is swapped up and scaled so the pivot is 1.  The forward
-        form clears the entries below each pivot (a row echelon form); the
-        reduced form also clears those above it (the rref).  Both find the
-        same pivots.  The determinant is the product of the pivots, negated
-        once per row swap, and zero unless the matrix is square of full rank.
+        form clears the entries below each pivot (a row echelon form, which
+        is not kept) and returns None for the entries; the reduced form also
+        clears those above it and returns the rref as a row-major tuple.  Both
+        find the same pivots.  The determinant is the product of the pivots,
+        negated once per row swap, and zero unless the matrix is square of
+        full rank.
+
+        Over GF(p) a row update ``row[j] - f * v`` is left unreduced.  Values
+        are reduced mod p only where they are read or leave: a pivot candidate
+        before its zero test, the multiplier f when it is read, the pivot row
+        when it is scaled (so every v is in [0, p)), and each rref entry once
+        at the end.  An entry that k <= min(rows, cols) updates have touched
+        lies in (-k (p-1)^2, p), so it has at most
+        2 bit_length(p) + bit_length(k) + 1 bits; scaling it by the pivot's
+        inverse adds at most bit_length(p) bits before the reduction.
         """
         rows, cols = self.rows, self.cols
         m = [list(self._data[i * cols : (i + 1) * cols]) for i in range(rows)]
-        prime = self.spec.modulus if self.spec.is_prime_field else None
+        p = self.spec.modulus if self.spec.is_prime_field else None
         invert = self.spec.invert_value
         zero, one = self.spec.zero_value, self.spec.one_value
         pivots: list[int] = []
@@ -316,7 +331,8 @@ class Matrix:
         r = 0
         for c in range(cols):
             for pr in range(r, rows):
-                if m[pr][c]:
+                piv = m[pr][c] % p if p else m[pr][c]
+                if piv:
                     break
             else:
                 continue
@@ -324,36 +340,45 @@ class Matrix:
                 m[r], m[pr] = m[pr], m[r]
                 det = -det
             prow = m[r]
-            piv = prow[c]
-            det = det * piv % prime if prime else det * piv
-            if piv != one:
-                pinv = invert(piv)
-                prow[c] = one
-                for j in range(c + 1, cols):
-                    if prow[j]:
-                        prow[j] = prow[j] * pinv % prime if prime else prow[j] * pinv
+            det = det * piv % p if p else det * piv
+            # Scale the pivot row (over GF(p), into [0, p)) and list its
+            # nonzero entries right of the pivot.
+            pinv = invert(piv) if piv != one else one
+            prow[c] = one
+            tail = []
+            for j in range(c + 1, cols):
+                v = prow[j]
+                if v:
+                    if p:
+                        v = prow[j] = v * pinv % p
+                        if not v:
+                            continue
+                    elif piv != one:
+                        v = prow[j] = v * pinv
+                    tail.append((j, v))
             for i in range(0 if reduced else r + 1, rows):
                 row = m[i]
-                f = row[c]
+                f = row[c] % p if p else row[c]
                 if not f or i == r:
                     continue
                 row[c] = zero
-                for j in range(c + 1, cols):
-                    v = prow[j]
-                    if v:
-                        row[j] = (row[j] - f * v) % prime if prime else row[j] - f * v
+                for j, v in tail:
+                    row[j] -= f * v
             pivots.append(c + 1)
             r += 1
             if r == rows:
                 break
-        return m, pivots, det if r == rows == cols else zero
+        det = det if r == rows == cols else zero
+        if not reduced:
+            return None, pivots, det
+        flat = [v % p for row in m for v in row] if p else [v for row in m for v in row]
+        return tuple(flat), pivots, det
 
     def rref(self) -> RrefResult:
         """Unique reduced row echelon form, with 1-based pivot columns and rank."""
-        m, pivots, _ = self._eliminate(reduced=True)
-        flat = tuple(v for row in m for v in row)
+        data, pivots, _ = self._eliminate(reduced=True)
         return RrefResult(
-            Matrix._raw_new(self.spec, self.rows, self.cols, flat), tuple(pivots), len(pivots)
+            Matrix._raw_new(self.spec, self.rows, self.cols, data), tuple(pivots), len(pivots)
         )
 
     def rank(self) -> int:

@@ -280,6 +280,129 @@ def test_det_bareiss_rational_only():
         det_bareiss(Matrix.identity(GF5, 2))
 
 
+# -- GF(p) elimination with unreduced row updates ------------------------------
+
+# (p, rows, pivots, rref rows).  In each, a row update leaves a nonzero
+# multiple of p (-2 over GF(2), -3 over GF(3)) in the next pivot column, so
+# the candidate must be reduced before its zero test.
+UNREDUCED_PIVOT_CASES = [
+    # the -2 in column 3 is no pivot: singular
+    (2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]], (1, 2), [[1, 0, 1], [0, 1, 1], [0, 0, 0]]),
+    # the -2 in row 3 is passed over for the 1 in row 4: a row swap
+    (
+        2,
+        [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]],
+        (1, 2, 3, 4),
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ),
+    (3, [[1, 2], [2, 1]], (1,), [[1, 2], [0, 0]]),
+    (3, [[1, 2, 0], [2, 1, 1], [0, 1, 1]], (1, 2, 3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    # wide: the rows above the last pivots end unreduced (-4, and the -3
+    # left in row 3) until the rref is read out
+    (
+        3,
+        [[1, 2, 0, 1], [2, 1, 1, 0], [0, 1, 1, 2]],
+        (1, 2, 3),
+        [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]],
+    ),
+]
+
+
+def _sympy_rref(m: Matrix):
+    """(rref rows as residues, 0-based pivots) from sympy's DomainMatrix."""
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    domains = pytest.importorskip("sympy.polys.domains")
+    p = m.spec.modulus
+    dom = domains.GF(p)
+    rows = [[dom(m.entry(i, j).value) for j in range(1, m.cols + 1)] for i in range(1, m.rows + 1)]
+    ref, pivots = matrices.DomainMatrix(rows, (m.rows, m.cols), dom).rref()
+    return [[int(x) % p for x in row] for row in ref.to_list()], pivots
+
+
+@pytest.mark.parametrize("p, rows, pivots, rref", UNREDUCED_PIVOT_CASES)
+def test_gfp_multiple_of_p_in_pivot_column(p, rows, pivots, rref):
+    spec = prime_field(p)
+    m = Matrix.from_rows(spec, rows)
+    res = m.rref()
+    assert res.pivots == pivots
+    assert res.rank == m.rank() == len(pivots)
+    assert res.matrix == Matrix.from_rows(spec, rref)
+    assert _sympy_rref(m) == (rref, tuple(c - 1 for c in pivots))
+    if not m.is_square:
+        return
+    assert m.det() == leibniz_det(m)
+    if len(pivots) < m.rows:
+        assert m.det().is_zero()
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+    else:
+        assert m @ m.inverse() == Matrix.identity(spec, m.rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**61 - 1])
+def test_gfp_elimination_entries_are_residues(p):
+    spec = prime_field(p)
+    rng = random.Random(127 + p % 1000)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m = random_dense(spec, rows, cols, rng)
+        if rng.random() < 0.4:
+            inner = rng.randint(1, min(rows, cols))
+            m = random_dense(spec, rows, inner, rng) @ random_dense(spec, inner, cols, rng)
+        res = m.rref()
+        outputs = [res.matrix, *m.nullspace_basis()]
+        assert res.rank == m.rank()
+        if m.is_square and res.rank == rows:
+            inv = m.inverse()
+            assert m @ inv == Matrix.identity(spec, rows)
+            outputs.append(inv)
+        for out in outputs:
+            assert all(type(v) is int and 0 <= v < p for v in out._data), m
+
+
+class _LongestInt(int):
+    """An int whose differences, products and residues stay of this class and
+    record the longest bit length of any result."""
+
+    longest = 0
+
+    @classmethod
+    def _keep(cls, value: int) -> "_LongestInt":
+        cls.longest = max(cls.longest, value.bit_length())
+        return cls(value)
+
+    def __sub__(self, other):
+        return self._keep(int(self) - other)
+
+    def __rsub__(self, other):
+        return self._keep(other - int(self))
+
+    def __mul__(self, other):
+        return self._keep(int(self) * other)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, other):
+        return self._keep(int(self) % other)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**61 - 1])
+def test_gfp_elimination_size_bound(p):
+    # An entry that k <= min(rows, cols) updates have touched lies in
+    # (-k (p-1)^2, p), and scaling it by a pivot's inverse adds at most
+    # bit_length(p) bits: no intermediate int passes the bound below.
+    spec = prime_field(p)
+    rng = random.Random(131)
+    for rows, cols in ((12, 12), (8, 16), (16, 8)):
+        m = random_dense(spec, rows, cols, rng)
+        tracked = Matrix._raw_new(spec, rows, cols, tuple(_LongestInt(v) for v in m._data))
+        bound = 3 * p.bit_length() + min(rows, cols).bit_length() + 1
+        _LongestInt.longest = 0
+        assert tracked.rank() == m.rank()
+        assert tracked.rref() == m.rref()
+        assert 0 < _LongestInt.longest <= bound, (rows, cols, _LongestInt.longest, bound)
+
+
 # -- assembly ----------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Cross-check of the product and elimination layers against sympy's DomainMatrix.
 
-Everything is compared on seeded matrices with at most 6 rows and columns,
-over Q, GF(2), GF(3) and GF(2^61 - 1).
+Everything is compared on seeded matrices over Q, GF(2), GF(3) and
+GF(2^61 - 1), with at most 6 rows and columns unless said otherwise.
 
 Products ``a @ b`` are compared with DomainMatrix products for dense factors
 of every shape, n x 1 and 1 x n factors included, and for the factors the
@@ -12,7 +12,10 @@ rref (matrix and pivot columns), rank, det, inverse (or SingularMatrix) and
 the nullspace (as a span of the same dimension) are compared on square, wide
 and tall matrices.  The matrix kinds cover regular and singular inputs, and
 permuted triangular matrices force row swaps so that the sign of the
-determinant is exercised.
+determinant is exercised.  Over the prime fields the elimination is also
+compared on larger shapes, where its unreduced row updates pile up the most:
+a dense 49 x 49 (the n^2 x n^2 shape ``validate`` ranks at n = 7) and
+low-rank 24 x 24, 20 x 30 and 30 x 20 matrices.
 """
 
 import random
@@ -41,6 +44,8 @@ DMNonInvertibleMatrixError = pytest.importorskip(
 FIELDS = [rationals(), prime_field(2), prime_field(3), prime_field(2**61 - 1)]
 KINDS = ("dense", "sparse", "low_rank", "permuted_triangular")
 MAX_DIM = 6
+# Larger prime-field shapes for the elimination, by kind.
+LARGE_SHAPES = {"dense": ((49, 49),), "low_rank": ((24, 24), (20, 30), (30, 20))}
 
 
 def _domain(spec):
@@ -106,6 +111,9 @@ def _cases(spec, kind, seed):
         for cols in range(1, MAX_DIM + 1):
             for _ in range(2):
                 yield _sample(spec, kind, rows, cols, rng)
+    if spec.is_prime_field:
+        for rows, cols in LARGE_SHAPES.get(kind, ()):
+            yield _sample(spec, kind, rows, cols, rng)
 
 
 def _span_rank(spec, vectors) -> int:

@@ -173,3 +173,18 @@ def test_kind_times_summarizes_each_kind_and_the_median_op():
     # the slowest kind has no kind above it
     last = summarize(["a", "b"], [1.0, 3.0], {"s": [[1.0, 2.0]]})["median"]["s"]
     assert last == {"ms": 2.0, "kind": "b", "above": None}
+
+
+def test_elimination_times_imports_two_checkouts_side_by_side():
+    script = _load_script("elimination_times")
+    names = ("matconj_timing_a", "matconj_timing_b")
+    try:
+        a, b = (script.load(ROOT, name) for name in names)
+        assert a.Matrix is not b.Matrix
+        assert a.matrix.__name__ == "matconj_timing_a.matrix"
+        rows = [[1, 2], [3, 4]]
+        dets = [pkg.Matrix.from_rows(pkg.rationals(), rows).det().value for pkg in (a, b)]
+        assert dets == [-2, -2]
+    finally:
+        for key in [k for k in sys.modules if k.startswith(names)]:
+            del sys.modules[key]
