@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedQuery,
     ValueTooLarge,
 )
-from .field import FieldElement, FieldKind, FieldSpec, is_prime, prime_field, rationals
+from .field import FieldElement, FieldSpec, is_prime, prime_field, rationals
 from .fuzz import (
     RNG_ALGORITHM,
     FuzzConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "DivisionByZero",
     "EmptyKernel",
     "FieldElement",
-    "FieldKind",
     "FieldMismatch",
     "FieldSpec",
     "FuzzConfig",

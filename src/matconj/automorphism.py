@@ -38,12 +38,11 @@ from .matrix import Matrix, elementary_matrix, outer_product, shift_matrix
 class ValidationReport:
     """Per-axiom outcome of checking a map against the automorphism axioms.
 
-    ``linear_ok`` is structural for table-backed maps (the table *defines* a
-    linear map) and is reported true.  ``first_violation`` names the first
-    witness found, or None.
+    Linearity is not a field: every backing (a table, a conjugation, a
+    generator pair) defines a linear map.  ``first_violation`` names the
+    first witness found, or None.
     """
 
-    linear_ok: bool
     unital_ok: bool
     multiplicative_ok: bool
     bijective_ok: bool
@@ -51,12 +50,7 @@ class ValidationReport:
 
     @property
     def is_automorphism(self) -> bool:
-        return (
-            self.linear_ok
-            and self.unital_ok
-            and self.multiplicative_ok
-            and self.bijective_ok
-        )
+        return self.unital_ok and self.multiplicative_ok and self.bijective_ok
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,6 @@ class AutomorphismOracle:
             first_violation = "vectorized map is rank-deficient"
 
         return ValidationReport(
-            linear_ok=True,
             unital_ok=unital_ok,
             multiplicative_ok=multiplicative_ok,
             bijective_ok=bijective_ok,

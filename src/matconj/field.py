@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -58,40 +57,35 @@ def is_prime(m: int) -> bool:
     return True
 
 
-class FieldKind(Enum):
-    RATIONALS = "Q"
-    PRIME_FIELD = "GFp"
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Selector for one of the two supported exact field families.
 
-    ``modulus`` is present exactly when ``kind`` is PRIME_FIELD, and must be
-    a prime below ``MODULUS_BOUND`` = 2**64 (checked at construction), the
-    range in which :func:`is_prime` is deterministic.
+    ``modulus`` is None for the rationals Q; otherwise the field is GF(p)
+    with p = ``modulus``, which must be a prime below ``MODULUS_BOUND`` =
+    2**64 (checked at construction), the range in which :func:`is_prime` is
+    deterministic.  The modulus is the whole spec, so two specs are equal
+    exactly when they name the same field.
     """
 
-    kind: FieldKind
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FieldKind.PRIME_FIELD:
-            if not isinstance(self.modulus, int) or self.modulus < 2:
-                raise ValueError("prime field needs an integer modulus >= 2")
-            if self.modulus >= MODULUS_BOUND:
-                raise ValueError(
-                    f"a {self.modulus.bit_length()}-bit modulus is outside the "
-                    "supported range p < 2**64"
-                )
-            if not is_prime(self.modulus):
-                raise ValueError(f"modulus {self.modulus} is not prime")
-        elif self.modulus is not None:
-            raise ValueError("rationals take no modulus")
+        if self.modulus is None:
+            return
+        if not isinstance(self.modulus, int) or self.modulus < 2:
+            raise ValueError("prime field needs an integer modulus >= 2")
+        if self.modulus >= MODULUS_BOUND:
+            raise ValueError(
+                f"a {self.modulus.bit_length()}-bit modulus is outside the "
+                "supported range p < 2**64"
+            )
+        if not is_prime(self.modulus):
+            raise ValueError(f"modulus {self.modulus} is not prime")
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind is FieldKind.PRIME_FIELD
+        return self.modulus is not None
 
     @property
     def zero_value(self) -> RawValue:
@@ -120,7 +114,7 @@ class FieldSpec:
             if isinstance(value, Fraction):
                 if value.denominator % p == 0:
                     raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-                return value.numerator * pow(value.denominator, p - 2, p) % p
+                return value.numerator * pow(value.denominator, -1, p) % p
         else:
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
@@ -138,10 +132,11 @@ class FieldSpec:
         return FieldElement(self, self.one_value)
 
     def invert_value(self, value: RawValue) -> RawValue:
+        """1 / value; over GF(p) ``value`` is a residue in [0, p)."""
         if not value:
             raise DivisionByZero(f"inverse of zero in {self}")
         if self.is_prime_field:
-            return pow(value, self.modulus - 2, self.modulus)
+            return pow(value, -1, self.modulus)
         return 1 / value
 
     def negate_value(self, value: RawValue) -> RawValue:
@@ -210,12 +205,12 @@ def _check_digit_count(s: str) -> None:
 
 def rationals() -> FieldSpec:
     """The field of arbitrary-precision rationals."""
-    return FieldSpec(FieldKind.RATIONALS)
+    return FieldSpec()
 
 
 def prime_field(p: int) -> FieldSpec:
     """The prime field GF(p); ``p`` must be a prime below 2**64."""
-    return FieldSpec(FieldKind.PRIME_FIELD, p)
+    return FieldSpec(p)
 
 
 @dataclass(frozen=True)

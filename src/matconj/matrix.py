@@ -47,9 +47,14 @@ from .field import FieldElement, FieldSpec
 
 
 class RrefResult(NamedTuple):
+    """The rref and its 1-based pivot columns; the rank is their count."""
+
     matrix: "Matrix"
     pivots: tuple[int, ...]  # 1-based pivot column indices
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 class Matrix:
@@ -323,7 +328,7 @@ class Matrix:
         """
         rows, cols = self.rows, self.cols
         m = [list(self._data[i * cols : (i + 1) * cols]) for i in range(rows)]
-        p = self.spec.modulus if self.spec.is_prime_field else None
+        p = self.spec.modulus
         invert = self.spec.invert_value
         zero, one = self.spec.zero_value, self.spec.one_value
         pivots: list[int] = []
@@ -375,11 +380,10 @@ class Matrix:
         return tuple(flat), pivots, det
 
     def rref(self) -> RrefResult:
-        """Unique reduced row echelon form, with 1-based pivot columns and rank."""
+        """Unique reduced row echelon form, with its 1-based pivot columns."""
         data, pivots, _ = self._eliminate(reduced=True)
-        return RrefResult(
-            Matrix._raw_new(self.spec, self.rows, self.cols, data), tuple(pivots), len(pivots)
-        )
+        rref = Matrix._raw_new(self.spec, self.rows, self.cols, data)
+        return RrefResult(rref, tuple(pivots))
 
     def rank(self) -> int:
         return len(self._eliminate(reduced=False)[1])
@@ -531,7 +535,7 @@ def outer_product(col: ColumnVector, row: ColumnVector) -> Matrix:
         raise FieldMismatch("vectors over different fields")
     spec = col.spec
     zero = spec.zero_value
-    prime = spec.modulus if spec.is_prime_field else None
+    prime = spec.modulus
     data = []
     for x in col._data:
         if not x:

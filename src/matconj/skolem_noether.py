@@ -71,20 +71,24 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class ConjugationWitness:
-    """The recovered conjugator with its certificate ingredients.
+    """The recovered conjugator A and its inverse: nothing else is stored.
 
     ``conjugator_inv`` is computed eagerly: every downstream verification
     needs it, and its existence doubles as the invertibility certificate.
-    ``kernel_vector`` is the canonical nonzero vector a the columns were built
-    from, fixed by P = G^{n-1} H, which a build from a rank-1 H does not form.
-    :func:`check_structure_identities` reads only ``conjugator``.
+    n and the field are A's own, and so is the kernel vector.
     """
 
     conjugator: Matrix
     conjugator_inv: Matrix
-    kernel_vector: ColumnVector
-    n: int
-    spec: FieldSpec
+
+    @property
+    def kernel_vector(self) -> ColumnVector:
+        """The canonical nonzero vector a with P a = a, P = G^{n-1} H.
+
+        Column 1 of A is G^{n-1} H a = P a = a, so a is read off A and no
+        witness can hold a kernel vector that contradicts its conjugator.
+        """
+        return self.conjugator.column(1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,6 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
             raise EmptyKernel(_INJECTIVE)
         s = h.spec.invert_value(cs[-1] * next(t for t in ys[-1] if t))
     columns = [from_integer_form(h.spec, s * c, y) for c, y in zip(cs, ys)]
-    a = columns[-1]  # G^{n-1} H a = P a = a
     conjugator = Matrix.from_columns(columns[::-1])
     try:
         conjugator_inv = conjugator.inverse()
@@ -270,7 +273,7 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    return ConjugationWitness(conjugator, conjugator_inv, a, n, h.spec)
+    return ConjugationWitness(conjugator, conjugator_inv)
 
 
 def check_structure_identities(
@@ -370,14 +373,14 @@ def certify(
     """
     if oracle.backing_kind != "generator_pair":
         return verify_conjugation(oracle, witness)
-    n = witness.n
-    if all(_intertwines(witness.conjugator, h, g)):
+    a_mat = witness.conjugator
+    if all(_intertwines(a_mat, h, g)):
         return RecoveryReport(
             outcome=Outcome.RECOVERED,
-            n=n,
-            spec=witness.spec,
+            n=a_mat.rows,
+            spec=a_mat.spec,
             query_count=oracle.query_count,
-            verified_pairs=n * n,
+            verified_pairs=a_mat.rows**2,
         )
     report = verify_conjugation(oracle.to_full_table(), witness)
     report.query_count = oracle.query_count
@@ -408,9 +411,7 @@ def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
         except (EmptyKernel, SingularConjugator):
             return oracle.validate()
         if certify(oracle, witness, h, g).outcome is Outcome.RECOVERED:
-            return ValidationReport(
-                linear_ok=True, unital_ok=True, multiplicative_ok=True, bijective_ok=True
-            )
+            return ValidationReport(unital_ok=True, multiplicative_ok=True, bijective_ok=True)
     return oracle.validate()
 
 
@@ -425,11 +426,11 @@ def verify_conjugation(
     the phi side consumes one oracle query per basis pair.  Stops at the first
     failing pair.
     """
-    n = witness.n
-    spec = witness.spec
+    a_mat = witness.conjugator
+    n, spec = a_mat.rows, a_mat.spec
     checked = 0
     for i in range(1, n + 1):
-        col = witness.conjugator.column(i)
+        col = a_mat.column(i)
         for j in range(1, n + 1):
             expected = phi.apply(elementary_matrix(spec, n, i, j))
             actual = outer_product(col, witness.conjugator_inv.row_vector(j))

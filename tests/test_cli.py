@@ -456,6 +456,43 @@ def test_recover_of_a_conjugator_runs_two_eliminations(
     assert len(eliminations) == 2
 
 
+def _dense_path_pair(descriptor):
+    # H has rank 2 and G H = diag(1, 2), so a = e_1, H a = (1, -1) and
+    # A = [G H a | H a] = [[1, 1], [0, -1]] is invertible
+    pair = {"H": [["1", "0"], ["-1", "2"]], "G": [["1", "0"], ["1", "1"]]}
+    return {"field": descriptor, "n": 2, "generator_pair": pair}
+
+
+@pytest.mark.parametrize("variant", ["conjugator", "generator_pair"])
+@pytest.mark.parametrize("field", ["q", "gfp:7"])
+def test_recover_kernel_vector_is_column_one_of_the_conjugator(
+    tmp_path, capsys, monkeypatch, field, variant
+):
+    # column 1 of A is G^(n-1) H a = P a = a.  A conjugator file takes the
+    # rank-1 reading of the corner, the rank-2 pair the rref of I - P
+    import matconj.skolem_noether as sn
+
+    path = str(tmp_path / "problem.json")
+    if variant == "conjugator":
+        assert main(["gen", "--field", field, "--n", "5", "--seed", "3", "--out", path]) == 0
+    else:
+        write_problem(tmp_path, _dense_path_pair(field_descriptor(parse_field_flag(field))))
+    kernel_vector, rrefs = sn.kernel_vector, []
+
+    def counted_kernel_vector(projector):
+        rrefs.append(projector)
+        return kernel_vector(projector)
+
+    monkeypatch.setattr(sn, "kernel_vector", counted_kernel_vector)
+    code = main(["recover", path])
+    out = json.loads(capsys.readouterr().out)
+    assert len(rrefs) == (variant == "generator_pair")
+    assert code == (EXIT_OK if variant == "conjugator" else EXIT_VERIFICATION)
+    assert out["kernel_vector"] == [row[0] for row in out["conjugator"]]
+    if variant == "generator_pair":
+        assert out["conjugator"] == [["1", "1"], ["0", "-1" if field == "q" else "6"]]
+
+
 def test_load_problem_decodes_each_table_scalar_once(tmp_path, monkeypatch):
     # n^4 cells, each through parse_value alone: no FieldElement and no
     # second coerce of the parsed value

@@ -110,10 +110,15 @@ def test_modulus_bound_rejects_strong_pseudoprime():
 
 
 def test_rationals_take_no_modulus():
+    # the modulus is the whole spec: None is Q, and any other value is
+    # checked as a prime
     import matconj
 
-    with pytest.raises(ValueError):
-        matconj.FieldSpec(matconj.FieldKind.RATIONALS, 7)
+    assert rationals() == matconj.FieldSpec()
+    assert prime_field(7) == matconj.FieldSpec(7)
+    for bad in (1, 4):
+        with pytest.raises(ValueError):
+            matconj.FieldSpec(bad)
 
 
 def test_is_prime_small():
@@ -195,7 +200,11 @@ def _random_element(spec, rng):
     return spec.element(Fraction(rng.randint(-30, 30), rng.randint(1, 30)))
 
 
-@pytest.mark.parametrize("spec", [QQ, GF7, prime_field(2)], ids=str)
+@pytest.mark.parametrize(
+    "spec",
+    [QQ, GF7, prime_field(2), prime_field(2**61 - 1), prime_field(2**64 - 59)],
+    ids=str,
+)
 def test_field_axioms_1000_triples(spec):
     rng = random.Random(20260808)
     one = spec.one

@@ -358,7 +358,7 @@ def _reference_build(h, g, n):
 
 def _built(h, g, n):
     witness = build_conjugator(h, g, n)
-    assert (witness.n, witness.spec) == (n, h.spec)
+    assert (witness.conjugator.rows, witness.conjugator.spec) == (n, h.spec)
     return witness.kernel_vector, witness.conjugator, witness.conjugator_inv
 
 
@@ -506,7 +506,7 @@ def test_structure_checks_forced_non_automorphism():
     a = ColumnVector.standard_basis(QQ, 2, 1)
     ha = h @ a
     forced = Matrix.from_columns([g @ ha, ha])
-    witness = ConjugationWitness(forced, forced, a, 2, QQ)  # inverse unused
+    witness = ConjugationWitness(forced, forced)  # inverse unused
     report = check_structure_identities(h, g, witness)
     assert report.shift_nilpotent_ok
     assert not report.corner_chain_ok
@@ -594,8 +594,7 @@ def _forced_rank_one(spec, n, rng, vanishing=False):
     u = _nonzero_vector(spec, n, rng, zero_tail=int(vanishing))
     h = outer_product(u, _nonzero_vector(spec, n, rng))
     a_mat = random_dense(spec, n, n, rng)
-    # inverse and kernel vector unused
-    return h, g, ConjugationWitness(a_mat, a_mat, u, n, spec)
+    return h, g, ConjugationWitness(a_mat, a_mat)  # inverse unused
 
 
 def _structure_cases(spec, n, rng):
@@ -607,12 +606,10 @@ def _structure_cases(spec, n, rng):
     scaled = _scaled_rank_one(spec, n, rng)
     yield "scaled_rank1", *scaled
     yield "random_pair", *_random_pair_that_builds(spec, n, rng)
-    # hand-made: a replaced conjugator or kernel vector, a witness passed
-    # with another pair, a zero H, and rank-1 H whose pair does not build
+    # hand-made: a replaced conjugator, a witness passed with another pair,
+    # a zero H, and rank-1 H whose pair does not build
     perturbed = genuine.conjugator + elementary_matrix(spec, n, 1, 1)
     yield "hand_perturbed", h, g, dataclasses.replace(genuine, conjugator=perturbed)
-    other = ColumnVector.standard_basis(spec, n, n)
-    yield "hand_kernel_vector", h, g, dataclasses.replace(genuine, kernel_vector=other)
     yield "hand_mismatched", scaled[0], scaled[1], genuine
     yield "hand_zero_h", Matrix.zero(spec, n, n), g, genuine
     yield "forced_rank1", *_forced_rank_one(spec, n, rng)
@@ -667,18 +664,12 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_structure_report_reads_only_the_conjugator(spec):
-    # every witness field but A replaced: the flags are identities of (H, G),
-    # and the intertwines read A alone
+    # A^-1 replaced: the flags are identities of (H, G), and the
+    # intertwines read A alone
     rng = random.Random(89)
     for n in range(1, 6):
         for name, h, g, witness in _structure_cases(spec, n, rng):
-            replaced = dataclasses.replace(
-                witness,
-                conjugator_inv=Matrix.zero(spec, n, n),
-                kernel_vector=ColumnVector(spec, [spec.zero] * n),
-                n=n + 1,
-                spec=prime_field(5),
-            )
+            replaced = dataclasses.replace(witness, conjugator_inv=Matrix.zero(spec, n, n))
             assert check_structure_identities(
                 h, g, replaced
             ) == check_structure_identities(h, g, witness), (name, n)
@@ -771,8 +762,7 @@ def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
             # the rref of I - P, H a and A^-1 take no dense product
             assert in_projector == [expected] and products[0] == expected, (name, n)
             a_mat = random_dense(spec, n, n, rng)
-            a = ColumnVector.standard_basis(spec, n, 1)
-            witness = ConjugationWitness(a_mat, a_mat, a, n, spec)  # inverse unused
+            witness = ConjugationWitness(a_mat, a_mat)  # inverse unused
             products[0] = 0
             in_projector.clear()
             check_structure_identities(h, g, witness)
@@ -811,9 +801,6 @@ def test_verify_scalar_multiple_still_passes():
     doubled = ConjugationWitness(
         witness.conjugator.scale(2),
         witness.conjugator_inv.scale(Fraction(1, 2)),
-        witness.kernel_vector,
-        2,
-        QQ,
     )
     assert verify_conjugation(phi, doubled).outcome is Outcome.RECOVERED
 
@@ -834,13 +821,7 @@ def test_verify_perturbed_witness_fails():
             continue
         if scalar_relation(perturbed_matrix, witness.conjugator) is not None:
             continue  # by chance still a scalar multiple: no failure expected
-        perturbed = ConjugationWitness(
-            perturbed_matrix,
-            perturbed_matrix.inverse(),
-            witness.kernel_vector,
-            2,
-            QQ,
-        )
+        perturbed = ConjugationWitness(perturbed_matrix, perturbed_matrix.inverse())
         report = verify_conjugation(phi, perturbed)
         assert report.outcome is Outcome.VERIFICATION_FAILED
         assert report.failing_pair is not None
@@ -871,7 +852,8 @@ def reference_pair_certificate(oracle, witness, h, g):
     reproduces (H, G): the route certify shortcuts when both intertwines hold."""
     report = verify_conjugation(oracle.to_full_table(), witness)
     report = dataclasses.replace(report, query_count=oracle.query_count)
-    a_mat, n, spec = witness.conjugator, witness.n, witness.spec
+    a_mat = witness.conjugator
+    n, spec = a_mat.rows, a_mat.spec
     reproduces = (
         a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat
         and a_mat @ shift_matrix(spec, n) == g @ a_mat
