@@ -8,7 +8,7 @@ exact JSON interchange formats.  All arithmetic is exact: arbitrary-precision
 rationals or prime fields GF(p).
 """
 
-from .automorphism import AutomorphismOracle, ValidationReport
+from .automorphism import AutomorphismOracle, ConjugationWitness, ValidationReport
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -44,7 +44,6 @@ from .matrix import (
     shift_matrix,
 )
 from .skolem_noether import (
-    ConjugationWitness,
     Outcome,
     RecoveryReport,
     StructureCheckReport,

@@ -3,14 +3,17 @@
 An :class:`AutomorphismOracle` wraps a candidate algebra automorphism phi in
 one of three backings:
 
-* ``conjugation_by(B)``: phi(X) = B X B^-1 for a fixed invertible B;
+* ``conjugation_by(B)``: phi(X) = B X B^-1 for a fixed invertible B, backed
+  by the :class:`ConjugationWitness` (B, B^-1) that the recovery returns;
 * ``from_table(images)``: the images phi(E_{i,j}) of all n^2 matrix units,
   extended linearly to arbitrary inputs;
 * ``from_generator_pair(H, G)``: only the two images the recovery procedure
   actually consumes: H for the corner unit E_{n,1} and G for the shift matrix.
 
-Every ``apply`` resolved through the oracle bumps a thread-safe query counter,
-which is what makes the "two queries suffice" contract mechanically checkable.
+Each backing names its ``kind``, answers ``apply`` and tabulates its own
+``images()``.  Every ``apply`` resolved through the oracle bumps a thread-safe
+query counter, which is what makes the "two queries suffice" contract
+mechanically checkable.
 ``validate`` decides whether a fully specified map really is a unital algebra
 automorphism; it is entirely optional, since the recovery itself never needs
 it.  Multiplicativity is checked on 2n^2 generator products rather than all
@@ -31,7 +34,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, FieldMismatch, UnsupportedQuery
 from .field import FieldSpec
-from .matrix import Matrix, elementary_matrix, outer_product, shift_matrix
+from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
 
 
 @dataclass
@@ -54,20 +57,106 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class _Conjugation:
-    matrix: Matrix
-    inverse: Matrix
+class ConjugationWitness:
+    """Conjugation by A, stored as A and its inverse: nothing else is stored.
+
+    It is the recovered conjugator and an oracle's conjugation backing.
+    ``conjugator_inv`` is computed eagerly: every downstream verification
+    needs it, and its existence doubles as the invertibility certificate.
+    n and the field are A's own, and so is the kernel vector.
+    """
+
+    conjugator: Matrix
+    conjugator_inv: Matrix
+    kind = "conjugation"
+
+    @property
+    def kernel_vector(self) -> ColumnVector:
+        """The canonical nonzero vector a with P a = a, P = G^{n-1} H.
+
+        Column 1 of A is G^{n-1} H a = P a = a, so a is read off A and no
+        witness can hold a kernel vector that contradicts its conjugator.
+        """
+        return self.conjugator.column(1)
+
+    def apply(self, x: Matrix) -> Matrix:
+        return self.conjugator @ (x @ self.conjugator_inv)
+
+    def image(self, i: int, j: int) -> Matrix:
+        """A E_{i,j} A^-1: column i of A times row j of A^-1, O(n^2)."""
+        return outer_product(self.conjugator.column(i), self.conjugator_inv.row_vector(j))
+
+    def images(self) -> dict:
+        span = range(1, self.conjugator.rows + 1)
+        return {(i, j): self.image(i, j) for i in span for j in span}
 
 
 @dataclass(frozen=True)
 class _Table:
-    images: Mapping[tuple[int, int], Matrix]
+    table: Mapping[tuple[int, int], Matrix]
+    kind = "full_table"
+
+    def apply(self, x: Matrix) -> Matrix:
+        n = x.rows
+        spec = x.spec
+        zero = spec.zero_value
+        acc = [zero] * (n * n)
+        xdata = x._data
+        for idx in range(n * n):
+            c = xdata[idx]
+            if not c:
+                continue
+            i, j = divmod(idx, n)
+            img = self.table[(i + 1, j + 1)]._data
+            for t in range(n * n):
+                v = img[t]
+                if v:
+                    acc[t] += c * v
+        if spec.is_prime_field:
+            p = spec.modulus
+            acc = [v % p for v in acc]
+        return Matrix._raw_new(spec, n, n, tuple(acc))
+
+    def images(self) -> Mapping[tuple[int, int], Matrix]:
+        return self.table
 
 
 @dataclass(frozen=True)
 class _Pair:
     corner_image: Matrix  # image of E_{n,1}
     shift_image: Matrix  # image of the shift matrix
+    kind = "generator_pair"
+
+    def apply(self, x: Matrix) -> Matrix:
+        spec, n = x.spec, x.rows
+        if x == elementary_matrix(spec, n, n, 1):
+            return self.corner_image
+        if x == shift_matrix(spec, n):
+            return self.shift_image
+        if x == Matrix.identity(spec, n):
+            return Matrix.identity(spec, n)
+        raise UnsupportedQuery(
+            "generator-pair backing answers only the corner unit, the shift matrix, "
+            "and the identity"
+        )
+
+    def images(self) -> dict:
+        """G^{n-i} H G^{j-1}, the only table compatible with multiplicativity."""
+        h, g = self.corner_image, self.shift_image
+        spec, n = h.spec, h.rows
+        lefts = [None] * (n + 1)  # lefts[i] = G^{n-i} H
+        lefts[n] = h
+        for i in range(n - 1, 0, -1):
+            lefts[i] = g @ lefts[i + 1]
+        rights = [Matrix.identity(spec, n)]  # rights[j-1] = G^{j-1}
+        for _ in range(n - 1):
+            rights.append(rights[-1] @ g)
+        images = {}
+        for i in range(1, n + 1):
+            images[(i, 1)] = lefts[i]
+            for j in range(2, n + 1):
+                images[(i, j)] = lefts[i] @ rights[j - 1]
+        return images
 
 
 class AutomorphismOracle:
@@ -87,7 +176,7 @@ class AutomorphismOracle:
         """The inner map X -> B X B^-1; raises SingularMatrix if B is not invertible."""
         if not b.is_square:
             raise DimensionMismatch("conjugation needs a square matrix")
-        return cls(b.spec, b.rows, _Conjugation(b, b.inverse()))
+        return cls(b.spec, b.rows, ConjugationWitness(b, b.inverse()))
 
     @classmethod
     def from_table(
@@ -129,11 +218,7 @@ class AutomorphismOracle:
 
     @property
     def backing_kind(self) -> str:
-        if isinstance(self._backing, _Conjugation):
-            return "conjugation"
-        if isinstance(self._backing, _Table):
-            return "full_table"
-        return "generator_pair"
+        return self._backing.kind
 
     def _count_query(self) -> None:
         with self._lock:
@@ -151,49 +236,9 @@ class AutomorphismOracle:
             raise FieldMismatch("query over the wrong field")
         if (x.rows, x.cols) != (self.n, self.n):
             raise DimensionMismatch(f"query must be {self.n}x{self.n}")
-        backing = self._backing
-        if isinstance(backing, _Conjugation):
-            result = backing.matrix @ (x @ backing.inverse)
-        elif isinstance(backing, _Table):
-            result = self._apply_table(backing.images, x)
-        else:
-            result = self._apply_pair(backing, x)
+        result = self._backing.apply(x)
         self._count_query()
         return result
-
-    def _apply_table(self, images, x: Matrix) -> Matrix:
-        n = self.n
-        spec = self.spec
-        zero = spec.zero_value
-        acc = [zero] * (n * n)
-        xdata = x._data
-        for idx in range(n * n):
-            c = xdata[idx]
-            if not c:
-                continue
-            i, j = divmod(idx, n)
-            img = images[(i + 1, j + 1)]._data
-            for t in range(n * n):
-                v = img[t]
-                if v:
-                    acc[t] += c * v
-        if spec.is_prime_field:
-            p = spec.modulus
-            acc = [v % p for v in acc]
-        return Matrix._raw_new(spec, n, n, tuple(acc))
-
-    def _apply_pair(self, backing: _Pair, x: Matrix) -> Matrix:
-        n = self.n
-        if x == elementary_matrix(self.spec, n, n, 1):
-            return backing.corner_image
-        if x == shift_matrix(self.spec, n):
-            return backing.shift_image
-        if x == Matrix.identity(self.spec, n):
-            return Matrix.identity(self.spec, n)
-        raise UnsupportedQuery(
-            "generator-pair backing answers only the corner unit, the shift matrix, "
-            "and the identity"
-        )
 
     def query_generators(self) -> tuple[Matrix, Matrix]:
         """The two images (H, G) the recovery needs: exactly 2 oracle queries.
@@ -215,50 +260,16 @@ class AutomorphismOracle:
         with multiplicativity; the result is a genuine automorphism table only
         if (H, G) really came from one, so callers should validate afterwards.
         """
-        backing = self._backing
-        if isinstance(backing, _Table):
+        if self.backing_kind == "full_table":
             raise UnsupportedQuery("oracle already carries a full table")
-        if isinstance(backing, _Conjugation):
-            images = self._conjugation_images(backing)
-        else:
-            images = self._pair_images(backing)
-        return AutomorphismOracle.from_table(self.spec, self.n, images)
-
-    def _conjugation_images(self, backing: _Conjugation) -> dict:
-        n = self.n
-        images = {}
-        for i in range(1, n + 1):
-            col = backing.matrix.column(i)
-            for j in range(1, n + 1):
-                images[(i, j)] = outer_product(col, backing.inverse.row_vector(j))
-        return images
-
-    def _pair_images(self, backing: _Pair) -> dict:
-        n = self.n
-        h, g = backing.corner_image, backing.shift_image
-        lefts = [None] * (n + 1)  # lefts[i] = G^{n-i} H
-        lefts[n] = h
-        for i in range(n - 1, 0, -1):
-            lefts[i] = g @ lefts[i + 1]
-        rights = [Matrix.identity(self.spec, n)]  # rights[j-1] = G^{j-1}
-        for _ in range(n - 1):
-            rights.append(rights[-1] @ g)
-        images = {}
-        for i in range(1, n + 1):
-            images[(i, 1)] = lefts[i]
-            for j in range(2, n + 1):
-                images[(i, j)] = lefts[i] @ rights[j - 1]
-        return images
+        return AutomorphismOracle.from_table(self.spec, self.n, self._backing.images())
 
     def _images_for_validation(self):
-        backing = self._backing
-        if isinstance(backing, _Table):
-            return backing.images
-        if isinstance(backing, _Conjugation):
-            return self._conjugation_images(backing)
-        raise UnsupportedQuery(
-            "a generator pair carries too little information to validate"
-        )
+        if self.backing_kind == "generator_pair":
+            raise UnsupportedQuery(
+                "a generator pair carries too little information to validate"
+            )
+        return self._backing.images()
 
     def _first_generator_violation(self, images) -> str | None:
         """The first failing generator product of ``validate``, or None."""

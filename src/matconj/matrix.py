@@ -529,22 +529,24 @@ def shift_matrix(spec: FieldSpec, n: int) -> Matrix:
     return Matrix._raw_new(spec, n, n, tuple(data))
 
 
-def outer_product(col: ColumnVector, row: ColumnVector) -> Matrix:
-    """The rank-<=1 matrix col * row^T."""
+def outer_product(col: Matrix, row: Matrix) -> Matrix:
+    """The rank-<=1 matrix col * row^T of two n x 1 matrices."""
     if col.spec != row.spec:
         raise FieldMismatch("vectors over different fields")
+    if col.cols != 1 or row.cols != 1:
+        raise DimensionMismatch("outer product needs two n x 1 matrices")
     spec = col.spec
     zero = spec.zero_value
     prime = spec.modulus
     data = []
     for x in col._data:
         if not x:
-            data.extend([zero] * row.dim)
+            data.extend([zero] * row.rows)
         elif prime:
             data.extend(x * y % prime for y in row._data)
         else:
             data.extend(x * y for y in row._data)
-    return Matrix._raw_new(spec, col.dim, row.dim, tuple(data))
+    return Matrix._raw_new(spec, col.rows, row.rows, tuple(data))
 
 
 def integer_form(spec: FieldSpec, values: Sequence) -> tuple:

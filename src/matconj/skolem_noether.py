@@ -20,7 +20,10 @@ module makes that effective from just two images of the map:
    Ha.  A^-1 is one elimination, O(n^3), so a rank-1 build runs one
    elimination, n-1 integer mat-vecs and n integer dot products in all.
 
-A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  Those two
+A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  The
+build returns it as a :class:`~matconj.automorphism.ConjugationWitness`
+(A, A^-1), the same type that backs a conjugation oracle, so conjugation by
+A and its image A E_{i,j} A^-1 are formed in one place.  Those two
 identities pin down conjugation everywhere, because E_{n,1} and S generate
 the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.  :func:`certify` is the one
 certificate: the two intertwines for a generator pair, and the n^2-pair basis
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 
-from .automorphism import AutomorphismOracle, ValidationReport
+from .automorphism import AutomorphismOracle, ConjugationWitness, ValidationReport
 from .errors import (
     DimensionMismatch,
     EmptyKernel,
@@ -58,7 +61,7 @@ from .errors import (
     SingularMatrix,
 )
 from .field import FieldElement, FieldSpec
-from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
+from .matrix import ColumnVector, Matrix, elementary_matrix, shift_matrix
 from .matrix import from_integer_form, integer_form, krylov_sequence
 
 
@@ -67,28 +70,6 @@ class Outcome(Enum):
     EMPTY_KERNEL = "empty_kernel"
     SINGULAR_CONJUGATOR = "singular_conjugator"
     VERIFICATION_FAILED = "verification_failed"
-
-
-@dataclass(frozen=True)
-class ConjugationWitness:
-    """The recovered conjugator A and its inverse: nothing else is stored.
-
-    ``conjugator_inv`` is computed eagerly: every downstream verification
-    needs it, and its existence doubles as the invertibility certificate.
-    n and the field are A's own, and so is the kernel vector.
-    """
-
-    conjugator: Matrix
-    conjugator_inv: Matrix
-
-    @property
-    def kernel_vector(self) -> ColumnVector:
-        """The canonical nonzero vector a with P a = a, P = G^{n-1} H.
-
-        Column 1 of A is G^{n-1} H a = P a = a, so a is read off A and no
-        witness can hold a kernel vector that contradicts its conjugator.
-        """
-        return self.conjugator.column(1)
 
 
 @dataclass(frozen=True)
@@ -421,8 +402,9 @@ def verify_conjugation(
     """Certify A E_{i,j} A^-1 = phi(E_{i,j}) over the whole matrix-unit basis.
 
     Needs an oracle that answers arbitrary basis queries (full-table or
-    conjugation backing).  A E_{i,j} A^-1 collapses to the outer product of
-    A's i-th column with the j-th row of A^-1, so the witness side is cheap;
+    conjugation backing).  The witness side is ``witness.image(i, j)``, the
+    outer product of A's i-th column with the j-th row of A^-1, O(n^2), formed
+    one pair at a time so that the n^2 images are never all held at once;
     the phi side consumes one oracle query per basis pair.  Stops at the first
     failing pair.
     """
@@ -430,12 +412,10 @@ def verify_conjugation(
     n, spec = a_mat.rows, a_mat.spec
     checked = 0
     for i in range(1, n + 1):
-        col = a_mat.column(i)
         for j in range(1, n + 1):
             expected = phi.apply(elementary_matrix(spec, n, i, j))
-            actual = outer_product(col, witness.conjugator_inv.row_vector(j))
             checked += 1
-            if actual != expected:
+            if witness.image(i, j) != expected:
                 return RecoveryReport(
                     outcome=Outcome.VERIFICATION_FAILED,
                     n=n,
@@ -466,8 +446,10 @@ def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
     """
     if not left.is_square or not right.is_square:
         raise DimensionMismatch("scalar comparison needs square matrices")
-    if left.spec != right.spec or left.rows != right.rows:
-        raise DimensionMismatch("matrices must share field and size")
+    if left.spec != right.spec:
+        raise FieldMismatch("matrices over different fields")
+    if left.rows != right.rows:
+        raise DimensionMismatch("matrices must share their size")
     k = next((k for k, v in enumerate(right._data) if v), None)
     if k is None:
         raise SingularMatrix("right matrix is singular")

@@ -75,3 +75,10 @@ def test_value_types_store_no_derived_field():
     assert matconj.RrefResult._fields == ("matrix", "pivots")
     assert "linear_ok" not in _fields(matconj.ValidationReport)
     assert not hasattr(matconj.field, "FieldKind")
+
+
+def test_one_conjugation_type():
+    # the recovery's witness is the oracle's conjugation backing, defined once
+    witness = matconj.automorphism.ConjugationWitness
+    assert matconj.skolem_noether.ConjugationWitness is witness
+    assert matconj.ConjugationWitness is witness

@@ -16,6 +16,7 @@ import pytest
 import matconj.skolem_noether as sn
 from matconj import (
     AutomorphismOracle,
+    ConjugationWitness,
     DimensionMismatch,
     EmptyKernel,
     Matrix,
@@ -149,6 +150,42 @@ def test_from_table_shape_validation():
     images[(1, 1)] = Matrix.identity(QQ, 3)
     with pytest.raises(DimensionMismatch):
         AutomorphismOracle.from_table(QQ, 2, images)
+
+
+def test_backing_kind_of_each_constructor():
+    h, g = elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
+    assert AutomorphismOracle.conjugation_by(g + h).backing_kind == "conjugation"
+    table = AutomorphismOracle.from_table(QQ, 2, identity_table(QQ, 2))
+    assert table.backing_kind == "full_table"
+    pair = AutomorphismOracle.from_generator_pair(h, g)
+    assert pair.backing_kind == "generator_pair"
+
+
+def test_conjugation_backing_is_the_witness():
+    # the oracle's conjugation backing is the recovery's witness type, whose
+    # image(i, j) is B E_{i,j} B^-1 and whose table is the oracle's expansion
+    rng = random.Random(12)
+    for spec in (QQ, GF7):
+        b = random_invertible(spec, 3, rng, 4)
+        phi = AutomorphismOracle.conjugation_by(b)
+        witness = phi._backing
+        assert witness == ConjugationWitness(b, b.inverse())
+        images = witness.images()
+        assert sorted(images) == [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        table = phi.to_full_table()
+        for (i, j), image in images.items():
+            unit = elementary_matrix(spec, 3, i, j)
+            assert image == witness.image(i, j) == b @ unit @ b.inverse()
+            assert table.apply(unit) == image
+        x = random_dense(spec, 3, 3, rng)
+        assert witness.apply(x) == table.apply(x) == phi.apply(x)
+
+
+def test_to_full_table_refuses_a_table():
+    phi = AutomorphismOracle.from_table(QQ, 2, identity_table(QQ, 2))
+    with pytest.raises(UnsupportedQuery, match="oracle already carries a full table"):
+        phi.to_full_table()
+    assert phi.query_count == 0
 
 
 # -- query_generators --------------------------------------------------------

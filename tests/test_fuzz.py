@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import matconj.automorphism as automorphism_module
 import matconj.fuzz as fuzz_module
 import matconj.skolem_noether as sn
 from matconj import (
@@ -203,9 +204,9 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
     # H is read once by the build and once by the report; record_trial's
     # projected_idempotent forms P = G^(n-1) H by squaring, the build and
     # the report forming none, and every outer product is one of certify's
-    # n^2 basis pairs
-    for name in ("_krylov", "outer_product"):
-        counted(sn, name)
+    # n^2 basis pairs, formed by the witness's image(i, j)
+    counted(sn, "_krylov")
+    counted(automorphism_module, "outer_product")
     counted(fuzz_module, "projected_idempotent")
     summary = IdentitySummary()
     reports = run_roundtrip_suite(SMALL, summary)

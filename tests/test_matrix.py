@@ -445,6 +445,24 @@ def test_outer_product():
     assert outer_product(v, w) == Matrix.from_rows(QQ, [[3, 4, 5], [6, 8, 10]])
 
 
+def test_outer_product_of_n_by_1_matrices():
+    # a ColumnVector equals the n x 1 Matrix with the same entries, so either
+    # is an argument; a matrix of more than one column is refused
+    v, w = Matrix(QQ, 2, 1, [1, 2]), Matrix(QQ, 3, 1, [3, 4, 5])
+    expected = Matrix.from_rows(QQ, [[3, 4, 5], [6, 8, 10]])
+    assert outer_product(v, w) == expected
+    assert outer_product(ColumnVector(QQ, [1, 2]), w) == expected
+    assert outer_product(v, ColumnVector(QQ, [3, 4, 5])) == expected
+    gf = prime_field(7)
+    assert outer_product(Matrix(gf, 2, 1, [3, 5]), Matrix(gf, 2, 1, [4, 6])) == (
+        Matrix.from_rows(gf, [[5, 4], [6, 2]])
+    )
+    square = Matrix.identity(QQ, 2)
+    for col, row in ((square, v), (v, square), (square, square)):
+        with pytest.raises(DimensionMismatch, match="n x 1"):
+            outer_product(col, row)
+
+
 def test_outer_product_matches_unit_conjugation():
     # A E_{i,j} B == column_i(A) x row_j(B) for n x n A, B
     rng = random.Random(29)

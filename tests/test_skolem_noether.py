@@ -23,7 +23,9 @@ from matconj import (
     AutomorphismOracle,
     ColumnVector,
     ConjugationWitness,
+    DimensionMismatch,
     EmptyKernel,
+    FieldMismatch,
     Matrix,
     Outcome,
     SingularConjugator,
@@ -197,6 +199,11 @@ def test_kernel_vector_empty():
         kernel_vector(Matrix.zero(QQ, 2, 2))
 
 
+def test_kernel_vector_refuses_a_non_square_projector():
+    with pytest.raises(DimensionMismatch, match="projector must be square"):
+        kernel_vector(Matrix.zero(QQ, 2, 3))
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type and message of the construction failure."""
     try:
@@ -340,6 +347,26 @@ def test_build_singular_conjugator():
 def test_build_n1():
     witness = build_conjugator(Matrix.from_rows(QQ, [[1]]), Matrix.zero(QQ, 1, 1), 1)
     assert witness.conjugator == Matrix.identity(QQ, 1)
+
+
+def test_pair_refusals_of_build_projector_and_report():
+    # every entry point that takes (H, G) refuses a pair over two fields or
+    # of the wrong size, and a non-positive n, before any arithmetic
+    h, g = elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
+    witness = build_conjugator(h, g, 2)
+    g7 = shift_matrix(prime_field(7), 2)
+    for fn in (build_conjugator, projected_idempotent):
+        with pytest.raises(FieldMismatch, match="generator images over different fields"):
+            fn(h, g7, 2)
+        with pytest.raises(DimensionMismatch, match="generator images must be 3x3"):
+            fn(h, g, 3)
+        with pytest.raises(DimensionMismatch, match="dimension must be positive"):
+            fn(h, g, 0)
+    with pytest.raises(FieldMismatch, match="generator images over different fields"):
+        check_structure_identities(h, g7, witness)
+    one = Matrix.identity(QQ, 1)
+    with pytest.raises(DimensionMismatch, match="generator images must be 1x1"):
+        check_structure_identities(h, g, ConjugationWitness(one, one))
 
 
 def _reference_build(h, g, n):
@@ -709,7 +736,7 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
             patch.setattr(sn, "_rank_one_factors", counted_factors)
-            patch.setattr(sn, "outer_product", counted_outer)
+            patch.setattr("matconj.automorphism.outer_product", counted_outer)
             calls.update(eliminate=0, products=0, factors=0, projectors=0)
             report = check_structure_identities(h, g, witness)
         assert report.all_ok
@@ -998,6 +1025,17 @@ def test_scalar_relation_singular_inputs():
         scalar_relation(Matrix.identity(QQ, 2), elementary_matrix(QQ, 2, 1, 1))
     with pytest.raises(SingularMatrix):
         scalar_relation(Matrix.zero(QQ, 2, 2), Matrix.identity(QQ, 2))
+
+
+def test_scalar_relation_refuses_mismatched_inputs():
+    with pytest.raises(DimensionMismatch, match="square"):
+        scalar_relation(Matrix.zero(QQ, 2, 3), Matrix.identity(QQ, 2))
+    with pytest.raises(DimensionMismatch, match="square"):
+        scalar_relation(Matrix.identity(QQ, 2), Matrix.zero(QQ, 3, 2))
+    with pytest.raises(DimensionMismatch, match="size"):
+        scalar_relation(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
+    with pytest.raises(FieldMismatch, match="different fields"):
+        scalar_relation(Matrix.identity(QQ, 2), Matrix.identity(prime_field(7), 2))
 
 
 def test_scalar_relation_singular_contract(monkeypatch):
