@@ -217,6 +217,11 @@ class AutomorphismOracle:
         return self._query_count
 
     @property
+    def backing(self):
+        """The map: a :class:`ConjugationWitness` (B, B^-1), a table or a pair."""
+        return self._backing
+
+    @property
     def backing_kind(self) -> str:
         return self._backing.kind
 

@@ -63,9 +63,9 @@ class FuzzConfig:
 
     ``entry_bound`` caps the absolute numerator and the denominator of random
     rational entries; prime-field entries are uniform over the whole field and
-    ignore it.  ``adversary`` switches the oracle family from ground-truth
-    conjugations to a non-automorphism family ("transpose" or "random_pair")
-    for negative-control runs.
+    ignore it.  ``adversary`` swaps ground-truth conjugations for a negative
+    control: "transpose" (the transpose map) or "random_pair" (random H, and G
+    redrawn while G^n = 0); ``expects_recovery`` says which trials recover.
     """
 
     n_range: tuple[int, int] = (1, 8)
@@ -89,6 +89,12 @@ class FuzzConfig:
             raise ValueError("entry_bound must be positive")
         if self.adversary is not None and self.adversary not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.adversary!r}")
+
+    def expects_recovery(self, n: int) -> bool:
+        """Every ground-truth trial recovers; a transpose trial exactly at n = 1,
+        where it is the identity map; a random pair never, as its G is not
+        nilpotent and S is."""
+        return self.adversary is None or (self.adversary == "transpose" and n == 1)
 
     def cells(self):
         lo, hi = self.n_range
@@ -228,6 +234,8 @@ def _recovery_trial(
     else:
         h = random_matrix(spec, n, rng, cfg.entry_bound)
         g = random_matrix(spec, n, rng, cfg.entry_bound)
+        while g.power(n).is_zero():  # at most 1/2 of the draws are nilpotent
+            g = random_matrix(spec, n, rng, cfg.entry_bound)
         oracle = AutomorphismOracle.from_generator_pair(h, g)
 
     h_img, g_img = oracle.query_generators()

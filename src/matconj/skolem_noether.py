@@ -78,7 +78,8 @@ class StructureCheckReport:
 
     All flags are true whenever (H, G) arise from a genuine automorphism and
     the witness came from :func:`build_conjugator`.  The two intertwines are
-    the only flags that depend on the witness, through its A.
+    the only flags that depend on the witness, through its A.  Like
+    ``nilpotent_ok`` and ``all_ok``, ``first_failing`` is read off the flags.
     """
 
     shift_nilpotent_ok: bool  # G^n = 0
@@ -87,21 +88,26 @@ class StructureCheckReport:
     kernel_rank_ok: bool  # rank(I - G^{n-1} H) = n - 1
     intertwine_E_ok: bool  # A E_{n,1} = H A
     intertwine_S_ok: bool  # A S = G A
-    first_failing: str | None = None
 
     @property
     def nilpotent_ok(self) -> bool:
         return self.shift_nilpotent_ok and self.corner_chain_ok
 
     @property
-    def all_ok(self) -> bool:
-        return (
-            self.nilpotent_ok
-            and self.idempotent_ok
-            and self.kernel_rank_ok
-            and self.intertwine_E_ok
-            and self.intertwine_S_ok
+    def first_failing(self) -> str | None:
+        """The first identity that fails, in the order the argument uses them."""
+        named = (
+            ("nilpotent", self.nilpotent_ok),
+            ("idempotent", self.idempotent_ok),
+            ("kernel_rank", self.kernel_rank_ok),
+            ("intertwine_E", self.intertwine_E_ok),
+            ("intertwine_S", self.intertwine_S_ok),
         )
+        return next((name for name, ok in named if not ok), None)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.first_failing is None
 
 
 @dataclass
@@ -306,13 +312,6 @@ def check_structure_identities(
         idempotent_ok = projector @ projector == projector
         kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
     intertwine_E_ok, intertwine_S_ok = _intertwines(a_mat, h, g)
-    named = (
-        ("nilpotent", shift_nilpotent_ok and corner_chain_ok),
-        ("idempotent", idempotent_ok),
-        ("kernel_rank", kernel_rank_ok),
-        ("intertwine_E", intertwine_E_ok),
-        ("intertwine_S", intertwine_S_ok),
-    )
     return StructureCheckReport(
         shift_nilpotent_ok=shift_nilpotent_ok,
         corner_chain_ok=corner_chain_ok,
@@ -320,7 +319,6 @@ def check_structure_identities(
         kernel_rank_ok=kernel_rank_ok,
         intertwine_E_ok=intertwine_E_ok,
         intertwine_S_ok=intertwine_S_ok,
-        first_failing=next((name for name, ok in named if not ok), None),
     )
 
 

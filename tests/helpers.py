@@ -18,6 +18,7 @@ from matconj import (
     elementary_matrix,
     shift_matrix,
 )
+from matconj.cli import field_descriptor, matrix_to_json
 
 
 def naive_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -190,13 +191,15 @@ def column_loop_conjugator(h: Matrix, g: Matrix, a) -> Matrix:
     return Matrix.from_columns(columns[::-1])
 
 
-def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheckReport:
-    """Every flag of ``check_structure_identities`` from its matrix form.
+def matrix_structure_identities(h: Matrix, g: Matrix, witness):
+    """Every flag of ``check_structure_identities`` from its matrix form, and
+    the name of the first failing identity, computed here from the flags.
 
     The reference for the scalar readings off v^T G^k u: G^n, the chain
     H G^k H for 0 <= k <= n-2, P P and the rank of I - P for the P of
     ``chain_projector``, and both intertwines for the witness's A, are
     evaluated whatever the rank of H, with products through ``naive_mul``.
+    Returns (report, first_failing).
     """
     a = witness.conjugator
     n, spec = a.rows, h.spec
@@ -227,9 +230,81 @@ def matrix_structure_identities(h: Matrix, g: Matrix, witness) -> StructureCheck
         ("intertwine_E", flags["intertwine_E_ok"]),
         ("intertwine_S", flags["intertwine_S_ok"]),
     )
-    return StructureCheckReport(
-        **flags, first_failing=next((name for name, ok in named if not ok), None)
-    )
+    first_failing = next((name for name, ok in named if not ok), None)
+    return StructureCheckReport(**flags), first_failing
+
+
+def intertwiner_equations(h: Matrix, g: Matrix) -> list:
+    """The 2n^2 x n^2 system X E_{n,1} - H X = 0, X S - G X = 0 in the
+    entries of X (row-major), as rows of raw field values."""
+    spec, n = h.spec, h.rows
+    equations = []
+    for unit, image in ((elementary_matrix(spec, n, n, 1), h), (shift_matrix(spec, n), g)):
+        for r in range(n):
+            for c in range(n):
+                row = [spec.zero_value] * (n * n)  # (X unit - image X)[r, c]
+                for k in range(n):
+                    row[r * n + k] += unit._data[k * n + c]
+                    row[k * n + c] -= image._data[r * n + k]
+                equations.append(row)
+    return equations
+
+
+def intertwiner_reference(h: Matrix, g: Matrix):
+    """The solutions X of X E_{n,1} = H X and X S = G X, by sympy's exact
+    nullspace, and whether (H, G) comes from an automorphism.
+
+    It does iff the solutions are the multiples of one invertible X.  Given
+    a conjugator A, A^-1 X commutes with E_{n,1} and S, which generate
+    M_n(K), so it is a scalar (the uniqueness half of Skolem-Noether); and an
+    invertible solution X conjugates the generators to (H, G).  The system
+    of :func:`intertwiner_equations` is solved by sympy's DomainMatrix: no P,
+    no Krylov vector, no table and no elimination of the package.  Returns
+    (basis, genuine): the nullspace basis as matrices, and whether it is one
+    invertible matrix.
+    """
+    from sympy.polys.domains import GF, QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    spec, n = h.spec, h.rows
+    p = spec.modulus
+    dom = GF(p) if p else QQ
+
+    def to_dom(x):
+        return dom(x) if p else dom(x.numerator, x.denominator)
+
+    def from_dom(x):
+        return int(x) % p if p else Fraction(int(x.numerator), int(x.denominator))
+
+    equations = [[to_dom(x) for x in row] for row in intertwiner_equations(h, g)]
+    kernel = DomainMatrix(equations, (2 * n * n, n * n), dom).nullspace().to_list()
+    basis = [Matrix(spec, n, n, [from_dom(x) for x in vec]) for vec in kernel]
+    genuine = len(kernel) == 1 and DomainMatrix(
+        [kernel[0][r * n : (r + 1) * n] for r in range(n)], (n, n), dom
+    ).rank() == n
+    return basis, genuine
+
+
+def problem_json(oracle) -> dict:
+    """The problem file an oracle parses from, read off its backing.
+
+    The inverse of ``cli.problem_from_json``: a conjugation oracle writes
+    its B, a table oracle its n x n array of images, and a generator-pair
+    oracle its H and G.
+    """
+    out = {"field": field_descriptor(oracle.spec), "n": oracle.n}
+    backing, units = oracle.backing, range(1, oracle.n + 1)
+    if oracle.backing_kind == "conjugation":
+        out["conjugator"] = matrix_to_json(backing.conjugator)
+    elif oracle.backing_kind == "generator_pair":
+        out["generator_pair"] = {
+            "H": matrix_to_json(backing.corner_image),
+            "G": matrix_to_json(backing.shift_image),
+        }
+    else:
+        images = backing.images()
+        out["full_table"] = [[matrix_to_json(images[(i, j)]) for j in units] for i in units]
+    return out
 
 
 def random_scalar(spec: FieldSpec, rng, bound: int = 5):

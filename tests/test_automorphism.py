@@ -30,18 +30,12 @@ from matconj import (
     rationals,
     shift_matrix,
 )
-from matconj.cli import (
-    ProblemFile,
-    field_descriptor,
-    main,
-    oracle_from_problem,
-    problem_to_json,
-    validation_to_json,
-)
+from matconj.cli import field_descriptor, main, validation_to_json
 
 from helpers import (
     full_multiplicativity,
     naive_mul,
+    problem_json,
     random_dense,
     random_scalar,
     vectorized_rank_bijective,
@@ -168,7 +162,7 @@ def test_conjugation_backing_is_the_witness():
     for spec in (QQ, GF7):
         b = random_invertible(spec, 3, rng, 4)
         phi = AutomorphismOracle.conjugation_by(b)
-        witness = phi._backing
+        witness = phi.backing
         assert witness == ConjugationWitness(b, b.inverse())
         images = witness.images()
         assert sorted(images) == [(i, j) for i in range(1, 4) for j in range(1, 4)]
@@ -491,11 +485,11 @@ def test_validate_ranks_only_a_map_that_is_not_multiplicative(spec, monkeypatch)
 # -- check-aut: the construction route ----------------------------------------
 
 
-def _check_aut_problems(spec, n, rng):
-    """The equivalence battery; genuine, transposed, zero and diagonal-projection
-    tables; a genuine table with one random entry bumped and one whose image
-    (n, n) alone is bumped, so the construction's sweep fails at its last pair;
-    and conjugator files."""
+def _check_aut_oracles(spec, n, rng):
+    """The oracles of the equivalence battery; genuine, transposed, zero and
+    diagonal-projection tables; a genuine table with one random entry bumped
+    and one whose image (n, n) alone is bumped, so the construction's sweep
+    fails at its last pair; and conjugator files."""
     kinds = list(_genuine_transposed_zero_diagonal(spec, n, rng))
     genuine = kinds[0]
     bumped, last = dict(genuine), dict(genuine)
@@ -503,11 +497,11 @@ def _check_aut_problems(spec, n, rng):
     bumped[key] = bumped[key] + elementary_matrix(spec, n, rng.randint(1, n), 1)
     last[(n, n)] = last[(n, n)] + elementary_matrix(spec, n, 1, n)
     tables = [*_equivalence_tables(spec, n, rng), *kinds, bumped, last]
-    problems = [ProblemFile(spec, n, "full_table", images) for images in tables]
+    oracles = [AutomorphismOracle.from_table(spec, n, images) for images in tables]
     for _ in range(3):
         b = random_invertible(spec, n, rng, 4)
-        problems.append(ProblemFile(spec, n, "conjugator", b))
-    return problems
+        oracles.append(AutomorphismOracle.conjugation_by(b))
+    return oracles
 
 
 def _check_aut(path, monkeypatch, counted):
@@ -552,10 +546,10 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
 
     seen = Counter()
     for spec, n in itertools.product((QQ, GF2, GF3, GF_P61), range(1, 5)):
-        for problem in _check_aut_problems(spec, n, rng):
-            raw = json.dumps(problem_to_json(problem)).encode()
+        for oracle in _check_aut_oracles(spec, n, rng):
+            raw = json.dumps(problem_json(oracle)).encode()
             path.write_bytes(raw)
-            report = oracle_from_problem(problem).validate()
+            report = oracle.validate()
             expected = {
                 "command": "check-aut",
                 "input_sha256": hashlib.sha256(raw).hexdigest(),
@@ -578,8 +572,8 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
             assert len(validated) == (not report.is_automorphism), (n, report)
             accepted = stages == ["built", "sweep recovered"]
             assert accepted == report.is_automorphism, (n, stages)
-            seen[problem.variant if accepted else stages[-1]] += 1
-    assert seen["full_table"] >= 300 and seen["conjugator"] == 48, seen
+            seen[oracle.backing_kind if accepted else stages[-1]] += 1
+    assert seen["full_table"] >= 300 and seen["conjugation"] == 48, seen
     assert seen["EmptyKernel"] >= 600 and seen["SingularConjugator"] >= 40, seen
     assert seen["sweep verification_failed"] >= 400, seen
 
@@ -592,9 +586,9 @@ def test_check_aut_genuine_table_costs_one_elimination(spec, tmp_path, monkeypat
     path = tmp_path / "problem.json"
     for n in range(1, 7):
         b = random_invertible(spec, n, rng, 4)
-        images = AutomorphismOracle.conjugation_by(b)._images_for_validation()
-        problem = ProblemFile(spec, n, "full_table", images)
-        path.write_text(json.dumps(problem_to_json(problem)))
+        images = AutomorphismOracle.conjugation_by(b).backing.images()
+        table = AutomorphismOracle.from_table(spec, n, images)
+        path.write_text(json.dumps(problem_json(table)))
         counted = {
             (AutomorphismOracle, "validate"): [],
             (AutomorphismOracle, "_first_generator_violation"): [],

@@ -4,7 +4,8 @@ Every automorphism of M_n(F_q) is conjugation by an invertible matrix, unique
 up to a nonzero scalar, so Aut(M_n(F_q)) has
 |PGL_n(F_q)| = q^(n(n-1)/2) * prod_(k=2..n) (q^k - 1) elements: 6, 24 and 168
 for (n, q) = (2, 2), (2, 3) and (3, 2).  No sampling: every input of these
-sizes is checked.
+sizes is checked, and each pair's verdict is also compared with the
+intertwiner space of ``helpers.intertwiner_reference``.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from matconj import (
     prime_field,
     shift_matrix,
 )
+
+from helpers import intertwiner_reference
 
 
 def _pgl_order(n, q):
@@ -71,6 +74,7 @@ def test_census_matches_pgl_order():
         for h, g in itertools.product(units, repeat=2):
             ok = _recovers(h, g, n)
             assert ok == _pair_reference(h, g, n), (n, q, h, g)
+            assert ok == intertwiner_reference(h, g)[1], (n, q, h, g)
             recovered += ok
         assert recovered == _pgl_order(n, q) == order, (n, q)
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matconj import Matrix, Outcome, elementary_matrix, prime_field, rationals
+from matconj import (
+    ConjugationWitness,
+    Matrix,
+    Outcome,
+    elementary_matrix,
+    prime_field,
+    rationals,
+)
 from matconj.field import FieldSpec
 from matconj.fuzz import MAX_FUZZ_N
 from matconj.cli import (
@@ -17,7 +24,6 @@ from matconj.cli import (
     EXIT_PARSE,
     EXIT_VERIFICATION,
     MAX_GEN_N,
-    ProblemFile,
     build_parser,
     exit_code_for,
     field_descriptor,
@@ -25,12 +31,12 @@ from matconj.cli import (
     main,
     matrix_from_json,
     matrix_to_json,
-    oracle_from_problem,
     parse_field_descriptor,
     parse_field_flag,
     problem_from_json,
-    problem_to_json,
 )
+
+from helpers import problem_json
 
 QQ = rationals()
 
@@ -117,10 +123,11 @@ def test_field_flag():
     ],
 )
 def test_problem_roundtrip(obj):
-    problem = problem_from_json(obj)
-    again = problem_from_json(problem_to_json(problem))
-    assert again == problem
-    assert problem_to_json(again) == problem_to_json(problem)
+    # the oracle's backing holds the whole file: writing it back gives the file
+    oracle = problem_from_json(obj)
+    assert problem_json(oracle) == obj
+    again = problem_from_json(problem_json(oracle))
+    assert (again.spec, again.n, again.backing) == (oracle.spec, oracle.n, oracle.backing)
 
 
 @pytest.mark.parametrize(
@@ -162,9 +169,10 @@ def test_problem_rejects_singular_conjugator():
 
     obj = swap_problem()
     obj["conjugator"] = [["1", "1"], ["1", "1"]]
-    problem = problem_from_json(obj)  # parses: building the oracle refuses it
-    with pytest.raises(ParseError, match="det"):
-        oracle_from_problem(problem)
+    with pytest.raises(
+        ParseError, match="^conjugator matrix is singular; the inner map needs det != 0$"
+    ):
+        problem_from_json(obj)
 
 
 def test_exit_codes_total_over_outcomes():
@@ -512,9 +520,9 @@ def test_load_problem_decodes_each_table_scalar_once(tmp_path, monkeypatch):
             return method(self, value)
 
         monkeypatch.setattr(FieldSpec, name, counted)
-    problem, _ = load_problem(path)
+    oracle, _ = load_problem(path)
     assert calls == {"parse_value": n**4, "coerce": 0, "parse": 0}
-    assert problem.payload[(2, 3)] == elementary_matrix(gf, n, 2, 3)
+    assert oracle.backing.images()[(2, 3)] == elementary_matrix(gf, n, 2, 3)
 
 
 BAD_CELLS = [
@@ -565,9 +573,9 @@ def test_gen_is_parseable_and_invertible(tmp_path):
     out_path = tmp_path / "generated.json"
     code = main(["gen", "--field", "gfp:7", "--n", "3", "--seed", "42", "--out", str(out_path)])
     assert code == EXIT_OK
-    problem = problem_from_json(json.loads(out_path.read_text()))
-    assert problem.variant == "conjugator"
-    assert not problem.payload.det().is_zero()
+    oracle = problem_from_json(json.loads(out_path.read_text()))
+    assert oracle.backing_kind == "conjugation"
+    assert not oracle.backing.conjugator.det().is_zero()
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -661,6 +669,24 @@ def test_fuzz_adversary_exit_zero_when_nothing_recovers(tmp_path, capsys):
     reports = [json.loads(line) for line in captured.out.strip().splitlines()]
     outcomes = {r["outcome"] for r in reports if "outcome" in r}
     assert "recovered" not in outcomes
+
+
+def test_fuzz_transpose_adversary_default_grid_is_ok(capsys):
+    # --n 1..8: the n = 1 trials recover, since the 1x1 transpose is the identity
+    code = main(["fuzz", "--adversary", "transpose"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    reports = [json.loads(line) for line in lines[:-1]]
+    assert code == EXIT_OK and json.loads(lines[-1])["fuzz_summary"]["ok"] is True
+    assert [r["n"] for r in reports if r["outcome"] == "recovered"] == [1] * 10
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_fuzz_random_pair_adversary_at_n1_is_ok(capsys, seed):
+    argv = ["fuzz", "--n", "1", "--fields", "gfp:2", "--trials", "4", "--seed", str(seed)]
+    code = main([*argv, "--adversary", "random_pair"])
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert code == EXIT_OK
+    assert json.loads(last)["fuzz_summary"]["recovered"] == 0
 
 
 def test_fuzz_rejects_zero_trials():
@@ -814,6 +840,8 @@ def test_mutated_problem_files_keep_the_exit_contract(mutation_dir, data):
 # -- misc --------------------------------------------------------------------
 
 
-def test_problemfile_equality_includes_variant():
-    a = problem_from_json(swap_problem())
-    assert a == ProblemFile(QQ, 2, "conjugator", Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+def test_problem_parses_to_its_conjugation_oracle():
+    oracle = problem_from_json(swap_problem())
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    assert (oracle.spec, oracle.n, oracle.query_count) == (QQ, 2, 0)
+    assert oracle.backing == ConjugationWitness(swap, swap)

@@ -307,6 +307,50 @@ def test_transpose_adversary_never_recovers():
         assert report.outcome is Outcome.VERIFICATION_FAILED
 
 
+def test_transpose_adversary_recovers_exactly_at_n1():
+    # the transpose of a 1x1 matrix is the identity map, an automorphism
+    cfg = FuzzConfig(
+        n_range=(1, 3), field_specs=(QQ, GF2), trials_per_cell=2, adversary="transpose"
+    )
+    reports = run_roundtrip_suite(cfg)
+    assert len(reports) == 12
+    for report in reports:
+        recovered = report.outcome is Outcome.RECOVERED
+        assert recovered == (report.n == 1) == cfg.expects_recovery(report.n)
+
+
+def test_random_pair_adversary_redraws_a_nilpotent_shift_image(monkeypatch):
+    # no automorphism maps the nilpotent S to a G with G^n != 0, so G is
+    # redrawn, in the trial's own stream, while G^n = 0; at n = 1 over GF(2)
+    # half the draws are G = 0, which recovers whenever H = 1
+    drawn = []
+    from_pair = automorphism_module.AutomorphismOracle.from_generator_pair
+
+    def spied(h, g):
+        drawn.append((h, g))
+        return from_pair(h, g)
+
+    monkeypatch.setattr(automorphism_module.AutomorphismOracle, "from_generator_pair", spied)
+    redrawn = 0
+    for seed in range(1, 5):
+        cfg = FuzzConfig(
+            n_range=(1, 1), field_specs=(GF2,), trials_per_cell=4, seed=seed,
+            adversary="random_pair",
+        )
+        drawn.clear()
+        reports = run_roundtrip_suite(cfg)
+        assert Outcome.RECOVERED not in {r.outcome for r in reports}, seed
+        for trial, (h, g) in enumerate(drawn):
+            rng = random.Random(derive_trial_seed(seed, GF2, 1, trial))
+            assert h == random_matrix(GF2, 1, rng, 5)
+            draws = [random_matrix(GF2, 1, rng, 5)]
+            while draws[-1].is_zero():
+                draws.append(random_matrix(GF2, 1, rng, 5))
+            assert g == draws[-1] and not g.is_zero()
+            redrawn += len(draws) > 1
+    assert redrawn >= 4
+
+
 def test_random_pair_adversary_never_recovers():
     cfg = FuzzConfig(
         n_range=(2, 4),

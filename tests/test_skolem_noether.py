@@ -667,7 +667,9 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
                 patch.setattr(sn, "_krylov", spied_krylov)
                 krylov_paths.clear()
                 report = check_structure_identities(h, g, witness)
-            assert report == matrix_structure_identities(h, g, witness), (name, n)
+            expected, first_failing = matrix_structure_identities(h, g, witness)
+            assert report == expected, (name, n)
+            assert report.first_failing == first_failing, (name, n)
             # the scalars v^T G^k u give the chain, P^2 = P and rank(I - P)
             # exactly when H has rank 1
             scalar = h.rank() == 1
