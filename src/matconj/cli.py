@@ -71,6 +71,7 @@ from .skolem_noether import (
     RecoveryReport,
     StructureCheckReport,
     build_conjugator,
+    build_failure_outcome,
     certify,
     decide_automorphism,
     scalar_relation,
@@ -146,12 +147,17 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
     return matrix.to_strings()
 
 
+def _is_square_array(obj, n: int) -> bool:
+    """Whether obj is a list of n lists of n items each."""
+    return (
+        isinstance(obj, list)
+        and len(obj) == n
+        and all(isinstance(row, list) and len(row) == n for row in obj)
+    )
+
+
 def matrix_from_json(spec: FieldSpec, obj, n: int, what: str) -> Matrix:
-    if (
-        not isinstance(obj, list)
-        or len(obj) != n
-        or any(not isinstance(row, list) or len(row) != n for row in obj)
-    ):
+    if not _is_square_array(obj, n):
         raise ParseError(f"{what} must be an {n}x{n} array of scalar strings")
     if n < 1:  # _raw_new takes the dimensions on trust
         raise DimensionMismatch("matrix needs positive dimensions")
@@ -201,11 +207,7 @@ def problem_from_json(obj) -> AutomorphismOracle:
         h = matrix_from_json(spec, body["H"], n, "generator_pair.H")
         g = matrix_from_json(spec, body["G"], n, "generator_pair.G")
         return AutomorphismOracle.from_generator_pair(h, g)
-    if (
-        not isinstance(body, list)
-        or len(body) != n
-        or any(not isinstance(row, list) or len(row) != n for row in body)
-    ):
+    if not _is_square_array(body, n):
         raise ParseError("full_table must be an n x n array of matrices")
     images = {}
     for i in range(n):
@@ -331,10 +333,9 @@ def cmd_recover(args) -> int:
     h, g = oracle.query_generators()
     output["query_count"] = oracle.query_count
     try:
-        witness = build_conjugator(h, g, oracle.n)
+        witness = build_conjugator(h, g)
     except (EmptyKernel, SingularConjugator) as exc:
-        empty = isinstance(exc, EmptyKernel)
-        outcome = Outcome.EMPTY_KERNEL if empty else Outcome.SINGULAR_CONJUGATOR
+        outcome = build_failure_outcome(exc)
         output["outcome"] = outcome.value
         output["detail"] = str(exc)
         _dump(output, args.out)
@@ -348,7 +349,7 @@ def cmd_recover(args) -> int:
     if args.no_verify:
         output["verification"] = None
     else:
-        verification = certify(oracle, witness, h, g)
+        verification = certify(oracle, witness)
         outcome = verification.outcome
         output["verification"] = {
             "passed": outcome is Outcome.RECOVERED,

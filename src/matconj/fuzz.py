@@ -36,6 +36,7 @@ from .skolem_noether import (
     Outcome,
     RecoveryReport,
     build_conjugator,
+    build_failure_outcome,
     certify,
     check_structure_identities,
     kernel_vector,
@@ -136,7 +137,7 @@ class IdentitySummary:
         self.total_trials += 1
         self._record("query_economy", queries == 2, context)
         failed = isinstance(built, (EmptyKernel, SingularConjugator))
-        projector = projected_idempotent(h, g, n)
+        projector = projected_idempotent(h, g)
         identity = Matrix.identity(h.spec, n)
         if isinstance(built, EmptyKernel):
             singular = (identity - projector).det().is_zero()
@@ -225,10 +226,10 @@ def _recovery_trial(
 ) -> RecoveryReport:
     trial_seed = derive_trial_seed(cfg.seed, spec, n, trial)
     rng = random.Random(trial_seed)
-    ground_truth = None
     if cfg.adversary is None:
-        ground_truth = random_invertible(spec, n, rng, cfg.entry_bound)
-        oracle = AutomorphismOracle.conjugation_by(ground_truth)
+        oracle = AutomorphismOracle.conjugation_by(
+            random_invertible(spec, n, rng, cfg.entry_bound)
+        )
     elif cfg.adversary == "transpose":
         oracle = _transpose_oracle(spec, n)
     else:
@@ -250,17 +251,16 @@ def _recovery_trial(
     )
     context = f"n={n} field={spec} seed={trial_seed}"
     try:
-        witness = build_conjugator(h_img, g_img, n)
+        witness = build_conjugator(h_img, g_img)
     except (EmptyKernel, SingularConjugator) as exc:
         if summary is not None:
             summary.record_trial(context, h_img, g_img, queries, exc)
-        empty = isinstance(exc, EmptyKernel)
-        return report(Outcome.EMPTY_KERNEL if empty else Outcome.SINGULAR_CONJUGATOR)
+        return report(build_failure_outcome(exc))
 
     checks = check_structure_identities(h_img, g_img, witness)
     if summary is not None:
         summary.record_trial(context, h_img, g_img, queries, witness, checks)
-    verification = certify(oracle, witness, h_img, g_img)
+    verification = certify(oracle, witness)
     if verification.outcome is not Outcome.RECOVERED:
         return report(
             Outcome.VERIFICATION_FAILED,
@@ -271,8 +271,8 @@ def _recovery_trial(
         )
 
     scalar = None
-    if ground_truth is not None:
-        scalar = scalar_relation(witness.conjugator, ground_truth)
+    if oracle.backing_kind == "conjugation":
+        scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
         if scalar is None:
             return report(
                 Outcome.VERIFICATION_FAILED,

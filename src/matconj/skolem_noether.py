@@ -26,9 +26,11 @@ build returns it as a :class:`~matconj.automorphism.ConjugationWitness`
 A and its image A E_{i,j} A^-1 are formed in one place.  Those two
 identities pin down conjugation everywhere, because E_{n,1} and S generate
 the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.  :func:`certify` is the one
-certificate: the two intertwines for a generator pair, and the n^2-pair basis
-sweep of :func:`verify_conjugation` for a map given by conjugation or by a
-table.  The construction and that sweep also decide whether such a map is an
+certificate: A A^-1 = I, then the two intertwines for a generator pair, and
+the n^2-pair basis sweep of :func:`verify_conjugation` for a map given by
+conjugation or by a table.  No argument here is fixed by another: n is the
+size of H, and ``certify`` reads a pair's (H, G) off its oracle.  The
+construction and that sweep also decide whether such a map is an
 automorphism at all, :func:`decide_automorphism`, O(n^4) on a table.
 :func:`check_structure_identities` evaluates, in one place, every
 identity the argument leans on, and :func:`scalar_relation` compares two
@@ -43,13 +45,15 @@ O(n^3 log n) in all; any other H takes the matrix forms, on the P of
 If the supplied (H, G) do not come from an automorphism, the construction runs
 until a mathematical impossibility surfaces (an empty kernel or a singular
 candidate A) and raises then; it never pre-validates, so the two-query cost
-is preserved.
+is preserved.  :func:`build_failure_outcome` is the one map from that
+exception to its :class:`Outcome`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from operator import mul
 
 from .automorphism import AutomorphismOracle, ConjugationWitness, ValidationReport
@@ -169,7 +173,7 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     return u, v
 
 
-def _krylov(h: Matrix, g: Matrix, n: int) -> tuple | None:
+def _krylov(h: Matrix, g: Matrix) -> tuple | None:
     """The one reading of the rank-1 corner H = phi(E_{n,1}).
 
     When H = u v^T has rank 1 (see :func:`_rank_one_factors`) this is
@@ -183,13 +187,13 @@ def _krylov(h: Matrix, g: Matrix, n: int) -> tuple | None:
     if factors is None:
         return None
     u, v = factors
-    cs, ys = krylov_sequence(g, u, n)
+    cs, ys = krylov_sequence(g, u, h.rows)
     cv, yv = integer_form(h.spec, v._data)
     r = [h.spec.coerce(c * cv * sum(map(mul, yv, y))) for c, y in zip(cs, ys)]
     return r, cs, ys
 
 
-def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
+def projected_idempotent(h: Matrix, g: Matrix) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
     This is the one place that forms P, whatever the rank of H: G^{n-1} by
@@ -199,8 +203,8 @@ def projected_idempotent(h: Matrix, g: Matrix, n: int) -> Matrix:
     For a rank-1 H the build and the structure report do not call this:
     they read what they need of P off the Krylov vectors of :func:`_krylov`.
     """
-    _check_pair(h, g, n)
-    return g.power(n - 1) @ h
+    _check_pair(h, g)
+    return g.power(h.rows - 1) @ h
 
 
 def kernel_vector(projector: Matrix) -> ColumnVector:
@@ -223,10 +227,11 @@ def kernel_vector(projector: Matrix) -> ColumnVector:
     return basis[0]
 
 
-def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
+def build_conjugator(h: Matrix, g: Matrix) -> ConjugationWitness:
     """Assemble the conjugator from the two generator images.
 
-    Column i of A is G^{n-i} H a, for a nonzero a with P a = a,
+    n is the size of H; a non-square H or a G of another size or field is
+    refused.  Column i of A is G^{n-i} H a, for a nonzero a with P a = a,
     P = G^{n-1} H.  When H = u v^T has rank 1, P = w v^T with w = G^{n-1} u
     has det(I - P) = 1 - v^T w, so the kernel of I - P is empty unless
     v^T w = 1 (EmptyKernel), and is then span(w).  With s = 1/lead(w), its
@@ -241,12 +246,12 @@ def build_conjugator(h: Matrix, g: Matrix, n: int) -> ConjugationWitness:
     inverse is computed eagerly; if it does not exist the input pair was
     invalid and SingularConjugator is raised.
     """
-    _check_pair(h, g, n)
-    krylov = _krylov(h, g, n)
+    _check_pair(h, g)
+    krylov = _krylov(h, g)
     if krylov is None:
         s = h.spec.one_value
-        projector = projected_idempotent(h, g, n)
-        cs, ys = krylov_sequence(g, h @ kernel_vector(projector), n)
+        projector = projected_idempotent(h, g)
+        cs, ys = krylov_sequence(g, h @ kernel_vector(projector), h.rows)
     else:
         r, cs, ys = krylov
         if r[-1] != h.spec.one_value:
@@ -268,8 +273,9 @@ def check_structure_identities(
 ) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    Only A is read from the witness; n is its size.  Every other flag is an
-    identity of the pair (H, G), evaluated here from the pair alone.  G^n = 0
+    Only A is read from the witness, by the intertwines, which run first and
+    so refuse an A that is not n x n, n the size of H.  Every other flag is
+    an identity of the pair (H, G), evaluated here from the pair alone.  G^n = 0
     is a repeated-squaring power and the two intertwines are the products of
     :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1,
     :func:`_krylov` gives the scalars r_k = v^T G^k u as integer dot products
@@ -290,11 +296,11 @@ def check_structure_identities(
     0 <= k <= n-2 and is therefore empty at n = 1; the remaining checks
     degenerate gracefully there.
     """
-    a_mat = witness.conjugator
-    n = a_mat.rows
-    _check_pair(h, g, n)
+    _check_pair(h, g)
+    intertwine_E_ok, intertwine_S_ok = _intertwines(witness.conjugator, h, g)
+    n = h.rows
     shift_nilpotent_ok = g.power(n).is_zero()
-    krylov = _krylov(h, g, n)
+    krylov = _krylov(h, g)
     if krylov is not None:
         r, _, ys = krylov
         corner_chain_ok = not any(r[:-1])
@@ -308,10 +314,9 @@ def check_structure_identities(
                 corner_chain_ok = False
                 break
             left = left @ g
-        projector = projected_idempotent(h, g, n)
+        projector = projected_idempotent(h, g)
         idempotent_ok = projector @ projector == projector
         kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
-    intertwine_E_ok, intertwine_S_ok = _intertwines(a_mat, h, g)
     return StructureCheckReport(
         shift_nilpotent_ok=shift_nilpotent_ok,
         corner_chain_ok=corner_chain_ok,
@@ -331,13 +336,13 @@ def _intertwines(a_mat: Matrix, h: Matrix, g: Matrix) -> tuple[bool, bool]:
     )
 
 
-def certify(
-    oracle: AutomorphismOracle, witness: ConjugationWitness, h: Matrix, g: Matrix
-) -> RecoveryReport:
+def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> RecoveryReport:
     """Certify that conjugation by the witness's A is the oracle's map.
 
-    ``(h, g)`` are the oracle's images of E_{n,1} and S.  For a generator
-    pair the two intertwines are the whole certificate: A is invertible, so
+    The witness is read, not trusted: A A^-1 = I comes first, one dense
+    product, and a witness that fails it verifies no pair.  A generator
+    pair's (H, G) are read off the oracle's backing, and the two intertwines
+    are then the whole certificate: A is invertible, so
     A E_{n,1} = H A and A S = G A give
     A E_{i,j} A^-1 = A S^{n-i} E_{n,1} S^{j-1} A^-1 = G^{n-i} H G^{j-1},
     which is the pair's image of E_{i,j}; all n^2 pairs are then verified at
@@ -350,23 +355,29 @@ def certify(
     sweep shows that A matches it.  ``query_count`` is the oracle's total
     afterwards; a generator-pair oracle is never queried here.
     """
-    if oracle.backing_kind != "generator_pair":
-        return verify_conjugation(oracle, witness)
     a_mat = witness.conjugator
-    if all(_intertwines(a_mat, h, g)):
-        return RecoveryReport(
-            outcome=Outcome.RECOVERED,
-            n=a_mat.rows,
-            spec=a_mat.spec,
-            query_count=oracle.query_count,
-            verified_pairs=a_mat.rows**2,
-        )
-    report = verify_conjugation(oracle.to_full_table(), witness)
+    n, spec = a_mat.rows, a_mat.spec
+    if a_mat @ witness.conjugator_inv != Matrix.identity(spec, n):
+        report = RecoveryReport(Outcome.VERIFICATION_FAILED, n, spec, verified_pairs=0)
+        report.detail = "witness inverse is not the inverse of its conjugator: A A^-1 != I"
+    elif oracle.backing_kind != "generator_pair":
+        return verify_conjugation(oracle, witness)
+    elif all(_intertwines(a_mat, oracle.backing.corner_image, oracle.backing.shift_image)):
+        report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=n**2)
+    else:
+        report = verify_conjugation(oracle.to_full_table(), witness)
+        if report.outcome is Outcome.RECOVERED:
+            report.outcome = Outcome.VERIFICATION_FAILED
+            report.detail = "conjugation does not reproduce the generator images"
     report.query_count = oracle.query_count
-    if report.outcome is Outcome.RECOVERED:
-        report.outcome = Outcome.VERIFICATION_FAILED
-        report.detail = "conjugation does not reproduce the generator images"
     return report
+
+
+def build_failure_outcome(exc: EmptyKernel | SingularConjugator) -> Outcome:
+    """The outcome of a :func:`build_conjugator` call that raised exc."""
+    if isinstance(exc, EmptyKernel):
+        return Outcome.EMPTY_KERNEL
+    return Outcome.SINGULAR_CONJUGATOR
 
 
 def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
@@ -378,18 +389,17 @@ def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
     invertible A on every matrix unit, hence everywhere: an automorphism,
     with the all-true report ``validate`` would give.  Every automorphism
     passes (Skolem-Noether), and a table pays one elimination (A^-1), the
-    Krylov vectors and n^2 outer products, O(n^4), with no dense product.
+    Krylov vectors, A A^-1 and n^2 outer products, O(n^4).
     On EmptyKernel, SingularConjugator or a failed sweep, ``validate``'s own
     report is returned.  A generator-pair oracle answers no basis query and
     goes straight to ``validate``, which refuses it.
     """
     if oracle.backing_kind != "generator_pair":
-        h, g = oracle.query_generators()
         try:
-            witness = build_conjugator(h, g, oracle.n)
+            witness = build_conjugator(*oracle.query_generators())
         except (EmptyKernel, SingularConjugator):
             return oracle.validate()
-        if certify(oracle, witness, h, g).outcome is Outcome.RECOVERED:
+        if certify(oracle, witness).outcome is Outcome.RECOVERED:
             return ValidationReport(unital_ok=True, multiplicative_ok=True, bijective_ok=True)
     return oracle.validate()
 
@@ -408,28 +418,16 @@ def verify_conjugation(
     """
     a_mat = witness.conjugator
     n, spec = a_mat.rows, a_mat.spec
-    checked = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            expected = phi.apply(elementary_matrix(spec, n, i, j))
-            checked += 1
-            if witness.image(i, j) != expected:
-                return RecoveryReport(
-                    outcome=Outcome.VERIFICATION_FAILED,
-                    n=n,
-                    spec=spec,
-                    query_count=phi.query_count,
-                    failing_pair=(i, j),
-                    verified_pairs=checked - 1,
-                    detail=f"conjugation disagrees with the map on basis pair ({i},{j})",
-                )
-    return RecoveryReport(
-        outcome=Outcome.RECOVERED,
-        n=n,
-        spec=spec,
-        query_count=phi.query_count,
-        verified_pairs=checked,
-    )
+    report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=0)
+    for i, j in product(range(1, n + 1), repeat=2):
+        expected = phi.apply(elementary_matrix(spec, n, i, j))
+        if witness.image(i, j) != expected:
+            report.outcome, report.failing_pair = Outcome.VERIFICATION_FAILED, (i, j)
+            report.detail = f"conjugation disagrees with the map on basis pair ({i},{j})"
+            break
+        report.verified_pairs += 1
+    report.query_count = phi.query_count
+    return report
 
 
 def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
@@ -462,10 +460,8 @@ def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
     return c
 
 
-def _check_pair(h: Matrix, g: Matrix, n: int) -> None:
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
+def _check_pair(h: Matrix, g: Matrix) -> None:
     if h.spec != g.spec:
         raise FieldMismatch("generator images over different fields")
-    if (h.rows, h.cols) != (n, n) or (g.rows, g.cols) != (n, n):
-        raise DimensionMismatch(f"generator images must be {n}x{n}")
+    if not h.is_square or (g.rows, g.cols) != (h.rows, h.cols):
+        raise DimensionMismatch("generator images must be square and equal-sized")

@@ -200,7 +200,7 @@ def _recover_and_match(b):
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
     assert phi.query_count == 2
-    witness = build_conjugator(h, g, b.rows)
+    witness = build_conjugator(h, g)
     scalar = scalar_relation(witness.conjugator, b)
     assert scalar is not None and not scalar.is_zero()
     assert verify_conjugation(phi, witness).outcome is Outcome.RECOVERED

@@ -530,9 +530,9 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
     validated, stages = [], []
     build, certify = sn.build_conjugator, sn.certify
 
-    def spied_build(h, g, n):
+    def spied_build(h, g):
         try:
-            witness = build(h, g, n)
+            witness = build(h, g)
         except (EmptyKernel, SingularConjugator) as exc:
             stages.append(type(exc).__name__)
             raise
@@ -581,7 +581,7 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
 @pytest.mark.parametrize("spec", [QQ, GF_P61], ids=str)
 def test_check_aut_genuine_table_costs_one_elimination(spec, tmp_path, monkeypatch):
     # a genuine table: two queries, the build with A^-1 and the n^2-pair
-    # sweep, and no validate() and no dense product
+    # sweep, and no validate(); the one dense product is certify's A A^-1
     rng = random.Random(31)
     path = tmp_path / "problem.json"
     for n in range(1, 7):
@@ -597,7 +597,9 @@ def test_check_aut_genuine_table_costs_one_elimination(spec, tmp_path, monkeypat
         }
         code, out = _check_aut(path, monkeypatch, counted)
         assert code == 0 and json.loads(out)["is_automorphism"] is True
-        assert [len(calls) for calls in counted.values()] == [0, 0, 0, 1], n
+        assert [len(calls) for calls in counted.values()] == [0, 0, 1, 1], n
+        (a_mat,) = counted[(Matrix, "__matmul__")]
+        assert sn.scalar_relation(a_mat, b) is not None, n
 
 
 @pytest.mark.slow

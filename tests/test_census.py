@@ -47,10 +47,10 @@ def _recovers(h, g, n):
     oracle = AutomorphismOracle.from_generator_pair(h, g)
     h, g = oracle.query_generators()
     try:
-        witness = build_conjugator(h, g, n)
+        witness = build_conjugator(h, g)
     except (EmptyKernel, SingularConjugator):
         return False
-    return certify(oracle, witness, h, g).outcome is Outcome.RECOVERED
+    return certify(oracle, witness).outcome is Outcome.RECOVERED
 
 
 def _pair_reference(h, g, n):

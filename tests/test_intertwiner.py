@@ -61,10 +61,10 @@ def _recover(h, g):
     oracle = AutomorphismOracle.from_generator_pair(h, g)
     h, g = oracle.query_generators()
     try:
-        witness = build_conjugator(h, g, oracle.n)
+        witness = build_conjugator(h, g)
     except (EmptyKernel, SingularConjugator):
         return False, None
-    recovered = certify(oracle, witness, h, g).outcome is Outcome.RECOVERED
+    recovered = certify(oracle, witness).outcome is Outcome.RECOVERED
     return recovered, witness.conjugator
 
 

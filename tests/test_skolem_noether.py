@@ -59,7 +59,7 @@ def identity_generators(n, spec=QQ):
 
 def test_projector_identity_map():
     h, g = identity_generators(2)
-    assert projected_idempotent(h, g, 2) == elementary_matrix(QQ, 2, 1, 1)
+    assert projected_idempotent(h, g) == elementary_matrix(QQ, 2, 1, 1)
 
 
 def test_projector_diag_conjugation():
@@ -67,13 +67,13 @@ def test_projector_diag_conjugation():
     # conjugation by diag(1,2,3); G^2 H collapses back to E_{1,1}.
     h = elementary_matrix(QQ, 3, 3, 1).scale(3)
     g = Matrix.from_rows(QQ, [[0, Fraction(1, 2), 0], [0, 0, Fraction(2, 3)], [0, 0, 0]])
-    assert projected_idempotent(h, g, 3) == elementary_matrix(QQ, 3, 1, 1)
+    assert projected_idempotent(h, g) == elementary_matrix(QQ, 3, 1, 1)
 
 
 def test_projector_n1_is_h():
     h = Matrix.from_rows(QQ, [[1]])
     g = Matrix.zero(QQ, 1, 1)
-    assert projected_idempotent(h, g, 1) == h
+    assert projected_idempotent(h, g) == h
 
 
 def _nonzero_vector(spec, n, rng, zero_head=0, zero_tail=0):
@@ -161,7 +161,7 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
             factored.clear()
             products.clear()
             sequences.clear()
-            projector = projected_idempotent(h, g, n)
+            projector = projected_idempotent(h, g)
             # whatever the rank of H: no factoring and no Krylov sequence,
             # only G^(n-1) by repeated squaring and one product with H
             assert factored == [] and sequences == [], (name, n)
@@ -174,7 +174,7 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
                 with pytest.raises(EmptyKernel):
                     kernel_vector(chain_projector(h, g, n))
                 with pytest.raises(EmptyKernel):
-                    build_conjugator(h, g, n)
+                    build_conjugator(h, g)
     assert seen == {True, False}
 
 
@@ -306,7 +306,7 @@ def test_kernel_vector_matches_rref_reference(spec, monkeypatch):
 def test_build_identity_map():
     # a = e_1, Ha = e_2, GHa = e_1, so A = [e_1 | e_2] = I
     h, g = identity_generators(2)
-    witness = build_conjugator(h, g, 2)
+    witness = build_conjugator(h, g)
     assert witness.conjugator == Matrix.identity(QQ, 2)
     assert witness.kernel_vector == ColumnVector.standard_basis(QQ, 2, 1)
 
@@ -316,7 +316,7 @@ def test_build_swap_conjugation():
     # a = e_2, Ha = e_1, GHa = e_2, so A = [e_2 | e_1] = the swap itself
     h = elementary_matrix(QQ, 2, 1, 2)
     g = elementary_matrix(QQ, 2, 2, 1)
-    witness = build_conjugator(h, g, 2)
+    witness = build_conjugator(h, g)
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert witness.conjugator == swap
     assert witness.kernel_vector == ColumnVector.standard_basis(QQ, 2, 2)
@@ -326,7 +326,7 @@ def test_build_diag_conjugation():
     # a = e_1, Ha = 3e_3, GHa = 2e_2, G^2Ha = e_1: A = diag(1,2,3) exactly
     b = Matrix.from_rows(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    witness = build_conjugator(h, g, 3)
+    witness = build_conjugator(h, g)
     assert witness.conjugator == b
     assert witness.conjugator @ witness.conjugator_inv == Matrix.identity(QQ, 3)
 
@@ -334,38 +334,39 @@ def test_build_diag_conjugation():
 def test_build_empty_kernel():
     # H = E_{1,1}, G = 0 gives projector 0, and I - 0 is injective
     with pytest.raises(EmptyKernel):
-        build_conjugator(elementary_matrix(QQ, 2, 1, 1), Matrix.zero(QQ, 2, 2), 2)
+        build_conjugator(elementary_matrix(QQ, 2, 1, 1), Matrix.zero(QQ, 2, 2))
 
 
 def test_build_singular_conjugator():
     # H = G = E_{1,1}: a = e_1, both columns come out equal to e_1
     e11 = elementary_matrix(QQ, 2, 1, 1)
     with pytest.raises(SingularConjugator):
-        build_conjugator(e11, e11, 2)
+        build_conjugator(e11, e11)
 
 
 def test_build_n1():
-    witness = build_conjugator(Matrix.from_rows(QQ, [[1]]), Matrix.zero(QQ, 1, 1), 1)
+    witness = build_conjugator(Matrix.from_rows(QQ, [[1]]), Matrix.zero(QQ, 1, 1))
     assert witness.conjugator == Matrix.identity(QQ, 1)
 
 
 def test_pair_refusals_of_build_projector_and_report():
-    # every entry point that takes (H, G) refuses a pair over two fields or
-    # of the wrong size, and a non-positive n, before any arithmetic
+    # every entry point that takes (H, G) reads n off H and refuses a pair
+    # over two fields, a non-square H or a G of another size before any
+    # arithmetic; the report refuses a witness that is not n x n
     h, g = elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
-    witness = build_conjugator(h, g, 2)
+    witness = build_conjugator(h, g)
     g7 = shift_matrix(prime_field(7), 2)
-    for fn in (build_conjugator, projected_idempotent):
+    wide = Matrix.zero(QQ, 2, 3)
+    unequal = "generator images must be square and equal-sized"
+    for fn in (build_conjugator, projected_idempotent, check_structure_identities):
+        args = (witness,) if fn is check_structure_identities else ()
         with pytest.raises(FieldMismatch, match="generator images over different fields"):
-            fn(h, g7, 2)
-        with pytest.raises(DimensionMismatch, match="generator images must be 3x3"):
-            fn(h, g, 3)
-        with pytest.raises(DimensionMismatch, match="dimension must be positive"):
-            fn(h, g, 0)
-    with pytest.raises(FieldMismatch, match="generator images over different fields"):
-        check_structure_identities(h, g7, witness)
+            fn(h, g7, *args)
+        for pair in ((wide, g), (h, shift_matrix(QQ, 3)), (h, wide)):
+            with pytest.raises(DimensionMismatch, match=unequal):
+                fn(*pair, *args)
     one = Matrix.identity(QQ, 1)
-    with pytest.raises(DimensionMismatch, match="generator images must be 1x1"):
+    with pytest.raises(DimensionMismatch, match="inner dimensions 2 vs 1"):
         check_structure_identities(h, g, ConjugationWitness(one, one))
 
 
@@ -384,7 +385,7 @@ def _reference_build(h, g, n):
 
 
 def _built(h, g, n):
-    witness = build_conjugator(h, g, n)
+    witness = build_conjugator(h, g)
     assert (witness.conjugator.rows, witness.conjugator.spec) == (n, h.spec)
     return witness.kernel_vector, witness.conjugator, witness.conjugator_inv
 
@@ -432,8 +433,8 @@ def test_build_matches_column_loop_reference(spec, monkeypatch):
     krylov_paths = []
     krylov = sn._krylov
 
-    def spied_krylov(h, g, n):
-        result = krylov(h, g, n)
+    def spied_krylov(h, g):
+        result = krylov(h, g)
         krylov_paths.append(result is not None)
         return result
 
@@ -496,10 +497,10 @@ def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
             patch.setattr(sn, "_rank_one_factors", counted_factors)
             patch.setattr(sn, "krylov_sequence", counted_sequence)
             calls.update(eliminate=0, matmul=0, factors=0, krylov_vectors=0)
-            witness = build_conjugator(h, g, n)
+            witness = build_conjugator(h, g)
             assert calls == dict(eliminate=1, matmul=0, factors=1, krylov_vectors=n)
         # the rref of I - P agrees with the reading off w
-        projector = projected_idempotent(h, g, n)
+        projector = projected_idempotent(h, g)
         assert kernel_vector(projector) == witness.kernel_vector
         with pytest.raises(EmptyKernel):
             kernel_vector(projector.scale(2))
@@ -517,7 +518,7 @@ def test_structure_checks_pass_for_genuine_maps():
         for n in range(1, 6):
             b = random_invertible(spec, n, rng, 4)
             h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-            witness = build_conjugator(h, g, n)
+            witness = build_conjugator(h, g)
             report = check_structure_identities(h, g, witness)
             assert report.all_ok, report.first_failing
 
@@ -549,7 +550,7 @@ def test_structure_checks_forced_non_automorphism():
 def test_structure_checks_n1_trivial():
     h = Matrix.from_rows(QQ, [[1]])
     g = Matrix.zero(QQ, 1, 1)
-    witness = build_conjugator(h, g, 1)
+    witness = build_conjugator(h, g)
     report = check_structure_identities(h, g, witness)
     assert report.all_ok
     assert report.first_failing is None
@@ -574,7 +575,7 @@ def _scaled_rank_one(spec, n, rng, zero_head=0):
             continue
         h = outer_product(u.scale(t.inv()), v)
         try:
-            return h, g, build_conjugator(h, g, n)
+            return h, g, build_conjugator(h, g)
         except SingularConjugator:
             continue
     raise AssertionError("no scaled rank-1 pair built")
@@ -589,7 +590,7 @@ def _chain_break(spec, n, k, rng):
     h = outer_product(ColumnVector.standard_basis(spec, n, n), ColumnVector(spec, v))
     conj = AutomorphismOracle.conjugation_by(random_invertible(spec, n, rng, 4))
     h, g = conj.apply(h), conj.apply(shift_matrix(spec, n))
-    return h, g, build_conjugator(h, g, n)
+    return h, g, build_conjugator(h, g)
 
 
 def _random_pair_that_builds(spec, n, rng):
@@ -607,7 +608,7 @@ def _random_pair_that_builds(spec, n, rng):
         y = ColumnVector.standard_basis(spec, n, lead).scale(x.entry(lead).inv())
         h = h0 + outer_product(z - h0 @ x, y)
         try:
-            return h, g, build_conjugator(h, g, n)
+            return h, g, build_conjugator(h, g)
         except SingularConjugator:
             continue
     raise AssertionError("no random pair built")
@@ -628,7 +629,7 @@ def _structure_cases(spec, n, rng):
     """(name, H, G, witness) for each kind of structure-check input."""
     b = random_invertible(spec, n, rng, 4)
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    genuine = build_conjugator(h, g, n)
+    genuine = build_conjugator(h, g)
     yield "genuine", h, g, genuine
     scaled = _scaled_rank_one(spec, n, rng)
     yield "scaled_rank1", *scaled
@@ -656,8 +657,8 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
     krylov_paths = []
     krylov = sn._krylov
 
-    def spied_krylov(h, g, n):
-        result = krylov(h, g, n)
+    def spied_krylov(h, g):
+        result = krylov(h, g)
         krylov_paths.append(result is not None)
         return result
 
@@ -733,7 +734,7 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
     for n in (8, 16):
         b = random_invertible(spec, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-        witness = build_conjugator(h, g, n)
+        witness = build_conjugator(h, g)
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
@@ -774,9 +775,9 @@ def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
         products[0] += not isinstance(right, ColumnVector)
         return matmul(left, right)
 
-    def counted_projector(h, g, n):
+    def counted_projector(h, g):
         before = products[0]
-        result = projector(h, g, n)
+        result = projector(h, g)
         in_projector.append(products[0] - before)
         return result
 
@@ -787,7 +788,7 @@ def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
         for name, h, g in _not_rank_one_cases(spec, n, rng):
             products[0] = 0
             in_projector.clear()
-            _outcome(build_conjugator, h, g, n)
+            _outcome(build_conjugator, h, g)
             # the rref of I - P, H a and A^-1 take no dense product
             assert in_projector == [expected] and products[0] == expected, (name, n)
             a_mat = random_dense(spec, n, n, rng)
@@ -812,7 +813,7 @@ def test_verify_genuine_witness():
     b = random_invertible(QQ, 3, rng, 4)
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
-    witness = build_conjugator(h, g, 3)
+    witness = build_conjugator(h, g)
     report = verify_conjugation(phi, witness)
     assert report.outcome is Outcome.RECOVERED
     assert report.verified_pairs == 9
@@ -826,7 +827,7 @@ def test_verify_scalar_multiple_still_passes():
     b = random_invertible(QQ, 2, rng, 4)
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
-    witness = build_conjugator(h, g, 2)
+    witness = build_conjugator(h, g)
     doubled = ConjugationWitness(
         witness.conjugator.scale(2),
         witness.conjugator_inv.scale(Fraction(1, 2)),
@@ -844,7 +845,7 @@ def test_verify_perturbed_witness_fails():
         b = random_invertible(QQ, 2, rng, 4)
         phi = AutomorphismOracle.conjugation_by(b)
         h, g = phi.query_generators()
-        witness = build_conjugator(h, g, 2)
+        witness = build_conjugator(h, g)
         perturbed_matrix = witness.conjugator + e11
         if perturbed_matrix.det().is_zero():
             continue
@@ -865,7 +866,7 @@ def test_verify_uses_outer_product_identity():
     b = random_invertible(QQ, 3, rng, 3)
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
-    w = build_conjugator(h, g, 3)
+    w = build_conjugator(h, g)
     for i in range(1, 4):
         for j in range(1, 4):
             lhs = w.conjugator @ elementary_matrix(QQ, 3, i, j) @ w.conjugator_inv
@@ -914,11 +915,11 @@ def test_certify_matches_sweep_then_intertwines_on_pairs():
             for _ in range(6):
                 for h, g in generated_pairs(spec, n, rng):
                     try:
-                        witness = build_conjugator(h, g, n)
+                        witness = build_conjugator(h, g)
                     except (EmptyKernel, SingularConjugator):
                         continue
                     oracle = AutomorphismOracle.from_generator_pair(h, g)
-                    report = certify(oracle, witness, h, g)
+                    report = certify(oracle, witness)
                     assert report == reference_pair_certificate(oracle, witness, h, g)
                     assert oracle.query_count == 0
                     if report.outcome is Outcome.RECOVERED:
@@ -940,9 +941,9 @@ def test_certify_genuine_pair_skips_expansion_and_sweep(monkeypatch):
     monkeypatch.setattr(sn, "verify_conjugation", forbidden)
     b = random_invertible(QQ, 4, random.Random(79), 4)
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    witness = build_conjugator(h, g, 4)
+    witness = build_conjugator(h, g)
     oracle = AutomorphismOracle.from_generator_pair(h, g)
-    report = certify(oracle, witness, h, g)
+    report = certify(oracle, witness)
     assert report.outcome is Outcome.RECOVERED
     assert report.verified_pairs == 16
     assert report.failing_pair is None and report.detail is None
@@ -952,10 +953,65 @@ def test_certify_sweeps_conjugation_oracle():
     b = random_invertible(QQ, 3, random.Random(83), 4)
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
-    witness = build_conjugator(h, g, 3)
-    report = certify(phi, witness, h, g)
+    witness = build_conjugator(h, g)
+    report = certify(phi, witness)
     assert report.outcome is Outcome.RECOVERED
     assert report.query_count == phi.query_count == 11  # 2 recovery + n^2 sweep
+
+
+def _refused_inverse(oracle, witness):
+    """certify's report on a witness whose A A^-1 is not I: nothing verified."""
+    queries = oracle.query_count
+    report = certify(oracle, witness)
+    assert report.outcome is Outcome.VERIFICATION_FAILED
+    assert report.failing_pair is None and report.verified_pairs == 0
+    assert "A A^-1 != I" in report.detail
+    assert report.query_count == oracle.query_count == queries  # no sweep ran
+
+
+def test_certify_refuses_the_zero_witness_on_a_genuine_pair():
+    # 0 E_{n,1} = H 0 and 0 S = G 0 hold for every pair; A A^-1 = 0 does not
+    b = random_invertible(QQ, 3, random.Random(89), 4)
+    oracle = AutomorphismOracle.from_generator_pair(
+        *AutomorphismOracle.conjugation_by(b).query_generators()
+    )
+    zero = Matrix.zero(QQ, 3, 3)
+    _refused_inverse(oracle, ConjugationWitness(zero, zero))
+
+
+def test_certify_refuses_identity_with_double_inverse_on_the_doubling_table():
+    # I E_{i,j} (2I) = 2 E_{i,j} is the table of X -> 2X at every pair, and
+    # that map is no automorphism: validate() rejects it
+    gf7 = prime_field(7)
+    images = {(i, j): elementary_matrix(gf7, 2, i, j).scale(2) for i in (1, 2) for j in (1, 2)}
+    table = AutomorphismOracle.from_table(gf7, 2, images)
+    assert not table.validate().is_automorphism
+    one = Matrix.identity(gf7, 2)
+    _refused_inverse(table, ConjugationWitness(one, one.scale(2)))
+
+
+def test_certify_refuses_a_corrupted_inverse_on_a_conjugation_oracle():
+    b = random_invertible(QQ, 3, random.Random(97), 4)
+    phi = AutomorphismOracle.conjugation_by(b)
+    witness = build_conjugator(*phi.query_generators())
+    corrupted = witness.conjugator_inv + elementary_matrix(QQ, 3, 2, 3)
+    _refused_inverse(phi, ConjugationWitness(witness.conjugator, corrupted))
+    assert certify(phi, witness).outcome is Outcome.RECOVERED
+
+
+def test_certify_reads_the_pair_off_its_oracle():
+    # a genuine witness for another genuine pair intertwines that pair, not
+    # the oracle's; certify sweeps the oracle's own expansion and names a pair
+    rng = random.Random(101)
+    oracle = AutomorphismOracle.from_generator_pair(
+        *AutomorphismOracle.conjugation_by(random_invertible(QQ, 3, rng, 4)).query_generators()
+    )
+    other = AutomorphismOracle.conjugation_by(random_invertible(QQ, 3, rng, 4))
+    witness = build_conjugator(*other.query_generators())
+    assert certify(other, witness).outcome is Outcome.RECOVERED
+    report = certify(oracle, witness)
+    assert report.outcome is Outcome.VERIFICATION_FAILED
+    assert report.failing_pair is not None and oracle.query_count == 0
 
 
 # -- scalar_relation ---------------------------------------------------------
@@ -1001,7 +1057,7 @@ def test_scalar_relation_matches_quotient_route():
 
 def _recovered_conjugator(b):
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    return build_conjugator(h, g, b.rows).conjugator
+    return build_conjugator(h, g).conjugator
 
 
 @given(
@@ -1089,10 +1145,10 @@ def test_roundtrip_recovery_up_to_scalar(spec):
             phi = AutomorphismOracle.conjugation_by(b)
             h, g = phi.query_generators()
             assert phi.query_count == 2
-            witness = build_conjugator(h, g, n)
+            witness = build_conjugator(h, g)
             scalar = scalar_relation(witness.conjugator, b)
             assert scalar is not None and not scalar.is_zero()
-            projector = projected_idempotent(h, g, n)
+            projector = projected_idempotent(h, g)
             assert projector @ witness.kernel_vector == witness.kernel_vector
             assert verify_conjugation(phi, witness).outcome is Outcome.RECOVERED
 
@@ -1102,7 +1158,7 @@ def test_dropping_any_column_leaves_rank_n_minus_1():
     for n in range(2, 6):
         b = random_invertible(QQ, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-        witness = build_conjugator(h, g, n)
+        witness = build_conjugator(h, g)
         cols = [witness.conjugator.column(j) for j in range(1, n + 1)]
         for drop in range(n):
             kept = [c for j, c in enumerate(cols) if j != drop]
@@ -1114,7 +1170,7 @@ def test_kernel_of_projector_difference_is_one_dimensional():
     for n in range(1, 6):
         b = random_invertible(prime_field(3), n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-        projector = projected_idempotent(h, g, n)
+        projector = projected_idempotent(h, g)
         diff = Matrix.identity(prime_field(3), n) - projector
         assert diff.rank() == n - 1
         assert len(diff.nullspace_basis()) == 1

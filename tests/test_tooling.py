@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,16 @@ def test_benchmark_tracer_installs_and_restores():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_ci_tier1_step_runs_the_roadmap_tier1_command():
+    # the workflow's tier-1 step runs exactly the ROADMAP's "Tier-1 verify"
+    # command; a plain text match, so no YAML parser is needed
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = re.findall(r"^ +- name: Tier-1 tests\n +run: (.+)$", workflow, re.M)
+    assert steps == [command]
 
 
 def _run_script(name, *args) -> subprocess.CompletedProcess:
