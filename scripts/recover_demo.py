@@ -56,7 +56,7 @@ def main() -> int:
     print(f"kernel vector a = {[str(e) for e in witness.kernel_vector.entries()]}")
     show("recovered conjugator A", witness.conjugator)
 
-    checks = check_structure_identities(h, g, witness)
+    checks = check_structure_identities(h, g, witness.conjugator)
     print(f"structural identities all hold: {checks.all_ok}")
 
     report = certify(oracle, witness)

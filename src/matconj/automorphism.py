@@ -4,7 +4,7 @@ An :class:`AutomorphismOracle` wraps a candidate algebra automorphism phi in
 one of three backings:
 
 * ``conjugation_by(B)``: phi(X) = B X B^-1 for a fixed invertible B, backed
-  by the :class:`ConjugationWitness` (B, B^-1) that the recovery returns;
+  by the :class:`ConjugationWitness` of B that the recovery returns;
 * ``from_table(images)``: the images phi(E_{i,j}) of all n^2 matrix units,
   extended linearly to arbitrary inputs;
 * ``from_generator_pair(H, G)``: only the two images the recovery procedure
@@ -29,12 +29,20 @@ a table.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import DimensionMismatch, FieldMismatch, UnsupportedQuery
 from .field import FieldSpec
 from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
+
+
+def check_generator_pair(h: Matrix, g: Matrix) -> None:
+    """Refuse images (H, G) over two fields, or not both square of one size."""
+    if h.spec != g.spec:
+        raise FieldMismatch("generator images over different fields")
+    if not h.is_square or (g.rows, g.cols) != (h.rows, h.cols):
+        raise DimensionMismatch("generator images must be square and equal-sized")
 
 
 @dataclass
@@ -58,17 +66,20 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConjugationWitness:
-    """Conjugation by A, stored as A and its inverse: nothing else is stored.
+    """Conjugation by A, the one field a caller sets.
 
     It is the recovered conjugator and an oracle's conjugation backing.
-    ``conjugator_inv`` is computed eagerly: every downstream verification
-    needs it, and its existence doubles as the invertibility certificate.
-    n and the field are A's own, and so is the kernel vector.
+    ``conjugator_inv`` is computed here from A, one O(n^3) elimination, so no
+    witness holds an inverse that is not A's, and a singular A raises
+    SingularMatrix.  n and the field are A's own, and so is the kernel vector.
     """
 
     conjugator: Matrix
-    conjugator_inv: Matrix
+    conjugator_inv: Matrix = field(init=False)
     kind = "conjugation"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "conjugator_inv", self.conjugator.inverse())
 
     @property
     def kernel_vector(self) -> ColumnVector:
@@ -174,15 +185,14 @@ class AutomorphismOracle:
     @classmethod
     def conjugation_by(cls, b: Matrix) -> "AutomorphismOracle":
         """The inner map X -> B X B^-1; raises SingularMatrix if B is not invertible."""
-        if not b.is_square:
-            raise DimensionMismatch("conjugation needs a square matrix")
-        return cls(b.spec, b.rows, ConjugationWitness(b, b.inverse()))
+        return cls(b.spec, b.rows, ConjugationWitness(b))
 
     @classmethod
     def from_table(
         cls, spec: FieldSpec, n: int, images: Mapping[tuple[int, int], Matrix]
     ) -> "AutomorphismOracle":
-        """A map given by the images of all n^2 matrix units, keyed by 1-based (i, j)."""
+        """A map given by the images of all n^2 matrix units, keyed by 1-based (i, j);
+        a key missing from {1..n}^2, or outside it, raises DimensionMismatch."""
         if n < 1:
             raise DimensionMismatch("dimension must be positive")
         table = {}
@@ -199,15 +209,15 @@ class AutomorphismOracle:
                         f"image for ({i},{j}) is {img.rows}x{img.cols}, expected {n}x{n}"
                     )
                 table[(i, j)] = img
+        if len(images) != len(table):
+            extra = next(key for key in images if key not in table)
+            raise DimensionMismatch(f"image keyed {extra!r} is no basis pair of {n}x{n}")
         return cls(spec, n, _Table(table))
 
     @classmethod
     def from_generator_pair(cls, h: Matrix, g: Matrix) -> "AutomorphismOracle":
         """A map known only through the two images the recovery consumes."""
-        if not h.is_square or (g.rows, g.cols) != (h.rows, h.cols):
-            raise DimensionMismatch("generator images must be square and equal-sized")
-        if g.spec != h.spec:
-            raise FieldMismatch("generator images over different fields")
+        check_generator_pair(h, g)
         return cls(h.spec, h.rows, _Pair(h, g))
 
     # -- bookkeeping -------------------------------------------------------
@@ -218,7 +228,7 @@ class AutomorphismOracle:
 
     @property
     def backing(self):
-        """The map: a :class:`ConjugationWitness` (B, B^-1), a table or a pair."""
+        """The map: the :class:`ConjugationWitness` of B, a table or a pair."""
         return self._backing
 
     @property

@@ -21,15 +21,16 @@ module makes that effective from just two images of the map:
    elimination, n-1 integer mat-vecs and n integer dot products in all.
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  The
-build returns it as a :class:`~matconj.automorphism.ConjugationWitness`
-(A, A^-1), the same type that backs a conjugation oracle, so conjugation by
-A and its image A E_{i,j} A^-1 are formed in one place.  Those two
-identities pin down conjugation everywhere, because E_{n,1} and S generate
-the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.  :func:`certify` is the one
-certificate: A A^-1 = I, then the two intertwines for a generator pair, and
-the n^2-pair basis sweep of :func:`verify_conjugation` for a map given by
-conjugation or by a table.  No argument here is fixed by another: n is the
-size of H, and ``certify`` reads a pair's (H, G) off its oracle.  The
+build returns it as a :class:`~matconj.automorphism.ConjugationWitness`,
+the type that backs a conjugation oracle, which takes A alone and runs that
+elimination itself, so conjugation by A and its image A E_{i,j} A^-1 are
+formed in one place.  Those two identities pin down conjugation everywhere,
+because E_{n,1} and S generate the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.
+:func:`certify` is the one certificate: the two intertwines for a generator
+pair, and the n^2-pair basis sweep of :func:`verify_conjugation` for a map
+given by conjugation or by a table.  No argument here is fixed by another:
+n is the size of H, ``certify`` reads a pair's (H, G) off its oracle, and
+a witness's A^-1 is computed from its A.  The
 construction and that sweep also decide whether such a map is an
 automorphism at all, :func:`decide_automorphism`, O(n^4) on a table.
 :func:`check_structure_identities` evaluates, in one place, every
@@ -57,6 +58,7 @@ from itertools import product
 from operator import mul
 
 from .automorphism import AutomorphismOracle, ConjugationWitness, ValidationReport
+from .automorphism import check_generator_pair
 from .errors import (
     DimensionMismatch,
     EmptyKernel,
@@ -81,8 +83,8 @@ class StructureCheckReport:
     """Exact per-identity outcome for the relations the construction rests on.
 
     All flags are true whenever (H, G) arise from a genuine automorphism and
-    the witness came from :func:`build_conjugator`.  The two intertwines are
-    the only flags that depend on the witness, through its A.  Like
+    A came from :func:`build_conjugator`.  The two intertwines are the only
+    flags that depend on A.  Like
     ``nilpotent_ok`` and ``all_ok``, ``first_failing`` is read off the flags.
     """
 
@@ -203,7 +205,7 @@ def projected_idempotent(h: Matrix, g: Matrix) -> Matrix:
     For a rank-1 H the build and the structure report do not call this:
     they read what they need of P off the Krylov vectors of :func:`_krylov`.
     """
-    _check_pair(h, g)
+    check_generator_pair(h, g)
     return g.power(h.rows - 1) @ h
 
 
@@ -242,11 +244,11 @@ def build_conjugator(h: Matrix, g: Matrix) -> ConjugationWitness:
     n-1 integer mat-vecs, n dot products and one elimination, for A^-1,
     O(n^3), and forms no P.  Any other H forms P by
     :func:`projected_idempotent`, O(n^3 log n), and runs the rref of
-    :func:`kernel_vector` and the Krylov vectors of Ha.  The
-    inverse is computed eagerly; if it does not exist the input pair was
-    invalid and SingularConjugator is raised.
+    :func:`kernel_vector` and the Krylov vectors of Ha.  The witness
+    computes A^-1 from A; if it does not exist the input pair was invalid
+    and SingularConjugator is raised.
     """
-    _check_pair(h, g)
+    check_generator_pair(h, g)
     krylov = _krylov(h, g)
     if krylov is None:
         s = h.spec.one_value
@@ -258,24 +260,20 @@ def build_conjugator(h: Matrix, g: Matrix) -> ConjugationWitness:
             raise EmptyKernel(_INJECTIVE)
         s = h.spec.invert_value(cs[-1] * next(t for t in ys[-1] if t))
     columns = [from_integer_form(h.spec, s * c, y) for c, y in zip(cs, ys)]
-    conjugator = Matrix.from_columns(columns[::-1])
     try:
-        conjugator_inv = conjugator.inverse()
+        return ConjugationWitness(Matrix.from_columns(columns[::-1]))
     except SingularMatrix as exc:
         raise SingularConjugator(
             "assembled candidate conjugator is singular"
         ) from exc
-    return ConjugationWitness(conjugator, conjugator_inv)
 
 
-def check_structure_identities(
-    h: Matrix, g: Matrix, witness: ConjugationWitness
-) -> StructureCheckReport:
+def check_structure_identities(h: Matrix, g: Matrix, a: Matrix) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    Only A is read from the witness, by the intertwines, which run first and
-    so refuse an A that is not n x n, n the size of H.  Every other flag is
-    an identity of the pair (H, G), evaluated here from the pair alone.  G^n = 0
+    A is read only by the intertwines, which run first and so refuse an A
+    that is not n x n, n the size of H.  Every other flag is an identity of
+    the pair (H, G), evaluated here from the pair alone.  G^n = 0
     is a repeated-squaring power and the two intertwines are the products of
     :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1,
     :func:`_krylov` gives the scalars r_k = v^T G^k u as integer dot products
@@ -296,8 +294,8 @@ def check_structure_identities(
     0 <= k <= n-2 and is therefore empty at n = 1; the remaining checks
     degenerate gracefully there.
     """
-    _check_pair(h, g)
-    intertwine_E_ok, intertwine_S_ok = _intertwines(witness.conjugator, h, g)
+    check_generator_pair(h, g)
+    intertwine_E_ok, intertwine_S_ok = _intertwines(a, h, g)
     n = h.rows
     shift_nilpotent_ok = g.power(n).is_zero()
     krylov = _krylov(h, g)
@@ -339,10 +337,9 @@ def _intertwines(a_mat: Matrix, h: Matrix, g: Matrix) -> tuple[bool, bool]:
 def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> RecoveryReport:
     """Certify that conjugation by the witness's A is the oracle's map.
 
-    The witness is read, not trusted: A A^-1 = I comes first, one dense
-    product, and a witness that fails it verifies no pair.  A generator
-    pair's (H, G) are read off the oracle's backing, and the two intertwines
-    are then the whole certificate: A is invertible, so
+    A generator pair's (H, G) are read off the oracle's backing, and the two
+    intertwines are the whole certificate: A is invertible, since a witness
+    exists only for an invertible A and holds its true inverse, so
     A E_{n,1} = H A and A S = G A give
     A E_{i,j} A^-1 = A S^{n-i} E_{n,1} S^{j-1} A^-1 = G^{n-i} H G^{j-1},
     which is the pair's image of E_{i,j}; all n^2 pairs are then verified at
@@ -355,14 +352,11 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     sweep shows that A matches it.  ``query_count`` is the oracle's total
     afterwards; a generator-pair oracle is never queried here.
     """
+    if oracle.backing_kind != "generator_pair":
+        return verify_conjugation(oracle, witness)
     a_mat = witness.conjugator
     n, spec = a_mat.rows, a_mat.spec
-    if a_mat @ witness.conjugator_inv != Matrix.identity(spec, n):
-        report = RecoveryReport(Outcome.VERIFICATION_FAILED, n, spec, verified_pairs=0)
-        report.detail = "witness inverse is not the inverse of its conjugator: A A^-1 != I"
-    elif oracle.backing_kind != "generator_pair":
-        return verify_conjugation(oracle, witness)
-    elif all(_intertwines(a_mat, oracle.backing.corner_image, oracle.backing.shift_image)):
+    if all(_intertwines(a_mat, oracle.backing.corner_image, oracle.backing.shift_image)):
         report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=n**2)
     else:
         report = verify_conjugation(oracle.to_full_table(), witness)
@@ -389,7 +383,7 @@ def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
     invertible A on every matrix unit, hence everywhere: an automorphism,
     with the all-true report ``validate`` would give.  Every automorphism
     passes (Skolem-Noether), and a table pays one elimination (A^-1), the
-    Krylov vectors, A A^-1 and n^2 outer products, O(n^4).
+    Krylov vectors and n^2 outer products, O(n^4), and no dense product.
     On EmptyKernel, SingularConjugator or a failed sweep, ``validate``'s own
     report is returned.  A generator-pair oracle answers no basis query and
     goes straight to ``validate``, which refuses it.
@@ -414,7 +408,7 @@ def verify_conjugation(
     outer product of A's i-th column with the j-th row of A^-1, O(n^2), formed
     one pair at a time so that the n^2 images are never all held at once;
     the phi side consumes one oracle query per basis pair.  Stops at the first
-    failing pair.
+    failing pair.  A^-1 is A's own, so a passing sweep is conjugation by A.
     """
     a_mat = witness.conjugator
     n, spec = a_mat.rows, a_mat.spec
@@ -458,10 +452,3 @@ def scalar_relation(left: Matrix, right: Matrix) -> FieldElement | None:
     if c.is_zero():
         raise SingularMatrix("left matrix is singular")
     return c
-
-
-def _check_pair(h: Matrix, g: Matrix) -> None:
-    if h.spec != g.spec:
-        raise FieldMismatch("generator images over different fields")
-    if not h.is_square or (g.rows, g.cols) != (h.rows, h.cols):
-        raise DimensionMismatch("generator images must be square and equal-sized")

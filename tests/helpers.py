@@ -191,17 +191,16 @@ def column_loop_conjugator(h: Matrix, g: Matrix, a) -> Matrix:
     return Matrix.from_columns(columns[::-1])
 
 
-def matrix_structure_identities(h: Matrix, g: Matrix, witness):
+def matrix_structure_identities(h: Matrix, g: Matrix, a: Matrix):
     """Every flag of ``check_structure_identities`` from its matrix form, and
     the name of the first failing identity, computed here from the flags.
 
     The reference for the scalar readings off v^T G^k u: G^n, the chain
     H G^k H for 0 <= k <= n-2, P P and the rank of I - P for the P of
-    ``chain_projector``, and both intertwines for the witness's A, are
+    ``chain_projector``, and both intertwines for A, are
     evaluated whatever the rank of H, with products through ``naive_mul``.
     Returns (report, first_failing).
     """
-    a = witness.conjugator
     n, spec = a.rows, h.spec
     zero = Matrix.zero(spec, n, n)
     power = Matrix.identity(spec, n)

@@ -70,7 +70,10 @@ def test_value_types_store_no_derived_field():
     # contradiction: the kernel vector is column 1 of A, n and the field are
     # A's, Q is the absent modulus, the rank counts the pivots, and every
     # backing defines a linear map
+    # A^-1 is computed from A, never passed in
     assert _fields(matconj.ConjugationWitness) == ("conjugator", "conjugator_inv")
+    init = [field.name for field in dataclasses.fields(matconj.ConjugationWitness) if field.init]
+    assert init == ["conjugator"]
     assert _fields(matconj.FieldSpec) == ("modulus",)
     assert matconj.RrefResult._fields == ("matrix", "pivots")
     assert "linear_ok" not in _fields(matconj.ValidationReport)

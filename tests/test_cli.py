@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matconj import (
+    AutomorphismOracle,
     ConjugationWitness,
     Matrix,
     Outcome,
@@ -464,6 +465,43 @@ def test_recover_of_a_conjugator_runs_two_eliminations(
     assert len(eliminations) == 2
 
 
+def _products_equal_to_identity(monkeypatch, argv):
+    """main(argv)'s exit code and the sizes of the dense products it forms
+    that equal I, for n >= 2 (at n = 1 the intertwine A E_{1,1} of A = I is one)."""
+    matmul = Matrix.__matmul__
+    found = []
+
+    def spied(left, right):
+        result = matmul(left, right)
+        n = result.rows
+        if n >= 2 and result.is_square and result == Matrix.identity(result.spec, n):
+            found.append(n)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__matmul__", spied)
+        code = main(argv)
+    return code, found
+
+
+def test_certified_recover_and_fuzz_form_no_product_equal_to_identity(
+    tmp_path, capsys, monkeypatch
+):
+    # a witness holds its A's own inverse, so nothing re-checks A A^-1 = I:
+    # not certify, on a conjugator file or a pair file, and not a fuzz trial
+    path = str(tmp_path / "problem.json")
+    gen = ["gen", "--field", "gfp:2305843009213693951", "--n", "8", "--seed", "5"]
+    assert main([*gen, "--out", path]) == EXIT_OK
+    conjugation, _ = load_problem(path)
+    pair = AutomorphismOracle.from_generator_pair(*conjugation.query_generators())
+    pair_path = write_problem(tmp_path, problem_json(pair), "pair.json")
+    for problem in (path, pair_path):
+        assert _products_equal_to_identity(monkeypatch, ["recover", problem]) == (EXIT_OK, [])
+    fuzz = ["fuzz", "--n", "1..4", "--fields", "q,gfp:2,gfp:7", "--trials", "2", "--seed", "3"]
+    assert _products_equal_to_identity(monkeypatch, fuzz) == (EXIT_OK, [])
+    capsys.readouterr()
+
+
 def _dense_path_pair(descriptor):
     # H has rank 2 and G H = diag(1, 2), so a = e_1, H a = (1, -1) and
     # A = [G H a | H a] = [[1, 1], [0, -1]] is invertible
@@ -844,4 +882,5 @@ def test_problem_parses_to_its_conjugation_oracle():
     oracle = problem_from_json(swap_problem())
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert (oracle.spec, oracle.n, oracle.query_count) == (QQ, 2, 0)
-    assert oracle.backing == ConjugationWitness(swap, swap)
+    assert oracle.backing == ConjugationWitness(swap)
+    assert oracle.backing.conjugator_inv == swap

@@ -352,14 +352,14 @@ def test_build_n1():
 def test_pair_refusals_of_build_projector_and_report():
     # every entry point that takes (H, G) reads n off H and refuses a pair
     # over two fields, a non-square H or a G of another size before any
-    # arithmetic; the report refuses a witness that is not n x n
+    # arithmetic; the report refuses an A that is not n x n
     h, g = elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
-    witness = build_conjugator(h, g)
+    a_mat = build_conjugator(h, g).conjugator
     g7 = shift_matrix(prime_field(7), 2)
     wide = Matrix.zero(QQ, 2, 3)
     unequal = "generator images must be square and equal-sized"
     for fn in (build_conjugator, projected_idempotent, check_structure_identities):
-        args = (witness,) if fn is check_structure_identities else ()
+        args = (a_mat,) if fn is check_structure_identities else ()
         with pytest.raises(FieldMismatch, match="generator images over different fields"):
             fn(h, g7, *args)
         for pair in ((wide, g), (h, shift_matrix(QQ, 3)), (h, wide)):
@@ -367,7 +367,7 @@ def test_pair_refusals_of_build_projector_and_report():
                 fn(*pair, *args)
     one = Matrix.identity(QQ, 1)
     with pytest.raises(DimensionMismatch, match="inner dimensions 2 vs 1"):
-        check_structure_identities(h, g, ConjugationWitness(one, one))
+        check_structure_identities(h, g, one)
 
 
 def _reference_build(h, g, n):
@@ -518,13 +518,13 @@ def test_structure_checks_pass_for_genuine_maps():
         for n in range(1, 6):
             b = random_invertible(spec, n, rng, 4)
             h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-            witness = build_conjugator(h, g)
-            report = check_structure_identities(h, g, witness)
+            a_mat = build_conjugator(h, g).conjugator
+            report = check_structure_identities(h, g, a_mat)
             assert report.all_ok, report.first_failing
 
 
 def test_structure_checks_forced_non_automorphism():
-    # H = E_{1,1}, G = 0 never builds (empty kernel); force a witness with
+    # H = E_{1,1}, G = 0 never builds (empty kernel); force an A with
     # a = e_1 anyway and record which identities survive.  Observed flags:
     # the chain H G^0 H = H^2 = E_{1,1} != 0, the projector G H = 0 is
     # trivially idempotent, I - 0 has full rank, A = [GHa | Ha] = [0 | e_1]
@@ -534,8 +534,7 @@ def test_structure_checks_forced_non_automorphism():
     a = ColumnVector.standard_basis(QQ, 2, 1)
     ha = h @ a
     forced = Matrix.from_columns([g @ ha, ha])
-    witness = ConjugationWitness(forced, forced)  # inverse unused
-    report = check_structure_identities(h, g, witness)
+    report = check_structure_identities(h, g, forced)
     assert report.shift_nilpotent_ok
     assert not report.corner_chain_ok
     assert not report.nilpotent_ok
@@ -550,8 +549,7 @@ def test_structure_checks_forced_non_automorphism():
 def test_structure_checks_n1_trivial():
     h = Matrix.from_rows(QQ, [[1]])
     g = Matrix.zero(QQ, 1, 1)
-    witness = build_conjugator(h, g)
-    report = check_structure_identities(h, g, witness)
+    report = check_structure_identities(h, g, build_conjugator(h, g).conjugator)
     assert report.all_ok
     assert report.first_failing is None
 
@@ -575,7 +573,7 @@ def _scaled_rank_one(spec, n, rng, zero_head=0):
             continue
         h = outer_product(u.scale(t.inv()), v)
         try:
-            return h, g, build_conjugator(h, g)
+            return h, g, build_conjugator(h, g).conjugator
         except SingularConjugator:
             continue
     raise AssertionError("no scaled rank-1 pair built")
@@ -590,7 +588,7 @@ def _chain_break(spec, n, k, rng):
     h = outer_product(ColumnVector.standard_basis(spec, n, n), ColumnVector(spec, v))
     conj = AutomorphismOracle.conjugation_by(random_invertible(spec, n, rng, 4))
     h, g = conj.apply(h), conj.apply(shift_matrix(spec, n))
-    return h, g, build_conjugator(h, g)
+    return h, g, build_conjugator(h, g).conjugator
 
 
 def _random_pair_that_builds(spec, n, rng):
@@ -608,36 +606,34 @@ def _random_pair_that_builds(spec, n, rng):
         y = ColumnVector.standard_basis(spec, n, lead).scale(x.entry(lead).inv())
         h = h0 + outer_product(z - h0 @ x, y)
         try:
-            return h, g, build_conjugator(h, g)
+            return h, g, build_conjugator(h, g).conjugator
         except SingularConjugator:
             continue
     raise AssertionError("no random pair built")
 
 
 def _forced_rank_one(spec, n, rng, vanishing=False):
-    """A hand-made witness for a rank-1 H = u v^T whose pair need not build:
+    """A hand-made A for a rank-1 H = u v^T whose pair need not build:
     P = G^(n-1) H, so tr P = v^T G^(n-1) u is rarely 1.  With ``vanishing``,
     G is strictly upper triangular and u_n = 0, so G^(n-1) u = 0 and P = 0."""
     g = _strictly_upper(spec, n, rng) if vanishing else random_dense(spec, n, n, rng)
     u = _nonzero_vector(spec, n, rng, zero_tail=int(vanishing))
     h = outer_product(u, _nonzero_vector(spec, n, rng))
-    a_mat = random_dense(spec, n, n, rng)
-    return h, g, ConjugationWitness(a_mat, a_mat)  # inverse unused
+    return h, g, random_dense(spec, n, n, rng)
 
 
 def _structure_cases(spec, n, rng):
-    """(name, H, G, witness) for each kind of structure-check input."""
+    """(name, H, G, A) for each kind of structure-check input."""
     b = random_invertible(spec, n, rng, 4)
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    genuine = build_conjugator(h, g)
+    genuine = build_conjugator(h, g).conjugator
     yield "genuine", h, g, genuine
     scaled = _scaled_rank_one(spec, n, rng)
     yield "scaled_rank1", *scaled
     yield "random_pair", *_random_pair_that_builds(spec, n, rng)
-    # hand-made: a replaced conjugator, a witness passed with another pair,
+    # hand-made: a perturbed conjugator, an A passed with another pair,
     # a zero H, and rank-1 H whose pair does not build
-    perturbed = genuine.conjugator + elementary_matrix(spec, n, 1, 1)
-    yield "hand_perturbed", h, g, dataclasses.replace(genuine, conjugator=perturbed)
+    yield "hand_perturbed", h, g, genuine + elementary_matrix(spec, n, 1, 1)
     yield "hand_mismatched", scaled[0], scaled[1], genuine
     yield "hand_zero_h", Matrix.zero(spec, n, n), g, genuine
     yield "forced_rank1", *_forced_rank_one(spec, n, rng)
@@ -663,12 +659,12 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
         return result
 
     for n in range(1, 7):
-        for name, h, g, witness in _structure_cases(spec, n, rng):
+        for name, h, g, a_mat in _structure_cases(spec, n, rng):
             with monkeypatch.context() as patch:
                 patch.setattr(sn, "_krylov", spied_krylov)
                 krylov_paths.clear()
-                report = check_structure_identities(h, g, witness)
-            expected, first_failing = matrix_structure_identities(h, g, witness)
+                report = check_structure_identities(h, g, a_mat)
+            expected, first_failing = matrix_structure_identities(h, g, a_mat)
             assert report == expected, (name, n)
             assert report.first_failing == first_failing, (name, n)
             # the scalars v^T G^k u give the chain, P^2 = P and rank(I - P)
@@ -694,15 +690,16 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_structure_report_reads_only_the_conjugator(spec):
-    # A^-1 replaced: the flags are identities of (H, G), and the
-    # intertwines read A alone
+    # A replaced by the zero matrix, which no witness holds and which passes
+    # both intertwines as 0 = 0: the other flags are identities of (H, G)
     rng = random.Random(89)
     for n in range(1, 6):
-        for name, h, g, witness in _structure_cases(spec, n, rng):
-            replaced = dataclasses.replace(witness, conjugator_inv=Matrix.zero(spec, n, n))
-            assert check_structure_identities(
-                h, g, replaced
-            ) == check_structure_identities(h, g, witness), (name, n)
+        for name, h, g, a_mat in _structure_cases(spec, n, rng):
+            report = check_structure_identities(h, g, a_mat)
+            zero = check_structure_identities(h, g, Matrix.zero(spec, n, n))
+            assert zero == dataclasses.replace(
+                report, intertwine_E_ok=True, intertwine_S_ok=True
+            ), (name, n)
 
 
 def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch):
@@ -734,14 +731,14 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
     for n in (8, 16):
         b = random_invertible(spec, n, rng, 4)
         h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-        witness = build_conjugator(h, g)
+        a_mat = build_conjugator(h, g).conjugator
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "_eliminate", counted_eliminate)
             patch.setattr(Matrix, "__matmul__", counted_matmul)
             patch.setattr(sn, "_rank_one_factors", counted_factors)
             patch.setattr("matconj.automorphism.outer_product", counted_outer)
             calls.update(eliminate=0, products=0, factors=0, projectors=0)
-            report = check_structure_identities(h, g, witness)
+            report = check_structure_identities(h, g, a_mat)
         assert report.all_ok
         assert calls["eliminate"] == 0, n
         assert calls["factors"] == 1, (n, calls)
@@ -792,10 +789,9 @@ def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
             # the rref of I - P, H a and A^-1 take no dense product
             assert in_projector == [expected] and products[0] == expected, (name, n)
             a_mat = random_dense(spec, n, n, rng)
-            witness = ConjugationWitness(a_mat, a_mat)  # inverse unused
             products[0] = 0
             in_projector.clear()
-            check_structure_identities(h, g, witness)
+            check_structure_identities(h, g, a_mat)
             assert in_projector == [expected], (name, n)
             # besides P: G^n by squaring, the chain H G^k H (H = 0 runs all
             # 2(n-1) products, H H != 0 stops at the first), P P and the four
@@ -828,10 +824,8 @@ def test_verify_scalar_multiple_still_passes():
     phi = AutomorphismOracle.conjugation_by(b)
     h, g = phi.query_generators()
     witness = build_conjugator(h, g)
-    doubled = ConjugationWitness(
-        witness.conjugator.scale(2),
-        witness.conjugator_inv.scale(Fraction(1, 2)),
-    )
+    doubled = ConjugationWitness(witness.conjugator.scale(2))
+    assert doubled.conjugator_inv == witness.conjugator_inv.scale(Fraction(1, 2))
     assert verify_conjugation(phi, doubled).outcome is Outcome.RECOVERED
 
 
@@ -851,8 +845,7 @@ def test_verify_perturbed_witness_fails():
             continue
         if scalar_relation(perturbed_matrix, witness.conjugator) is not None:
             continue  # by chance still a scalar multiple: no failure expected
-        perturbed = ConjugationWitness(perturbed_matrix, perturbed_matrix.inverse())
-        report = verify_conjugation(phi, perturbed)
+        report = verify_conjugation(phi, ConjugationWitness(perturbed_matrix))
         assert report.outcome is Outcome.VERIFICATION_FAILED
         assert report.failing_pair is not None
         assert 1 <= report.failing_pair[0] <= 2 and 1 <= report.failing_pair[1] <= 2
@@ -959,35 +952,43 @@ def test_certify_sweeps_conjugation_oracle():
     assert report.query_count == phi.query_count == 11  # 2 recovery + n^2 sweep
 
 
-def _refused_inverse(oracle, witness):
-    """certify's report on a witness whose A A^-1 is not I: nothing verified."""
-    queries = oracle.query_count
-    report = certify(oracle, witness)
-    assert report.outcome is Outcome.VERIFICATION_FAILED
-    assert report.failing_pair is None and report.verified_pairs == 0
-    assert "A A^-1 != I" in report.detail
-    assert report.query_count == oracle.query_count == queries  # no sweep ran
+def _unbuildable(conjugator, inverse):
+    """No witness holds the pair (A, C) when C is not A^-1: the inverse is no
+    init argument, cannot be replaced, and is computed from A itself."""
+    with pytest.raises(TypeError):
+        ConjugationWitness(conjugator, inverse)
+    try:
+        witness = ConjugationWitness(conjugator)
+    except SingularMatrix:
+        return
+    assert witness.conjugator_inv != inverse
+    with pytest.raises(ValueError, match="conjugator_inv"):
+        dataclasses.replace(witness, conjugator_inv=inverse)
 
 
 def test_certify_refuses_the_zero_witness_on_a_genuine_pair():
-    # 0 E_{n,1} = H 0 and 0 S = G 0 hold for every pair; A A^-1 = 0 does not
-    b = random_invertible(QQ, 3, random.Random(89), 4)
-    oracle = AutomorphismOracle.from_generator_pair(
-        *AutomorphismOracle.conjugation_by(b).query_generators()
-    )
+    # 0 E_{n,1} = H 0 and 0 S = G 0 hold for every pair, but the zero matrix
+    # has no inverse, so no witness of it reaches certify
     zero = Matrix.zero(QQ, 3, 3)
-    _refused_inverse(oracle, ConjugationWitness(zero, zero))
+    _unbuildable(zero, zero)
+    with pytest.raises(SingularMatrix):
+        ConjugationWitness(zero)
 
 
 def test_certify_refuses_identity_with_double_inverse_on_the_doubling_table():
     # I E_{i,j} (2I) = 2 E_{i,j} is the table of X -> 2X at every pair, and
-    # that map is no automorphism: validate() rejects it
+    # that map is no automorphism: validate() rejects it.  (I, 2I) is no
+    # witness, and the witness of I conjugates E_{1,1} to itself, not 2 E_{1,1}
     gf7 = prime_field(7)
     images = {(i, j): elementary_matrix(gf7, 2, i, j).scale(2) for i in (1, 2) for j in (1, 2)}
     table = AutomorphismOracle.from_table(gf7, 2, images)
     assert not table.validate().is_automorphism
     one = Matrix.identity(gf7, 2)
-    _refused_inverse(table, ConjugationWitness(one, one.scale(2)))
+    _unbuildable(one, one.scale(2))
+    for check in (verify_conjugation, certify):
+        report = check(table, ConjugationWitness(one))
+        assert report.outcome is Outcome.VERIFICATION_FAILED
+        assert report.failing_pair == (1, 1) and report.verified_pairs == 0
 
 
 def test_certify_refuses_a_corrupted_inverse_on_a_conjugation_oracle():
@@ -995,7 +996,7 @@ def test_certify_refuses_a_corrupted_inverse_on_a_conjugation_oracle():
     phi = AutomorphismOracle.conjugation_by(b)
     witness = build_conjugator(*phi.query_generators())
     corrupted = witness.conjugator_inv + elementary_matrix(QQ, 3, 2, 3)
-    _refused_inverse(phi, ConjugationWitness(witness.conjugator, corrupted))
+    _unbuildable(witness.conjugator, corrupted)
     assert certify(phi, witness).outcome is Outcome.RECOVERED
 
 
