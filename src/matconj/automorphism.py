@@ -11,9 +11,10 @@ one of three backings:
   actually consumes: H for the corner unit E_{n,1} and G for the shift matrix.
 
 Each backing names its ``kind``, answers ``apply`` and tabulates its own
-``images()``.  Every ``apply`` resolved through the oracle bumps a thread-safe
-query counter, which is what makes the "two queries suffice" contract
-mechanically checkable.
+``images()``; n and the field are those of its A, image (1, 1) or H, so an
+oracle takes its backing alone and cannot disagree with it.  Every ``apply``
+resolved through the oracle bumps a thread-safe query counter, which is what
+makes the "two queries suffice" contract mechanically checkable.
 ``validate`` decides whether a fully specified map really is a unital algebra
 automorphism; it is entirely optional, since the recovery itself never needs
 it.  Multiplicativity is checked on 2n^2 generator products rather than all
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping
 
 from .errors import DimensionMismatch, FieldMismatch, UnsupportedQuery
@@ -64,8 +66,15 @@ class ValidationReport:
         return self.unital_ok and self.multiplicative_ok and self.bijective_ok
 
 
+class _Backing:
+    """A backing's field and n are those of its matrix ``_sample``."""
+
+    spec = property(lambda self: self._sample.spec)
+    n = property(lambda self: self._sample.rows)
+
+
 @dataclass(frozen=True)
-class ConjugationWitness:
+class ConjugationWitness(_Backing):
     """Conjugation by A, the one field a caller sets.
 
     It is the recovered conjugator and an oracle's conjugation backing.
@@ -77,6 +86,7 @@ class ConjugationWitness:
     conjugator: Matrix
     conjugator_inv: Matrix = field(init=False)
     kind = "conjugation"
+    _sample = property(lambda self: self.conjugator)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conjugator_inv", self.conjugator.inverse())
@@ -98,14 +108,15 @@ class ConjugationWitness:
         return outer_product(self.conjugator.column(i), self.conjugator_inv.row_vector(j))
 
     def images(self) -> dict:
-        span = range(1, self.conjugator.rows + 1)
+        span = range(1, self.n + 1)
         return {(i, j): self.image(i, j) for i in span for j in span}
 
 
 @dataclass(frozen=True)
-class _Table:
+class _Table(_Backing):
     table: Mapping[tuple[int, int], Matrix]
     kind = "full_table"
+    _sample = property(lambda self: self.table[(1, 1)])
 
     def apply(self, x: Matrix) -> Matrix:
         n = x.rows
@@ -133,10 +144,11 @@ class _Table:
 
 
 @dataclass(frozen=True)
-class _Pair:
+class _Pair(_Backing):
     corner_image: Matrix  # image of E_{n,1}
     shift_image: Matrix  # image of the shift matrix
     kind = "generator_pair"
+    _sample = property(lambda self: self.corner_image)
 
     def apply(self, x: Matrix) -> Matrix:
         spec, n = x.spec, x.rows
@@ -154,7 +166,7 @@ class _Pair:
     def images(self) -> dict:
         """G^{n-i} H G^{j-1}, the only table compatible with multiplicativity."""
         h, g = self.corner_image, self.shift_image
-        spec, n = h.spec, h.rows
+        spec, n = self.spec, self.n
         lefts = [None] * (n + 1)  # lefts[i] = G^{n-i} H
         lefts[n] = h
         for i in range(n - 1, 0, -1):
@@ -171,11 +183,10 @@ class _Pair:
 
 
 class AutomorphismOracle:
-    """A candidate automorphism of the n x n matrix algebra, with query counting."""
+    """A candidate automorphism of the n x n matrix algebra, with query counting;
+    built from its backing alone, whose field and n are the oracle's."""
 
-    def __init__(self, spec: FieldSpec, n: int, backing) -> None:
-        self.spec = spec
-        self.n = n
+    def __init__(self, backing) -> None:
         self._backing = backing
         self._query_count = 0
         self._lock = threading.Lock()
@@ -185,42 +196,43 @@ class AutomorphismOracle:
     @classmethod
     def conjugation_by(cls, b: Matrix) -> "AutomorphismOracle":
         """The inner map X -> B X B^-1; raises SingularMatrix if B is not invertible."""
-        return cls(b.spec, b.rows, ConjugationWitness(b))
+        return cls(ConjugationWitness(b))
 
     @classmethod
-    def from_table(
-        cls, spec: FieldSpec, n: int, images: Mapping[tuple[int, int], Matrix]
-    ) -> "AutomorphismOracle":
-        """A map given by the images of all n^2 matrix units, keyed by 1-based (i, j);
-        a key missing from {1..n}^2, or outside it, raises DimensionMismatch."""
-        if n < 1:
-            raise DimensionMismatch("dimension must be positive")
+    def from_table(cls, images: Mapping[tuple[int, int], Matrix]) -> "AutomorphismOracle":
+        """A map given by the images of all n^2 matrix units, keyed by 1-based (i, j).
+        n and the field are image (1, 1)'s; a missing, extra, non-matrix or
+        misshapen image raises DimensionMismatch, one over another field FieldMismatch."""
+        corner = images.get((1, 1))
+        n = corner.rows if isinstance(corner, Matrix) else 1  # the loop refuses it
         table = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                try:
-                    img = images[(i, j)]
-                except KeyError:
-                    raise DimensionMismatch(f"missing image for basis pair ({i},{j})")
-                if img.spec != spec:
-                    raise FieldMismatch(f"image for ({i},{j}) over the wrong field")
-                if (img.rows, img.cols) != (n, n):
-                    raise DimensionMismatch(
-                        f"image for ({i},{j}) is {img.rows}x{img.cols}, expected {n}x{n}"
-                    )
-                table[(i, j)] = img
+        for i, j in product(range(1, n + 1), repeat=2):
+            img = images.get((i, j))
+            if not isinstance(img, Matrix):
+                what = "missing" if img is None else "not a matrix"
+                raise DimensionMismatch(f"image for basis pair ({i},{j}) is {what}")
+            if img.spec != corner.spec:
+                raise FieldMismatch(f"image for ({i},{j}) over the wrong field")
+            if (img.rows, img.cols) != (n, n):
+                raise DimensionMismatch(
+                    f"image for ({i},{j}) is {img.rows}x{img.cols}, expected {n}x{n}"
+                )
+            table[(i, j)] = img
         if len(images) != len(table):
             extra = next(key for key in images if key not in table)
             raise DimensionMismatch(f"image keyed {extra!r} is no basis pair of {n}x{n}")
-        return cls(spec, n, _Table(table))
+        return cls(_Table(table))
 
     @classmethod
     def from_generator_pair(cls, h: Matrix, g: Matrix) -> "AutomorphismOracle":
         """A map known only through the two images the recovery consumes."""
         check_generator_pair(h, g)
-        return cls(h.spec, h.rows, _Pair(h, g))
+        return cls(_Pair(h, g))
 
     # -- bookkeeping -------------------------------------------------------
+
+    spec = property(lambda self: self._backing.spec)
+    n = property(lambda self: self._backing.n)
 
     @property
     def query_count(self) -> int:
@@ -277,7 +289,7 @@ class AutomorphismOracle:
         """
         if self.backing_kind == "full_table":
             raise UnsupportedQuery("oracle already carries a full table")
-        return AutomorphismOracle.from_table(self.spec, self.n, self._backing.images())
+        return AutomorphismOracle.from_table(self._backing.images())
 
     def _images_for_validation(self):
         if self.backing_kind == "generator_pair":

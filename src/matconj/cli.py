@@ -215,7 +215,7 @@ def problem_from_json(obj) -> AutomorphismOracle:
             images[(i + 1, j + 1)] = matrix_from_json(
                 spec, body[i][j], n, f"full_table[{i}][{j}]"
             )
-    return AutomorphismOracle.from_table(spec, n, images)
+    return AutomorphismOracle.from_table(images)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -8,8 +8,12 @@ each trial recovers A from two queries, evaluates the structural identities
 on A once with ``check_structure_identities`` and passes A's witness to
 ``certify``, the same certificate ``recover`` uses (the n^2-pair basis sweep
 for conjugation and table oracles, the two intertwines for a generator
-pair).  No trial runs ``validate``: a passing sweep already shows the map is
-conjugation by the invertible A.  Given an ``IdentitySummary``, a ground-truth trial also records
+pair).  A trial's report is ``certify``'s, plus the trial seed, the two-query
+count, the structure checks and the RNG identifier; on a conjugation oracle
+it also carries the scalar relating A to B, or fails if there is none.  Only
+a trial whose build raised makes its own report.  No trial runs
+``validate``: a passing sweep already shows the map is conjugation by the
+invertible A.  Given an ``IdentitySummary``, a ground-truth trial also records
 every identity the construction relies on there, read from the objects it
 built; ``run_identity_suite`` is that pass seen through its summary alone.
 
@@ -26,7 +30,6 @@ import hashlib
 import random
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from functools import partial
 
 from .automorphism import AutomorphismOracle
 from .errors import EmptyKernel, GenerationExhausted, SingularConjugator
@@ -211,7 +214,7 @@ def _transpose_oracle(spec: FieldSpec, n: int) -> AutomorphismOracle:
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     }
-    return AutomorphismOracle.from_table(spec, n, images)
+    return AutomorphismOracle.from_table(images)
 
 
 def _recovery_trial(
@@ -238,51 +241,25 @@ def _recovery_trial(
 
     h_img, g_img = oracle.query_generators()
     queries = oracle.query_count
-    report = partial(
-        RecoveryReport,
-        n=n,
-        spec=spec,
-        seed=trial_seed,
-        query_count=queries,
-        rng_algorithm=RNG_ALGORITHM,
-    )
+    facts = dict(seed=trial_seed, query_count=queries, rng_algorithm=RNG_ALGORITHM)
     context = f"n={n} field={spec} seed={trial_seed}"
     try:
         witness = build_conjugator(h_img, g_img)
     except (EmptyKernel, SingularConjugator) as exc:
         if summary is not None:
             summary.record_trial(context, h_img, g_img, queries, exc)
-        return report(build_failure_outcome(exc))
+        return RecoveryReport(build_failure_outcome(exc), n, spec, **facts)
 
     checks = check_structure_identities(h_img, g_img, witness.conjugator)
     if summary is not None:
         summary.record_trial(context, h_img, g_img, queries, witness, checks)
-    verification = certify(oracle, witness)
-    if verification.outcome is not Outcome.RECOVERED:
-        return report(
-            Outcome.VERIFICATION_FAILED,
-            checks=checks,
-            failing_pair=verification.failing_pair,
-            verified_pairs=verification.verified_pairs,
-            detail=verification.detail,
-        )
-
-    scalar = None
-    if oracle.backing_kind == "conjugation":
-        scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
-        if scalar is None:
-            return report(
-                Outcome.VERIFICATION_FAILED,
-                checks=checks,
-                verified_pairs=verification.verified_pairs,
-                detail="conjugator is not a scalar multiple of the ground truth",
-            )
-    return report(
-        Outcome.RECOVERED,
-        scalar=scalar,
-        checks=checks,
-        verified_pairs=verification.verified_pairs,
-    )
+    report = replace(certify(oracle, witness), checks=checks, **facts)
+    if report.outcome is Outcome.RECOVERED and oracle.backing_kind == "conjugation":
+        report.scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
+        if report.scalar is None:
+            report.outcome = Outcome.VERIFICATION_FAILED
+            report.detail = "conjugator is not a scalar multiple of the ground truth"
+    return report
 
 
 def run_roundtrip_suite(

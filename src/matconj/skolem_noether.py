@@ -125,7 +125,9 @@ class RecoveryReport:
     :func:`verify_conjugation` and :func:`certify` report the oracle's total
     after certification.  ``scalar`` is the ratio A = scalar * B when a
     ground-truth B is known.  ``verified_pairs`` counts the basis pairs the
-    certificate confirmed (n^2 on success).
+    certificate confirmed (n^2 on success).  A fuzz trial's report is
+    :func:`certify`'s with the seed, the two-query count, the structure
+    ``checks``, the RNG and the scalar filled in.
     """
 
     outcome: Outcome
@@ -354,10 +356,10 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     """
     if oracle.backing_kind != "generator_pair":
         return verify_conjugation(oracle, witness)
-    a_mat = witness.conjugator
-    n, spec = a_mat.rows, a_mat.spec
-    if all(_intertwines(a_mat, oracle.backing.corner_image, oracle.backing.shift_image)):
-        report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=n**2)
+    n = witness.n
+    pair = oracle.backing
+    if all(_intertwines(witness.conjugator, pair.corner_image, pair.shift_image)):
+        report = RecoveryReport(Outcome.RECOVERED, n, witness.spec, verified_pairs=n**2)
     else:
         report = verify_conjugation(oracle.to_full_table(), witness)
         if report.outcome is Outcome.RECOVERED:
@@ -410,8 +412,7 @@ def verify_conjugation(
     the phi side consumes one oracle query per basis pair.  Stops at the first
     failing pair.  A^-1 is A's own, so a passing sweep is conjugation by A.
     """
-    a_mat = witness.conjugator
-    n, spec = a_mat.rows, a_mat.spec
+    n, spec = witness.n, witness.spec
     report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=0)
     for i, j in product(range(1, n + 1), repeat=2):
         expected = phi.apply(elementary_matrix(spec, n, i, j))

@@ -149,7 +149,7 @@ def test_criterion_5_negative_controls():
             for i in range(1, n + 1)
             for j in range(1, n + 1)
         }
-        report = AutomorphismOracle.from_table(spec, n, images).validate()
+        report = AutomorphismOracle.from_table(images).validate()
         assert not report.multiplicative_ok
         assert not report.is_automorphism
 

@@ -1,6 +1,7 @@
 """The package's public names and the fields its value types store."""
 
 import dataclasses
+import inspect
 
 import matconj
 
@@ -78,6 +79,13 @@ def test_value_types_store_no_derived_field():
     assert matconj.RrefResult._fields == ("matrix", "pivots")
     assert "linear_ok" not in _fields(matconj.ValidationReport)
     assert not hasattr(matconj.field, "FieldKind")
+
+
+def test_constructors_take_only_what_fixes_the_map():
+    # n and the field are facts of the matrices, never passed beside them
+    oracle = matconj.AutomorphismOracle
+    assert list(inspect.signature(oracle).parameters) == ["backing"]
+    assert list(inspect.signature(oracle.from_table).parameters) == ["images"]
 
 
 def test_one_conjugation_type():

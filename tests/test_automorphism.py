@@ -21,6 +21,7 @@ from matconj import (
     DimensionMismatch,
     EmptyKernel,
     FieldMismatch,
+    MatconjError,
     Matrix,
     Outcome,
     SingularConjugator,
@@ -83,7 +84,7 @@ def test_apply_preserves_identity():
 
 
 def test_apply_full_table_identity_map():
-    phi = AutomorphismOracle.from_table(QQ, 2, identity_table(QQ, 2))
+    phi = AutomorphismOracle.from_table(identity_table(QQ, 2))
     x = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     assert phi.apply(x) == x
 
@@ -141,11 +142,43 @@ def test_from_table_shape_validation():
     images = identity_table(QQ, 2)
     del images[(2, 2)]
     with pytest.raises(DimensionMismatch):
-        AutomorphismOracle.from_table(QQ, 2, images)
+        AutomorphismOracle.from_table(images)
     images = identity_table(QQ, 2)
     images[(1, 1)] = Matrix.identity(QQ, 3)
     with pytest.raises(DimensionMismatch):
-        AutomorphismOracle.from_table(QQ, 2, images)
+        AutomorphismOracle.from_table(images)
+    with pytest.raises(DimensionMismatch, match=re.escape("pair (1,1) is missing")):
+        AutomorphismOracle.from_table({})
+    images = identity_table(QQ, 2)
+    images[(2, 1)] = elementary_matrix(GF7, 2, 2, 1)
+    with pytest.raises(FieldMismatch, match=re.escape("image for (2,1) over the wrong field")):
+        AutomorphismOracle.from_table(images)
+
+
+@pytest.mark.parametrize("key", [(1, 1), (2, 2)])
+def test_from_table_refuses_a_non_matrix_image(key):
+    # n and the field are read off image (1, 1), so any image may be junk
+    images = identity_table(QQ, 2)
+    images[key] = "junk"
+    i, j = key
+    with pytest.raises(MatconjError, match=re.escape(f"pair ({i},{j}) is not a matrix")):
+        AutomorphismOracle.from_table(images)
+
+
+def test_oracle_takes_its_backing_alone():
+    # n and the field are the backing's: an oracle cannot disagree with it
+    witness = ConjugationWitness(Matrix.identity(QQ, 2))
+    with pytest.raises(TypeError):
+        AutomorphismOracle(QQ, 3, witness)
+    phi = AutomorphismOracle(witness)
+    assert (phi.spec, phi.n, phi.backing) == (QQ, 2, witness)
+    assert phi.query_generators() == (elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2))
+    assert phi.query_count == 2
+    # a table's are image (1, 1)'s, a pair's are H's
+    for spec, n in ((QQ, 1), (GF7, 3)):
+        table = AutomorphismOracle.from_table(identity_table(spec, n))
+        pair = AutomorphismOracle.from_generator_pair(*table.query_generators())
+        assert (table.spec, table.n) == (pair.spec, pair.n) == (spec, n)
 
 
 @pytest.mark.parametrize("extra", [(3, 3), (0, 1), (1, 3), ("x", 0)])
@@ -154,7 +187,7 @@ def test_from_table_refuses_a_key_outside_the_basis(extra):
     images = identity_table(QQ, 2)
     images[extra] = "junk" if extra == ("x", 0) else Matrix.identity(QQ, 2)
     with pytest.raises(DimensionMismatch, match=re.escape(f"image keyed {extra!r}")):
-        AutomorphismOracle.from_table(QQ, 2, images)
+        AutomorphismOracle.from_table(images)
 
 
 def test_from_generator_pair_refusals():
@@ -173,7 +206,7 @@ def test_from_generator_pair_refusals():
 def test_backing_kind_of_each_constructor():
     h, g = elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
     assert AutomorphismOracle.conjugation_by(g + h).backing_kind == "conjugation"
-    table = AutomorphismOracle.from_table(QQ, 2, identity_table(QQ, 2))
+    table = AutomorphismOracle.from_table(identity_table(QQ, 2))
     assert table.backing_kind == "full_table"
     pair = AutomorphismOracle.from_generator_pair(h, g)
     assert pair.backing_kind == "generator_pair"
@@ -223,7 +256,7 @@ def test_witness_computes_its_own_inverse():
 
 
 def test_to_full_table_refuses_a_table():
-    phi = AutomorphismOracle.from_table(QQ, 2, identity_table(QQ, 2))
+    phi = AutomorphismOracle.from_table(identity_table(QQ, 2))
     with pytest.raises(UnsupportedQuery, match="oracle already carries a full table"):
         phi.to_full_table()
     assert phi.query_count == 0
@@ -315,7 +348,7 @@ def test_validate_inner_maps_pass():
 
 
 def test_validate_transpose_fails_multiplicativity():
-    report = AutomorphismOracle.from_table(QQ, 2, transpose_table(QQ, 2)).validate()
+    report = AutomorphismOracle.from_table(transpose_table(QQ, 2)).validate()
     assert report.unital_ok
     assert not report.multiplicative_ok
     assert not report.is_automorphism
@@ -331,7 +364,7 @@ def test_validate_zero_map():
     images = {
         (i, j): Matrix.zero(QQ, 2, 2) for i in range(1, 3) for j in range(1, 3)
     }
-    report = AutomorphismOracle.from_table(QQ, 2, images).validate()
+    report = AutomorphismOracle.from_table(images).validate()
     assert not report.unital_ok
     assert not report.bijective_ok
 
@@ -353,7 +386,7 @@ def test_validate_scaled_map_not_unital():
         ._images_for_validation()
         .items()
     }
-    report = AutomorphismOracle.from_table(QQ, 2, doubled).validate()
+    report = AutomorphismOracle.from_table(doubled).validate()
     assert not report.unital_ok
     assert not report.multiplicative_ok
     assert report.bijective_ok
@@ -434,7 +467,7 @@ def test_generator_products_match_full_multiplicativity():
     for spec in (QQ, GF2, GF3):
         for n in range(1, 4):
             for images in _equivalence_tables(spec, n, rng):
-                report = AutomorphismOracle.from_table(spec, n, images).validate()
+                report = AutomorphismOracle.from_table(images).validate()
                 assert report.multiplicative_ok == full_multiplicativity(images, n)
                 seen[report.multiplicative_ok] += 1
                 violation = report.first_violation
@@ -484,7 +517,7 @@ def test_bijectivity_matches_vectorized_rank():
     seen = {"phi(I) != 0": 0, "phi(I) = 0": 0, "not multiplicative": 0}
     for spec, n, tables in batteries:
         for images in tables:
-            report = AutomorphismOracle.from_table(spec, n, images).validate()
+            report = AutomorphismOracle.from_table(images).validate()
             assert report.bijective_ok == vectorized_rank_bijective(images, n)
             if not report.multiplicative_ok:
                 seen["not multiplicative"] += 1
@@ -507,13 +540,13 @@ def test_validate_ranks_only_a_map_that_is_not_multiplicative(spec, monkeypatch)
         conjugation = AutomorphismOracle.conjugation_by(b)
         table = conjugation.to_full_table()
         cases += [(conjugation, 0), (table, 0)]
-        cases.append((AutomorphismOracle.from_table(spec, n, _zero_table(spec, n)), 0))
+        cases.append((AutomorphismOracle.from_table(_zero_table(spec, n)), 0))
         if n >= 2:
             images = table._images_for_validation()
             transposed = {(i, j): images[(j, i)] for (i, j) in images}
-            cases.append((AutomorphismOracle.from_table(spec, n, transposed), 1))
+            cases.append((AutomorphismOracle.from_table(transposed), 1))
             diagonal = _diagonal_projection(spec, n)
-            cases.append((AutomorphismOracle.from_table(spec, n, diagonal), 1))
+            cases.append((AutomorphismOracle.from_table(diagonal), 1))
     eliminate = Matrix._eliminate
     eliminations = []
 
@@ -544,7 +577,7 @@ def _check_aut_oracles(spec, n, rng):
     bumped[key] = bumped[key] + elementary_matrix(spec, n, rng.randint(1, n), 1)
     last[(n, n)] = last[(n, n)] + elementary_matrix(spec, n, 1, n)
     tables = [*_equivalence_tables(spec, n, rng), *kinds, bumped, last]
-    oracles = [AutomorphismOracle.from_table(spec, n, images) for images in tables]
+    oracles = [AutomorphismOracle.from_table(images) for images in tables]
     for _ in range(3):
         b = random_invertible(spec, n, rng, 4)
         oracles.append(AutomorphismOracle.conjugation_by(b))
@@ -634,7 +667,7 @@ def test_check_aut_genuine_table_costs_one_elimination(spec, tmp_path, monkeypat
     for n in range(1, 7):
         b = random_invertible(spec, n, rng, 4)
         images = AutomorphismOracle.conjugation_by(b).backing.images()
-        table = AutomorphismOracle.from_table(spec, n, images)
+        table = AutomorphismOracle.from_table(images)
         path.write_text(json.dumps(problem_json(table)))
         counted = {
             (AutomorphismOracle, "validate"): [],

@@ -85,7 +85,7 @@ def test_census_matches_pgl_order():
     keys = [(i, j) for i in (1, 2) for j in (1, 2)]
     accepted = 0
     for images in itertools.product(units, repeat=4):
-        oracle = AutomorphismOracle.from_table(spec, n, dict(zip(keys, images)))
+        oracle = AutomorphismOracle.from_table(dict(zip(keys, images)))
         report = oracle.validate()
         assert decide_automorphism(oracle) == report, images
         accepted += report.is_automorphism
