@@ -156,11 +156,8 @@ class _Pair(_Backing):
             return self.corner_image
         if x == shift_matrix(spec, n):
             return self.shift_image
-        if x == Matrix.identity(spec, n):
-            return Matrix.identity(spec, n)
         raise UnsupportedQuery(
-            "generator-pair backing answers only the corner unit, the shift matrix, "
-            "and the identity"
+            "generator-pair backing answers only the corner unit and the shift matrix"
         )
 
     def images(self) -> dict:
@@ -256,8 +253,9 @@ class AutomorphismOracle:
     def apply(self, x: Matrix) -> Matrix:
         """Evaluate the map on x; every resolved call costs one oracle query.
 
-        Generator-pair backings answer only the corner unit, the shift matrix
-        and the identity; anything else raises UnsupportedQuery.
+        Generator-pair backings answer only their two generators, the corner
+        unit E_{n,1} and the shift matrix (at n = 1 the identity is E_{1,1}, so
+        it gets H); anything else raises UnsupportedQuery.
         """
         if x.spec != self.spec:
             raise FieldMismatch("query over the wrong field")

@@ -13,9 +13,10 @@ count, the structure checks and the RNG identifier; on a conjugation oracle
 it also carries the scalar relating A to B, or fails if there is none.  Only
 a trial whose build raised makes its own report.  No trial runs
 ``validate``: a passing sweep already shows the map is conjugation by the
-invertible A.  Given an ``IdentitySummary``, a ground-truth trial also records
-every identity the construction relies on there, read from the objects it
-built; ``run_identity_suite`` is that pass seen through its summary alone.
+invertible A.  Given an ``IdentitySummary``, the pass then tallies each
+ground-truth trial's report there, every identity the construction relies on,
+so the identities are evaluated once, by ``check_structure_identities``;
+``run_identity_suite`` is that pass seen through its summary alone.
 
 Determinism: each (field, n, trial) cell derives its own 63-bit seed by
 hashing the master seed with the cell coordinates (SHA-256), and feeds it to
@@ -42,8 +43,6 @@ from .skolem_noether import (
     build_failure_outcome,
     certify,
     check_structure_identities,
-    kernel_vector,
-    projected_idempotent,
     scalar_relation,
 )
 
@@ -110,7 +109,8 @@ class FuzzConfig:
 @dataclass
 class IdentitySummary:
     """Aggregated outcome of an identity sweep: assertion counts per identity
-    and a flat list of violation descriptions (empty on success)."""
+    and a flat list of violation descriptions (empty on success), tallied
+    from the trials' reports by ``record_trial``."""
 
     total_trials: int = 0
     assertion_counts: dict = dataclass_field(default_factory=dict)
@@ -125,48 +125,38 @@ class IdentitySummary:
         if not passed:
             self.violations.append(f"{identity} violated at {context}")
 
-    def record_trial(
-        self, context: str, h: Matrix, g: Matrix, queries: int, built, checks=None
-    ) -> None:
-        """Record one conjugation trial's assertions from what its recovery
-        built: the images (h, g), the queries they took, ``built`` (the witness,
-        or the EmptyKernel or SingularConjugator that stopped the construction)
-        and the structure report ``checks`` of the witness's A.  P = G^(n-1) H
-        is formed here by ``projected_idempotent`` on every path, since a build
-        from a rank-1 H does not form it; the kernel vector a is the witness's
-        when there is one, and det(I - P) is eliminated only when a does not
-        settle it.  A witness exists only for an invertible A: it is full rank."""
-        n = h.rows
+    def record_trial(self, report: RecoveryReport) -> None:
+        """Tally one ground-truth trial's report; nothing is evaluated here.
+
+        Every flag of ``report.checks`` (see :func:`check_structure_identities`)
+        is recorded as it is, and the rest follow from them.  A E_{n,1} = H A
+        and A S = G A give A E_{1,1} = P A for P = G^{n-1} H, so a = A e_1
+        has P a = a, and a nonzero fixed vector makes I - P singular.  A
+        witness exists only for an invertible A, so A is full rank and its
+        column a is nonzero.  A report without checks comes from a build that
+        raised: it records the query count and the failed build, named by its
+        outcome.
+        """
+        checks = report.checks
+        context = f"n={report.n} field={report.spec} seed={report.seed}"
         self.total_trials += 1
-        self._record("query_economy", queries == 2, context)
-        failed = isinstance(built, (EmptyKernel, SingularConjugator))
-        projector = projected_idempotent(h, g)
-        identity = Matrix.identity(h.spec, n)
-        if isinstance(built, EmptyKernel):
-            singular = (identity - projector).det().is_zero()
-            self._record("det_projector_zero", singular, context)
-            self._record("kernel_vector_nonzero", False, context)
+        self._record("query_economy", report.query_count == 2, context)
+        if checks is None:
+            self._record("conjugator_built", False, f"{context}: {report.outcome.value}")
             return
-        a_vec = kernel_vector(projector) if failed else built.kernel_vector
-        nonzero = not a_vec.is_zero()
-        # (I - P)a = 0 is P a = a, and a nonzero such a proves det(I - P) = 0
-        fixed = projector @ a_vec == a_vec
-        det_zero = (nonzero and fixed) or (identity - projector).det().is_zero()
-        self._record("det_projector_zero", det_zero, context)
-        self._record("kernel_vector_nonzero", nonzero, context)
+        fixed = checks.intertwine_E_ok and checks.intertwine_S_ok
+        self._record("det_projector_zero", fixed, context)
+        self._record("kernel_vector_nonzero", True, context)
         self._record("kernel_vector_annihilated", fixed, context)
         self._record("fixed_point", fixed, context)
-        if failed:
-            self._record("conjugator_built", False, f"{context}: {built}")
-            return
         self._record("conjugator_built", True, context)
-        self._record("conjugator_full_rank", True, context)  # A^-1 exists
+        self._record("conjugator_full_rank", True, context)
         self._record("projector_idempotent", checks.idempotent_ok, context)
         self._record("projector_kernel_rank", checks.kernel_rank_ok, context)
         self._record("intertwine_E", checks.intertwine_E_ok, context)
         self._record("intertwine_S", checks.intertwine_S_ok, context)
         self._record("shift_image_nilpotent", checks.shift_nilpotent_ok, context)
-        if n >= 2:  # the chain H G^k H = 0, 0 <= k <= n-2, is empty at n = 1
+        if report.n >= 2:  # the chain H G^k H = 0, 0 <= k <= n-2, is empty at n = 1
             self._record("corner_chain_zero", checks.corner_chain_ok, context)
 
 
@@ -218,11 +208,7 @@ def _transpose_oracle(spec: FieldSpec, n: int) -> AutomorphismOracle:
 
 
 def _recovery_trial(
-    cfg: FuzzConfig,
-    spec: FieldSpec,
-    n: int,
-    trial: int,
-    summary: IdentitySummary | None,
+    cfg: FuzzConfig, spec: FieldSpec, n: int, trial: int
 ) -> RecoveryReport:
     trial_seed = derive_trial_seed(cfg.seed, spec, n, trial)
     rng = random.Random(trial_seed)
@@ -242,17 +228,12 @@ def _recovery_trial(
     h_img, g_img = oracle.query_generators()
     queries = oracle.query_count
     facts = dict(seed=trial_seed, query_count=queries, rng_algorithm=RNG_ALGORITHM)
-    context = f"n={n} field={spec} seed={trial_seed}"
     try:
         witness = build_conjugator(h_img, g_img)
     except (EmptyKernel, SingularConjugator) as exc:
-        if summary is not None:
-            summary.record_trial(context, h_img, g_img, queries, exc)
         return RecoveryReport(build_failure_outcome(exc), n, spec, **facts)
 
     checks = check_structure_identities(h_img, g_img, witness.conjugator)
-    if summary is not None:
-        summary.record_trial(context, h_img, g_img, queries, witness, checks)
     report = replace(certify(oracle, witness), checks=checks, **facts)
     if report.outcome is Outcome.RECOVERED and oracle.backing_kind == "conjugation":
         report.scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
@@ -268,17 +249,19 @@ def run_roundtrip_suite(
     """One recovery per (n, field, trial) cell, reported in deterministic
     (n, field, trial) order.  Individual failures are recorded, never thrown.
 
-    Given ``summary`` and no adversary, each trial also records its identity
-    assertions there (see ``IdentitySummary.record_trial``); adversarial
-    trials record none, since the identities presuppose an automorphism.
+    Given ``summary`` and no adversary, each report is then tallied there
+    (see ``IdentitySummary.record_trial``); adversarial reports are not,
+    since the identities presuppose an automorphism.
     """
-    if cfg.adversary is not None:
-        summary = None
-    return [
-        _recovery_trial(cfg, spec, n, trial, summary)
+    reports = [
+        _recovery_trial(cfg, spec, n, trial)
         for n, spec in cfg.cells()
         for trial in range(cfg.trials_per_cell)
     ]
+    if summary is not None and cfg.adversary is None:
+        for report in reports:
+            summary.record_trial(report)
+    return reports
 
 
 def run_identity_suite(cfg: FuzzConfig) -> IdentitySummary:

@@ -438,8 +438,9 @@ class Matrix:
             ident_row[i] = one
             aug.extend(ident_row)
         res = Matrix._raw_new(self.spec, n, 2 * n, tuple(aug)).rref()
-        if res.pivots != tuple(range(1, n + 1)):
-            raise SingularMatrix(f"matrix of rank {res.rank} is not invertible")
+        rank = sum(p <= n for p in res.pivots)  # [A | I] itself always has rank n
+        if rank < n:
+            raise SingularMatrix(f"matrix of rank {rank} is not invertible")
         rdata = res.matrix._data
         inv = tuple(
             rdata[i * 2 * n + n + j] for i in range(n) for j in range(n)

@@ -132,10 +132,22 @@ def test_generator_pair_apply_surface():
     phi = AutomorphismOracle.from_generator_pair(h, g)
     assert phi.apply(elementary_matrix(QQ, 2, 2, 1)) == h
     assert phi.apply(shift_matrix(QQ, 2)) == g
-    assert phi.apply(Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 2)
-    # E_{1,1} is neither generator nor the identity, so the pair cannot answer
+    # a pair answers only its two generators: not E_{1,1}, nor the identity
+    for x in (elementary_matrix(QQ, 2, 1, 1), Matrix.identity(QQ, 2)):
+        with pytest.raises(UnsupportedQuery, match="only the corner unit and the shift"):
+            phi.apply(x)
+    assert phi.query_count == 2
+    # the identity's image is the pair's own to give: with H = G = 0 its
+    # table maps I to 0, so no answer of I could agree with it
+    zero = Matrix.zero(QQ, 2, 2)
+    zero_pair = AutomorphismOracle.from_generator_pair(zero, zero)
+    assert zero_pair.to_full_table().apply(Matrix.identity(QQ, 2)) == zero
     with pytest.raises(UnsupportedQuery):
-        phi.apply(elementary_matrix(QQ, 2, 1, 1))
+        zero_pair.apply(Matrix.identity(QQ, 2))
+    # at n = 1 the identity is E_{1,1}, the corner unit, so it gets H
+    h1 = Matrix.from_rows(QQ, [[3]])
+    single = AutomorphismOracle.from_generator_pair(h1, Matrix.zero(QQ, 1, 1))
+    assert single.apply(Matrix.identity(QQ, 1)) == h1
 
 
 def test_from_table_shape_validation():

@@ -183,7 +183,7 @@ def test_identity_suite_deterministic():
 
 
 def test_one_pass_builds_each_cell_once(monkeypatch):
-    calls = {}
+    calls = {"projected_idempotent": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -201,13 +201,13 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "certify",
     ):
         counted(fuzz_module, name)
-    # H is read once by the build and once by the report; record_trial's
-    # projected_idempotent forms P = G^(n-1) H by squaring, the build and
-    # the report forming none, and every outer product is one of certify's
-    # n^2 basis pairs, formed by the witness's image(i, j)
+    # H is read once by the build and once by the report; no P is formed,
+    # since a rank-1 H needs none and the summary tallies the report, and
+    # every outer product is one of certify's n^2 basis pairs, formed by the
+    # witness's image(i, j)
     counted(sn, "_krylov")
     counted(automorphism_module, "outer_product")
-    counted(fuzz_module, "projected_idempotent")
+    counted(sn, "projected_idempotent")
     summary = IdentitySummary()
     reports = run_roundtrip_suite(SMALL, summary)
     assert len(reports) == summary.total_trials == 24
@@ -220,7 +220,7 @@ def test_one_pass_builds_each_cell_once(monkeypatch):
         "certify": 24,
         "_krylov": 48,
         "outer_product": certified,
-        "projected_idempotent": 24,
+        "projected_idempotent": 0,
     }
 
 
@@ -255,41 +255,44 @@ def test_identity_summary_records_construction_failures(monkeypatch):
         for n, spec in cfg.cells()
         for trial in range(2)
     ]
+    # a build that raised leaves a report with no checks: the tally records
+    # the two queries and the failed build, named by the report's outcome
+    for exc_type, outcome in (
+        (EmptyKernel, Outcome.EMPTY_KERNEL),
+        (SingularConjugator, Outcome.SINGULAR_CONJUGATOR),
+    ):
+        monkeypatch.setattr(fuzz_module, "build_conjugator", _raise(exc_type, "stubbed"))
+        summary = run_identity_suite(cfg)
+        assert summary.assertion_counts == {"query_economy": 8, "conjugator_built": 8}
+        assert summary.violations == [
+            f"conjugator_built violated at {c}: {outcome.value}" for c in contexts
+        ]
+        assert {r.outcome for r in run_roundtrip_suite(cfg)} == {outcome}
+        monkeypatch.undo()
 
-    # an empty kernel stops before the kernel-vector identities
-    monkeypatch.setattr(
-        fuzz_module, "build_conjugator", _raise(EmptyKernel, "stubbed empty kernel")
-    )
-    summary = run_identity_suite(cfg)
-    assert summary.assertion_counts == {
-        "query_economy": 8,
-        "det_projector_zero": 8,
-        "kernel_vector_nonzero": 8,
-    }
-    assert summary.violations == [
-        f"kernel_vector_nonzero violated at {c}" for c in contexts
-    ]
-    assert {r.outcome for r in run_roundtrip_suite(cfg)} == {Outcome.EMPTY_KERNEL}
-    monkeypatch.undo()
 
-    # a singular conjugator still has its kernel vector checked
-    monkeypatch.setattr(
-        fuzz_module, "build_conjugator", _raise(SingularConjugator, "stubbed singular")
+def test_identity_summary_derives_the_fixed_point_from_the_intertwines():
+    # A E_{n,1} = H A and A S = G A give P A e_1 = A e_1: when A S = G A
+    # fails, so do det(I - P) = 0, (I - P) a = 0 and P a = a, in key order
+    cfg = FuzzConfig(n_range=(3, 3), field_specs=(QQ,), trials_per_cell=1, seed=7)
+    (report,) = run_roundtrip_suite(cfg)
+    broken = dataclasses.replace(
+        report, checks=dataclasses.replace(report.checks, intertwine_S_ok=False)
     )
-    summary = run_identity_suite(cfg)
-    assert summary.assertion_counts == {
-        "query_economy": 8,
-        "det_projector_zero": 8,
-        "kernel_vector_nonzero": 8,
-        "kernel_vector_annihilated": 8,
-        "fixed_point": 8,
-        "conjugator_built": 8,
-    }
+    summary = IdentitySummary()
+    summary.record_trial(broken)
+    context = f"n=3 field={QQ} seed={report.seed}"
     assert summary.violations == [
-        f"conjugator_built violated at {c}: stubbed singular" for c in contexts
+        f"{identity} violated at {context}"
+        for identity in (
+            "det_projector_zero",
+            "kernel_vector_annihilated",
+            "fixed_point",
+            "intertwine_S",
+        )
     ]
-    reports = run_roundtrip_suite(cfg)
-    assert {r.outcome for r in reports} == {Outcome.SINGULAR_CONJUGATOR}
+    assert summary.total_trials == 1
+    assert sum(summary.assertion_counts.values()) == 13
 
 
 # -- adversarial families ----------------------------------------------------

@@ -7,7 +7,9 @@ on ``str(Fraction)``, so each call's exit code and stdout are hashed and
 compared with ``golden_digests.json``.  The corpus: ``gen`` over Q, GF(2),
 GF(101) and GF(2^61-1) at n = 1..6 for seeds 0 and 1; ``recover``,
 ``recover --no-verify`` and ``check-aut`` on each generated file; and
-``fuzz`` over n = 1..4 with no adversary, ``transpose`` and ``random_pair``.
+``fuzz`` over n = 1..4 with no adversary, ``transpose`` and ``random_pair``,
+and over n = 5..8 with no adversary, whose summary counts every identity
+at sizes past the first four.
 
 A change that alters these bytes on purpose regenerates the list with
 
@@ -57,6 +59,9 @@ def corpus_digests(workdir: Path) -> dict:
             argv = ["fuzz", "--n", "1..4", "--fields", "q,gfp:2,gfp:3", "--trials", "2",
                     "--seed", str(seed), *adversary]
             digests[" ".join(argv)] = _digest(argv)
+        argv = ["fuzz", "--n", "5..8", "--fields", "q,gfp:2", "--trials", "1",
+                "--seed", str(seed)]
+        digests[" ".join(argv)] = _digest(argv)
     return digests
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matconj import (
     AutomorphismOracle,
     ColumnVector,
+    ConjugationWitness,
     DimensionMismatch,
     IndexOutOfRange,
     Matrix,
@@ -240,6 +241,18 @@ def test_inverse_involution():
 def test_inverse_of_singular():
     with pytest.raises(SingularMatrix):
         (elementary_matrix(QQ, 2, 1, 1)).inverse()
+
+
+def test_singular_inverse_reports_the_rank_of_the_matrix():
+    # the rank is A's, not that of [A | I], which is always n
+    gf7 = prime_field(7)
+    rank_two = Matrix.from_rows(gf7, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])  # det 7 = 0
+    for a, rank in ((rank_two, 2), (Matrix.zero(gf7, 3, 3), 0)):
+        message = f"matrix of rank {rank} is not invertible"
+        with pytest.raises(SingularMatrix, match=message):
+            a.inverse()
+        with pytest.raises(SingularMatrix, match=message):
+            ConjugationWitness(a)
 
 
 @pytest.mark.parametrize("spec", [QQ, GF5], ids=str)
