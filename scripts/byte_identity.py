@@ -3,10 +3,13 @@
 
 The parent checkout's package writes a seeded corpus of problem files over
 Q, GF(2), GF(3), GF(5) and GF(2^61-1) for n = 1..max-n: conjugators, singular
-and zero conjugators, genuine and random generator pairs, tables (n <= 6),
-and a fixed set of malformed files, among them bad scalars of each error
-kind in a conjugator, in a table's last cell and in a pair's ``G``.  The
-tables are genuine, transposed, genuine with one entry bumped, genuine with
+and zero conjugators, genuine and random generator pairs, tail-perturbed
+pairs, tables (n <= 6), and a fixed set of malformed files, among them bad
+scalars of each error kind in a conjugator, in a table's last cell and in a
+pair's ``G``.  A tail-perturbed pair is a genuine (H, G) with
+G' = G + w z^T, z^T the first row of B^-1 and w the first column of B: it
+keeps every Krylov vector of H, so the build succeeds and only the
+intertwine A S = G' A fails.  The tables are genuine, transposed, genuine with one entry bumped, genuine with
 only its last image phi(E_nn) bumped, zero, and the diagonal projection
 X -> diag(X).  So ``check-aut`` accepts by construction and sweep, falls back
 to ``validate`` after a failed build and after a sweep that fails at its last
@@ -112,6 +115,7 @@ def build_corpus(corpus: Path, max_n: int, seeds: int) -> list[list[str]]:
         AutomorphismOracle,
         Matrix,
         elementary_matrix,
+        outer_product,
         random_invertible,
         random_matrix,
     )
@@ -145,6 +149,9 @@ def build_corpus(corpus: Path, max_n: int, seeds: int) -> list[list[str]]:
                 h, g = oracle.query_generators()
                 pair = {"H": matrix_to_json(h), "G": matrix_to_json(g)}
                 write(f"pair_{tag}", n, problem("generator_pair", pair))
+                tail = g + outer_product(b.column(1), b.inverse().row_vector(1))
+                pair = {"H": matrix_to_json(h), "G": matrix_to_json(tail)}
+                write(f"tail_pair_{tag}", n, problem("generator_pair", pair))
                 h, g = (random_matrix(spec, n, rng, 5) for _ in range(2))
                 pair = {"H": matrix_to_json(h), "G": matrix_to_json(g)}
                 write(f"random_pair_{tag}", n, problem("generator_pair", pair))

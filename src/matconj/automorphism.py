@@ -284,6 +284,9 @@ class AutomorphismOracle:
         backings tabulate G^{n-i} H G^{j-1}, i.e. the only table compatible
         with multiplicativity; the result is a genuine automorphism table only
         if (H, G) really came from one, so callers should validate afterwards.
+        No certificate or verdict in the package expands an oracle: the
+        benchmark tracer binds this name, and tests expand pairs through it
+        as a reference.
         """
         if self.backing_kind == "full_table":
             raise UnsupportedQuery("oracle already carries a full table")

@@ -30,8 +30,8 @@ class UnsupportedQuery(MatconjError):
 
 
 class EmptyKernel(MatconjError):
-    """The projector difference is injective: the input pair cannot come from
-    an algebra automorphism."""
+    """The projector difference is injective, or the corner image is not of
+    rank 1: the input pair cannot come from an algebra automorphism."""
 
 
 class SingularConjugator(MatconjError):

@@ -12,12 +12,13 @@ module makes that effective from just two images of the map:
    P = w v^T with w = G^{n-1} u: the Krylov vectors u, G u, ..., w cost n-1
    integer mat-vecs, O(n^3).  Then det(I - P) = 1 - v^T w, so the kernel is
    empty unless v^T w = 1, and is then span(w): a is w divided by its first
-   nonzero entry, with no elimination and no P.  An H of any other rank forms
-   P by repeated squaring, O(n^3 log n), and takes the O(n^3) rref of I - P;
+   nonzero entry, with no elimination and no P.  An automorphism maps E_{n,1}
+   to a matrix of rank exactly 1 (phi(E_{1,1}) is an idempotent e with
+   e M_n e of dimension 1, and H = H e != 0), so any other H is refused at
+   once, with EmptyKernel;
 3. assemble A column by column as [G^{n-1}Ha | G^{n-2}Ha | ... | GHa | Ha].
-   For H = u v^T column i is (v^T a) G^{n-i} u = G^{n-i} u / lead(w), a
-   scaled Krylov vector of step 2; any other H runs the Krylov vectors of
-   Ha.  A^-1 is one elimination, O(n^3), so a rank-1 build runs one
+   Column i is (v^T a) G^{n-i} u = G^{n-i} u / lead(w), a scaled Krylov
+   vector of step 2.  A^-1 is one elimination, O(n^3), so a build runs one
    elimination, n-1 integer mat-vecs and n integer dot products in all.
 
 A is then invertible and satisfies A E_{n,1} = H A and A S = G A.  The
@@ -38,16 +39,18 @@ identity the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  The rank-1
 corner is read in one place, :func:`_krylov`: the build and the structure
 report both take u's Krylov vectors from it, in the integer form of
-:func:`~matconj.matrix.krylov_sequence`.  For a rank-1 H the report reads
-H G^k H = 0, P^2 = P and rank(I - P) = n - 1 off the scalars v^T G^k u,
-O(n^3 log n) in all; any other H takes the matrix forms, on the P of
-:func:`projected_idempotent`, the one place that forms P (by squaring).
+:func:`~matconj.matrix.krylov_sequence`, and the report reads H G^k H = 0,
+P^2 = P and rank(I - P) = n - 1 off the scalars v^T G^k u, O(n^3 log n) in
+all.  Neither forms P: :func:`projected_idempotent`, which does, and
+:func:`kernel_vector` have no caller in the package and are kept as names
+the benchmark tracer binds.
 
 If the supplied (H, G) do not come from an automorphism, the construction runs
-until a mathematical impossibility surfaces (an empty kernel or a singular
-candidate A) and raises then; it never pre-validates, so the two-query cost
-is preserved.  :func:`build_failure_outcome` is the one map from that
-exception to its :class:`Outcome`.
+until a mathematical impossibility surfaces (a corner that is not of rank 1,
+an empty kernel or a singular candidate A) and raises then; it never
+pre-validates, so the two-query cost is preserved.
+:func:`build_failure_outcome` is the one map from that exception to its
+:class:`Outcome`.
 """
 
 from __future__ import annotations
@@ -125,7 +128,10 @@ class RecoveryReport:
     :func:`verify_conjugation` and :func:`certify` report the oracle's total
     after certification.  ``scalar`` is the ratio A = scalar * B when a
     ground-truth B is known.  ``verified_pairs`` counts the basis pairs the
-    certificate confirmed (n^2 on success).  A fuzz trial's report is
+    certificate confirmed (n^2 on success).  ``failing_pair`` names the
+    first failing basis pair of a table or conjugation sweep; a generator
+    pair has no pair images to compare, and names its failing identity in
+    ``detail`` instead.  A fuzz trial's report is
     :func:`certify`'s with the seed, the two-query count, the structure
     ``checks``, the RNG and the scalar filled in.
     """
@@ -146,19 +152,20 @@ class RecoveryReport:
 _INJECTIVE = "identity minus projector is injective"
 
 
-def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
-    """(u, v) with H = u v^T, or None when H is zero or of rank >= 2.
+def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector]:
+    """(u, v) with H = u v^T; EmptyKernel when H is zero or of rank >= 2.
 
     u is the column and v^T the row of H's first nonzero entry h_ij in
     row-major order, v scaled by 1/h_ij.  Each later row r of H must then be
     u_r v^T; the rows above row i are zero, and row i is u_i v^T by
     construction.  Over Q a nonzero row is a multiple of v^T iff the two
-    primitive integer forms agree up to sign: no Fraction per entry.
+    primitive integer forms agree up to sign: no Fraction per entry.  A zero
+    H makes P = 0, so its refusal says that I - P is injective.
     """
     data, n, spec = h._data, h.cols, h.spec
     k = next((k for k, x in enumerate(data) if x), None)
     if k is None:
-        return None
+        raise EmptyKernel(_INJECTIVE)
     i, j = divmod(k, n)
     u = h.column(j + 1)
     v = h.row_vector(i + 1).scale(spec.invert_value(data[k]))
@@ -167,30 +174,26 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector] | None:
     for r in range(i + 1, h.rows):
         x, row = u._data[r], data[r * n : (r + 1) * n]
         if not x:
-            if any(row):
-                return None
+            rank_one = not any(row)
         elif p:
-            if row != tuple(x * t % p for t in v._data):
-                return None
-        elif integer_form(spec, row)[1] not in signs:
-            return None
+            rank_one = row == tuple(x * t % p for t in v._data)
+        else:
+            rank_one = integer_form(spec, row)[1] in signs
+        if not rank_one:
+            raise EmptyKernel("corner image is not of rank 1")
     return u, v
 
 
-def _krylov(h: Matrix, g: Matrix) -> tuple | None:
-    """The one reading of the rank-1 corner H = phi(E_{n,1}).
+def _krylov(h: Matrix, g: Matrix) -> tuple[list, list, list]:
+    """The one reading of the corner H = phi(E_{n,1}), which has rank 1.
 
-    When H = u v^T has rank 1 (see :func:`_rank_one_factors`) this is
-    (r, cs, ys): G^k u = cs[k] ys[k], k < n, from
+    H = u v^T (see :func:`_rank_one_factors`, which refuses any other H with
+    EmptyKernel) gives (r, cs, ys): G^k u = cs[k] ys[k], k < n, from
     :func:`~matconj.matrix.krylov_sequence`, O(n^3), and r[k] = v^T G^k u, n
     integer dot products.  H G^k H = r[k] H, and P = G^{n-1} H is w v^T for
-    w = G^{n-1} u.  Any other H (zero, or of rank >= 2) gives None; its P
-    comes from :func:`projected_idempotent`.
+    w = G^{n-1} u.
     """
-    factors = _rank_one_factors(h)
-    if factors is None:
-        return None
-    u, v = factors
+    u, v = _rank_one_factors(h)
     cs, ys = krylov_sequence(g, u, h.rows)
     cv, yv = integer_form(h.spec, v._data)
     r = [h.spec.coerce(c * cv * sum(map(mul, yv, y))) for c, y in zip(cs, ys)]
@@ -200,12 +203,13 @@ def _krylov(h: Matrix, g: Matrix) -> tuple | None:
 def projected_idempotent(h: Matrix, g: Matrix) -> Matrix:
     """G^{n-1} H, the candidate image of the rank-1 corner idempotent.
 
-    This is the one place that forms P, whatever the rank of H: G^{n-1} by
-    repeated squaring, then one product with H, so
-    max(popcount(n-1) + bit_length(n-1) - 1, 1) dense products, O(n^3 log n).
-    For n = 1 the empty power is the identity, so the result is H itself.
-    For a rank-1 H the build and the structure report do not call this:
-    they read what they need of P off the Krylov vectors of :func:`_krylov`.
+    G^{n-1} by repeated squaring, then one product with H, so
+    max(popcount(n-1) + bit_length(n-1) - 1, 1) dense products, O(n^3 log n),
+    whatever the rank of H.  For n = 1 the empty power is the identity, so
+    the result is H itself.  The build and the structure report never form
+    P: they read what they need of it off the Krylov vectors of
+    :func:`_krylov`.  The package does not call this; the benchmark tracer
+    binds the name.
     """
     check_generator_pair(h, g)
     return g.power(h.rows - 1) @ h
@@ -217,10 +221,9 @@ def kernel_vector(projector: Matrix) -> ColumnVector:
     That is the first vector of the deterministic nullspace basis of I - P,
     from the rref of I - P, O(n^3): the kernel vector scaled so that its
     first nonzero coordinate is 1.  Raises EmptyKernel when I - P is
-    injective, which signals that the generator images did not come from an
-    automorphism.  :func:`build_conjugator` calls this only for an H that is
-    not of rank 1, on the P of :func:`projected_idempotent`; a rank-1 H has
-    its kernel vector read off the Krylov vectors instead.
+    injective.  :func:`build_conjugator` reads its kernel vector off the
+    Krylov vectors instead, so the package does not call this; the
+    benchmark tracer binds the name.
     """
     if not projector.is_square:
         raise DimensionMismatch("projector must be square")
@@ -235,32 +238,24 @@ def build_conjugator(h: Matrix, g: Matrix) -> ConjugationWitness:
     """Assemble the conjugator from the two generator images.
 
     n is the size of H; a non-square H or a G of another size or field is
-    refused.  Column i of A is G^{n-i} H a, for a nonzero a with P a = a,
-    P = G^{n-1} H.  When H = u v^T has rank 1, P = w v^T with w = G^{n-1} u
-    has det(I - P) = 1 - v^T w, so the kernel of I - P is empty unless
+    refused, and so, with EmptyKernel, is an H that is not of rank 1.
+    Column i of A is G^{n-i} H a, for a nonzero a with P a = a,
+    P = G^{n-1} H.  H = u v^T makes P = w v^T with w = G^{n-1} u, and
+    det(I - P) = 1 - v^T w, so the kernel of I - P is empty unless
     v^T w = 1 (EmptyKernel), and is then span(w).  With s = 1/lead(w), its
     first nonzero entry, a = s w, v^T a = s, and column i is s G^{n-i} u:
     A is s times the Krylov vectors of :func:`_krylov` in reverse order, and
     a is its first column.  v^T w is r[n-1] of :func:`_krylov`, and an entry
-    of A is built once, as (s c_k) y_k for G^k u = c_k y_k.  That build runs
+    of A is built once, as (s c_k) y_k for G^k u = c_k y_k.  The build runs
     n-1 integer mat-vecs, n dot products and one elimination, for A^-1,
-    O(n^3), and forms no P.  Any other H forms P by
-    :func:`projected_idempotent`, O(n^3 log n), and runs the rref of
-    :func:`kernel_vector` and the Krylov vectors of Ha.  The witness
-    computes A^-1 from A; if it does not exist the input pair was invalid
-    and SingularConjugator is raised.
+    O(n^3), and forms no P.  The witness computes A^-1 from A; if it does
+    not exist the input pair was invalid and SingularConjugator is raised.
     """
     check_generator_pair(h, g)
-    krylov = _krylov(h, g)
-    if krylov is None:
-        s = h.spec.one_value
-        projector = projected_idempotent(h, g)
-        cs, ys = krylov_sequence(g, h @ kernel_vector(projector), h.rows)
-    else:
-        r, cs, ys = krylov
-        if r[-1] != h.spec.one_value:
-            raise EmptyKernel(_INJECTIVE)
-        s = h.spec.invert_value(cs[-1] * next(t for t in ys[-1] if t))
+    r, cs, ys = _krylov(h, g)
+    if r[-1] != h.spec.one_value:
+        raise EmptyKernel(_INJECTIVE)
+    s = h.spec.invert_value(cs[-1] * next(t for t in ys[-1] if t))
     columns = [from_integer_form(h.spec, s * c, y) for c, y in zip(cs, ys)]
     try:
         return ConjugationWitness(Matrix.from_columns(columns[::-1]))
@@ -273,14 +268,16 @@ def build_conjugator(h: Matrix, g: Matrix) -> ConjugationWitness:
 def check_structure_identities(h: Matrix, g: Matrix, a: Matrix) -> StructureCheckReport:
     """Evaluate every structural identity exactly and report per-identity flags.
 
-    A is read only by the intertwines, which run first and so refuse an A
-    that is not n x n, n the size of H.  Every other flag is an identity of
-    the pair (H, G), evaluated here from the pair alone.  G^n = 0
-    is a repeated-squaring power and the two intertwines are the products of
-    :func:`certify`, O(n^3 log n) together.  When H = u v^T has rank 1,
-    :func:`_krylov` gives the scalars r_k = v^T G^k u as integer dot products
-    with its integer Krylov vectors, O(n^3), and the other three identities
-    are read off them:
+    The pair is read first: like :func:`build_conjugator`, this refuses an H
+    that is not of rank 1 with EmptyKernel, since no automorphism gives one
+    and no build returns an A for it.  A is read only by the intertwines,
+    which refuse an A that is not n x n, n the size of H.  Every other flag
+    is an identity of the pair (H, G), evaluated here from the pair alone.
+    G^n = 0 is a repeated-squaring power and the two intertwines are the
+    products of :func:`certify`, O(n^3 log n) together.  For H = u v^T,
+    :func:`_krylov` gives the scalars r_k = v^T G^k u as integer dot
+    products with its integer Krylov vectors, O(n^3), and the other three
+    identities are read off them:
 
     * H G^k H = r_k H, so the chain H G^k H = 0 for 0 <= k <= n-2 holds iff
       r_0, ..., r_{n-2} are 0;
@@ -288,39 +285,17 @@ def check_structure_identities(h: Matrix, g: Matrix, a: Matrix) -> StructureChec
       det(I - P) = 1 - r_{n-1}, so rank(I - P) = n - 1 iff r_{n-1} = 1, and
       P is idempotent iff r_{n-1} = 1 or w = 0.
 
-    Any other H (zero, or of rank >= 2) runs the chain H G^k H, which stops
-    at its first nonzero product (all 2(n-1) products, O(n^4), only while
-    the chain holds), and P P and the rank of I - P on the P of
-    :func:`projected_idempotent`, O(n^3 log n).
-    Which form runs depends only on the rank of H.  The chain is indexed by
-    0 <= k <= n-2 and is therefore empty at n = 1; the remaining checks
-    degenerate gracefully there.
+    The chain is indexed by 0 <= k <= n-2 and is therefore empty at n = 1;
+    the remaining checks degenerate gracefully there.
     """
     check_generator_pair(h, g)
+    r, _, ys = _krylov(h, g)
     intertwine_E_ok, intertwine_S_ok = _intertwines(a, h, g)
-    n = h.rows
-    shift_nilpotent_ok = g.power(n).is_zero()
-    krylov = _krylov(h, g)
-    if krylov is not None:
-        r, _, ys = krylov
-        corner_chain_ok = not any(r[:-1])
-        kernel_rank_ok = r[-1] == h.spec.one_value
-        idempotent_ok = kernel_rank_ok or not any(ys[-1])
-    else:
-        corner_chain_ok = True
-        left = h  # H G^k, advanced by one G per step
-        for _ in range(n - 1):
-            if not (left @ h).is_zero():
-                corner_chain_ok = False
-                break
-            left = left @ g
-        projector = projected_idempotent(h, g)
-        idempotent_ok = projector @ projector == projector
-        kernel_rank_ok = (Matrix.identity(h.spec, n) - projector).rank() == n - 1
+    kernel_rank_ok = r[-1] == h.spec.one_value
     return StructureCheckReport(
-        shift_nilpotent_ok=shift_nilpotent_ok,
-        corner_chain_ok=corner_chain_ok,
-        idempotent_ok=idempotent_ok,
+        shift_nilpotent_ok=g.power(h.rows).is_zero(),
+        corner_chain_ok=not any(r[:-1]),
+        idempotent_ok=kernel_rank_ok or not any(ys[-1]),
         kernel_rank_ok=kernel_rank_ok,
         intertwine_E_ok=intertwine_E_ok,
         intertwine_S_ok=intertwine_S_ok,
@@ -340,14 +315,14 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     """Certify that conjugation by the witness's A is the oracle's map.
 
     A generator pair's (H, G) are read off the oracle's backing, and the two
-    intertwines are the whole certificate: A is invertible, since a witness
-    exists only for an invertible A and holds its true inverse, so
-    A E_{n,1} = H A and A S = G A give
+    intertwines, four products, are the whole certificate: A is invertible,
+    since a witness exists only for an invertible A and holds its true
+    inverse, so A E_{n,1} = H A and A S = G A give
     A E_{i,j} A^-1 = A S^{n-i} E_{n,1} S^{j-1} A^-1 = G^{n-i} H G^{j-1},
     which is the pair's image of E_{i,j}; all n^2 pairs are then verified at
-    O(n^3) cost.  If an intertwine fails, the pair's expansion is swept so
-    that the report names the first failing basis pair; if the sweep passes
-    anyway, conjugation by A does not reproduce (H, G) and the report says so.
+    O(n^3) cost.  If an intertwine fails, no pair image is formed: the
+    report names the failing identity in ``detail``, "A E_n1 != H A" before
+    "A S != G A", with no ``failing_pair`` and no verified pair.
 
     Conjugation and table oracles get the n^2-query sweep of
     :func:`verify_conjugation`: a table can be any linear map, so only the
@@ -356,15 +331,12 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     """
     if oracle.backing_kind != "generator_pair":
         return verify_conjugation(oracle, witness)
-    n = witness.n
-    pair = oracle.backing
-    if all(_intertwines(witness.conjugator, pair.corner_image, pair.shift_image)):
-        report = RecoveryReport(Outcome.RECOVERED, n, witness.spec, verified_pairs=n**2)
-    else:
-        report = verify_conjugation(oracle.to_full_table(), witness)
-        if report.outcome is Outcome.RECOVERED:
-            report.outcome = Outcome.VERIFICATION_FAILED
-            report.detail = "conjugation does not reproduce the generator images"
+    n, pair = witness.n, oracle.backing
+    corner_ok, shift_ok = _intertwines(witness.conjugator, pair.corner_image, pair.shift_image)
+    report = RecoveryReport(Outcome.RECOVERED, n, witness.spec, verified_pairs=n**2)
+    if not (corner_ok and shift_ok):
+        report.outcome, report.verified_pairs = Outcome.VERIFICATION_FAILED, 0
+        report.detail = "A S != G A" if corner_ok else "A E_n1 != H A"
     report.query_count = oracle.query_count
     return report
 

@@ -11,11 +11,13 @@ from itertools import permutations
 from math import gcd
 
 from matconj import (
+    AutomorphismOracle,
     EmptyKernel,
     FieldSpec,
     Matrix,
     StructureCheckReport,
     elementary_matrix,
+    outer_product,
     shift_matrix,
 )
 from matconj.cli import field_descriptor, matrix_to_json
@@ -282,6 +284,20 @@ def intertwiner_reference(h: Matrix, g: Matrix):
         [kernel[0][r * n : (r + 1) * n] for r in range(n)], (n, n), dom
     ).rank() == n
     return basis, genuine
+
+
+def tail_perturbed_pair(b: Matrix, w) -> tuple[Matrix, Matrix]:
+    """The generator pair of conjugation by B, with G replaced by
+    G' = G + w z^T for z^T the first row of B^-1 and a nonzero vector w.
+
+    H = u v^T with u a multiple of B e_n, and G^k u of B e_(n-k), so
+    z^T G^k u = 0 for k < n-1: G' keeps the Krylov vectors u, ..., G^(n-1) u
+    and every scalar v^T G^k u, and the pair builds the same A as (H, G).
+    But G'^n u = (z^T G^(n-1) u) w != 0, so A S != G' A: no automorphism
+    has this pair.
+    """
+    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
+    return h, g + outer_product(w, b.inverse().row_vector(1))
 
 
 def problem_json(oracle) -> dict:

@@ -626,7 +626,7 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
         try:
             witness = build(h, g)
         except (EmptyKernel, SingularConjugator) as exc:
-            stages.append(type(exc).__name__)
+            stages.append(f"{type(exc).__name__}: {exc}")
             raise
         stages.append("built")
         return witness
@@ -665,9 +665,17 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
             accepted = stages == ["built", "sweep recovered"]
             assert accepted == report.is_automorphism, (n, stages)
             seen[oracle.backing_kind if accepted else stages[-1]] += 1
+            # the build refuses exactly the tables whose corner image is not
+            # of rank 1, before any kernel or conjugator is formed
+            corner_rank = oracle.query_generators()[0].rank()
+            refused = stages[0].endswith("corner image is not of rank 1")
+            assert refused == (corner_rank >= 2), (n, corner_rank, stages)
     assert seen["full_table"] >= 300 and seen["conjugation"] == 48, seen
-    assert seen["EmptyKernel"] >= 600 and seen["SingularConjugator"] >= 40, seen
-    assert seen["sweep verification_failed"] >= 400, seen
+    not_rank_one = "EmptyKernel: corner image is not of rank 1"
+    injective = "EmptyKernel: identity minus projector is injective"
+    assert seen[not_rank_one] >= 500 and seen[injective] >= 300, seen
+    assert seen["SingularConjugator: assembled candidate conjugator is singular"] >= 5, seen
+    assert seen["sweep verification_failed"] >= 350, seen
 
 
 @pytest.mark.parametrize("spec", [QQ, GF_P61], ids=str)

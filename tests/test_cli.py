@@ -502,9 +502,9 @@ def test_certified_recover_and_fuzz_form_no_product_equal_to_identity(
     capsys.readouterr()
 
 
-def _dense_path_pair(descriptor):
-    # H has rank 2 and G H = diag(1, 2), so a = e_1, H a = (1, -1) and
-    # A = [G H a | H a] = [[1, 1], [0, -1]] is invertible
+def _rank_two_pair(descriptor):
+    # H has rank 2, so no automorphism has this pair; before the corner was
+    # read as rank 1 it built A = [[1, 1], [0, -1]] through the rref of I - P
     pair = {"H": [["1", "0"], ["-1", "2"]], "G": [["1", "0"], ["1", "1"]]}
     return {"field": descriptor, "n": 2, "generator_pair": pair}
 
@@ -514,15 +514,15 @@ def _dense_path_pair(descriptor):
 def test_recover_kernel_vector_is_column_one_of_the_conjugator(
     tmp_path, capsys, monkeypatch, field, variant
 ):
-    # column 1 of A is G^(n-1) H a = P a = a.  A conjugator file takes the
-    # rank-1 reading of the corner, the rank-2 pair the rref of I - P
+    # column 1 of A is G^(n-1) H a = P a = a, read off the rank-1 corner with
+    # no rref of I - P; the rank-2 pair is refused before any kernel vector
     import matconj.skolem_noether as sn
 
     path = str(tmp_path / "problem.json")
     if variant == "conjugator":
         assert main(["gen", "--field", field, "--n", "5", "--seed", "3", "--out", path]) == 0
     else:
-        write_problem(tmp_path, _dense_path_pair(field_descriptor(parse_field_flag(field))))
+        write_problem(tmp_path, _rank_two_pair(field_descriptor(parse_field_flag(field))))
     kernel_vector, rrefs = sn.kernel_vector, []
 
     def counted_kernel_vector(projector):
@@ -532,11 +532,42 @@ def test_recover_kernel_vector_is_column_one_of_the_conjugator(
     monkeypatch.setattr(sn, "kernel_vector", counted_kernel_vector)
     code = main(["recover", path])
     out = json.loads(capsys.readouterr().out)
-    assert len(rrefs) == (variant == "generator_pair")
-    assert code == (EXIT_OK if variant == "conjugator" else EXIT_VERIFICATION)
-    assert out["kernel_vector"] == [row[0] for row in out["conjugator"]]
-    if variant == "generator_pair":
-        assert out["conjugator"] == [["1", "1"], ["0", "-1" if field == "q" else "6"]]
+    assert rrefs == []
+    if variant == "conjugator":
+        assert code == EXIT_OK
+        assert out["kernel_vector"] == [row[0] for row in out["conjugator"]]
+    else:
+        assert code == EXIT_CONSTRUCTION
+        assert out["outcome"] == "empty_kernel"
+        assert out["detail"] == "corner image is not of rank 1"
+        assert "kernel_vector" not in out and "conjugator" not in out
+
+
+def _bumped_table(tmp_path):
+    """The identity map's n = 2 table over Q with image (2, 1) bumped by
+    E_12, so H = E_21 + E_12 has rank 2: a genuine table with one entry
+    bumped, which no automorphism has."""
+    units = (1, 2)
+    table = [
+        [matrix_to_json(elementary_matrix(QQ, 2, i, j)) for j in units] for i in units
+    ]
+    table[1][0][0][1] = "1"
+    return write_problem(tmp_path, {"field": {"type": "Q"}, "n": 2, "full_table": table})
+
+
+def test_recover_no_verify_refuses_a_corner_that_is_not_of_rank_1(tmp_path, capsys):
+    # --no-verify runs the build alone: a map whose H has rank 2 is no
+    # automorphism, and the build says so rather than printing a conjugator
+    path = _bumped_table(tmp_path)
+    for flags in (["--no-verify"], []):
+        code = main(["recover", *flags, path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CONSTRUCTION, flags
+        assert out["outcome"] == "empty_kernel", flags
+        assert out["detail"] == "corner image is not of rank 1", flags
+        assert out["query_count"] == 2 and "conjugator" not in out, flags
+    assert main(["check-aut", path]) == 1
+    assert json.loads(capsys.readouterr().out)["multiplicative_ok"] is False
 
 
 def test_load_problem_decodes_each_table_scalar_once(tmp_path, monkeypatch):

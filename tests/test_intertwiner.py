@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from matconj import (
     AutomorphismOracle,
+    ColumnVector,
     EmptyKernel,
     Matrix,
     Outcome,
@@ -29,20 +30,30 @@ from matconj import (
     scalar_relation,
 )
 
-from helpers import intertwiner_equations, intertwiner_reference, random_scalar
+from helpers import (
+    intertwiner_equations,
+    intertwiner_reference,
+    random_scalar,
+    tail_perturbed_pair,
+)
 
 pytest.importorskip("sympy")
 
 FIELDS = [rationals(), prime_field(2), prime_field(3), prime_field(2**61 - 1)]
-KINDS = ("genuine", "random", "perturbed_h", "perturbed_g", "rank2_h")
+KINDS = ("genuine", "random", "perturbed_h", "perturbed_g", "tail_perturbed_g", "rank2_h")
 
 
 def _case(spec, n, kind, rng):
     """A generator pair (H, G) of the given kind; at n = 1, where H has rank
-    at most 1, "rank2_h" is the genuine pair."""
+    at most 1, "rank2_h" is the genuine pair.  "tail_perturbed_g" builds the
+    genuine pair's A, which fails A S = G' A."""
     if kind == "random":
         return random_matrix(spec, n, rng, 3), random_matrix(spec, n, rng, 3)
     b = random_invertible(spec, n, rng, 3)
+    if kind == "tail_perturbed_g":
+        w = [random_scalar(spec, rng, 3) for _ in range(n)]
+        w[rng.randrange(n)] = spec.one
+        return tail_perturbed_pair(b, ColumnVector(spec, w))
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
     bump = elementary_matrix(spec, n, rng.randint(1, n), rng.randint(1, n))
     scale = random_scalar(spec, rng, 3)
@@ -93,6 +104,8 @@ def test_sympy_reference_matches_the_matrix_nullspace():
                 verdicts.add((kind, genuine))
     assert {("genuine", True), ("random", True), ("random", False)} <= verdicts
     assert ("rank2_h", False) in verdicts and ("rank2_h", True) not in verdicts
+    assert ("tail_perturbed_g", False) in verdicts
+    assert ("tail_perturbed_g", True) not in verdicts
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     random_dense,
     random_scalar,
     rref_kernel_vector,
+    tail_perturbed_pair,
 )
 from matconj import (
     AutomorphismOracle,
@@ -28,6 +30,7 @@ from matconj import (
     FieldMismatch,
     Matrix,
     Outcome,
+    RecoveryReport,
     SingularConjugator,
     SingularMatrix,
     build_conjugator,
@@ -370,9 +373,16 @@ def test_pair_refusals_of_build_projector_and_report():
         check_structure_identities(h, g, one)
 
 
+_NOT_RANK_ONE = "corner image is not of rank 1"
+
+
 def _reference_build(h, g, n):
     """(a, A, A^-1) from the dense chain, the rref of I - P and the column
-    loop, or the type and message of the failure build_conjugator raises."""
+    loop, or the type and message of the failure build_conjugator raises.
+    An H of rank >= 2 is refused before any of them; a zero H reaches the
+    rref of I - 0 = I, which is injective."""
+    if h.rank() >= 2:
+        return EmptyKernel, _NOT_RANK_ONE
     try:
         a = rref_kernel_vector(chain_projector(h, g, n))
     except EmptyKernel as exc:
@@ -424,28 +434,21 @@ def _build_cases(spec, n, rng):
     g = _strictly_upper(spec, n, rng)
     u = _nonzero_vector(spec, n, rng, zero_tail=1)
     yield "rank1_vanishing", outer_product(u, _nonzero_vector(spec, n, rng)), g
-    yield "random_builds", *_random_pair_that_builds(spec, n, rng)[:2]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_build_matches_column_loop_reference(spec, monkeypatch):
     rng = random.Random(103)
     krylov_paths = []
-    krylov = sn._krylov
-
-    def spied_krylov(h, g):
-        result = krylov(h, g)
-        krylov_paths.append(result is not None)
-        return result
-
-    monkeypatch.setattr(sn, "_krylov", spied_krylov)
+    monkeypatch.setattr(sn, "_krylov", _spied_krylov(krylov_paths))
     outcomes = set()
     for n in range(1, 7):
         for name, h, g in _build_cases(spec, n, rng):
             krylov_paths.clear()
             got = _outcome(_built, h, g, n)
             assert got == _reference_build(h, g, n), (name, n)
-            # the Krylov columns run exactly when H has rank 1
+            # the Krylov columns run exactly when H has rank 1; any other H
+            # is refused by the one reading of the corner
             rank_one = h.rank() == 1
             assert krylov_paths == [rank_one], (name, n)
             kind = got[0] if isinstance(got[0], type) else "built"
@@ -454,13 +457,29 @@ def test_build_matches_column_loop_reference(spec, monkeypatch):
                 assert kind == "built", (name, n)
             if name == "rank1_singular":
                 assert got[0] is SingularConjugator, n
-    assert outcomes >= {
+    assert outcomes == {
         (True, "built"),
         (True, EmptyKernel),
         (True, SingularConjugator),
-        (False, "built"),
         (False, EmptyKernel),
     }
+
+
+def _spied_krylov(paths):
+    """sn._krylov, appending to ``paths`` whether it read the corner (True)
+    or refused it (False)."""
+    krylov = sn._krylov
+
+    def spied(h, g):
+        try:
+            result = krylov(h, g)
+        except EmptyKernel:
+            paths.append(False)
+            raise
+        paths.append(True)
+        return result
+
+    return spied
 
 
 def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
@@ -591,27 +610,6 @@ def _chain_break(spec, n, k, rng):
     return h, g, build_conjugator(h, g).conjugator
 
 
-def _random_pair_that_builds(spec, n, rng):
-    """Random H and G, H corrected by a rank-1 term so that G^(n-1) H x = x
-    for a random x: I - P is singular, and H has rank >= 2 as a rule."""
-    for _ in range(500):
-        g = random_dense(spec, n, n, rng)
-        x = _nonzero_vector(spec, n, rng)
-        try:
-            z = g.power(n - 1).inverse() @ x
-        except SingularMatrix:
-            continue
-        h0 = random_dense(spec, n, n, rng)
-        lead = x.first_nonzero_index()
-        y = ColumnVector.standard_basis(spec, n, lead).scale(x.entry(lead).inv())
-        h = h0 + outer_product(z - h0 @ x, y)
-        try:
-            return h, g, build_conjugator(h, g).conjugator
-        except SingularConjugator:
-            continue
-    raise AssertionError("no random pair built")
-
-
 def _forced_rank_one(spec, n, rng, vanishing=False):
     """A hand-made A for a rank-1 H = u v^T whose pair need not build:
     P = G^(n-1) H, so tr P = v^T G^(n-1) u is rarely 1.  With ``vanishing``,
@@ -630,12 +628,14 @@ def _structure_cases(spec, n, rng):
     yield "genuine", h, g, genuine
     scaled = _scaled_rank_one(spec, n, rng)
     yield "scaled_rank1", *scaled
-    yield "random_pair", *_random_pair_that_builds(spec, n, rng)
-    # hand-made: a perturbed conjugator, an A passed with another pair,
-    # a zero H, and rank-1 H whose pair does not build
+    # a random pair that builds, whose chain H G^k H = 0 and G^n = 0 fail as
+    # a rule, with a random invertible A
+    h_random, g_random, _ = _scaled_rank_one(spec, n, rng)
+    yield "random_pair", h_random, g_random, random_invertible(spec, n, rng, 4)
+    # hand-made: a perturbed conjugator, an A passed with another pair, and
+    # rank-1 H whose pair does not build
     yield "hand_perturbed", h, g, genuine + elementary_matrix(spec, n, 1, 1)
     yield "hand_mismatched", scaled[0], scaled[1], genuine
-    yield "hand_zero_h", Matrix.zero(spec, n, n), g, genuine
     yield "forced_rank1", *_forced_rank_one(spec, n, rng)
     if n == 1:
         return
@@ -649,15 +649,9 @@ def _structure_cases(spec, n, rng):
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_structure_checks_match_matrix_reference(spec, monkeypatch):
     rng = random.Random(83)
-    paths, chain_flags, projector_flags = set(), set(), set()
+    chain_flags, projector_flags, nilpotent_flags = set(), set(), set()
     krylov_paths = []
-    krylov = sn._krylov
-
-    def spied_krylov(h, g):
-        result = krylov(h, g)
-        krylov_paths.append(result is not None)
-        return result
-
+    spied_krylov = _spied_krylov(krylov_paths)
     for n in range(1, 7):
         for name, h, g, a_mat in _structure_cases(spec, n, rng):
             with monkeypatch.context() as patch:
@@ -667,24 +661,22 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
             expected, first_failing = matrix_structure_identities(h, g, a_mat)
             assert report == expected, (name, n)
             assert report.first_failing == first_failing, (name, n)
-            # the scalars v^T G^k u give the chain, P^2 = P and rank(I - P)
-            # exactly when H has rank 1
-            scalar = h.rank() == 1
-            assert krylov_paths == [scalar], (name, n)
-            paths.add(scalar)
-            if scalar:
-                chain_flags.add(report.corner_chain_ok)
-                projector_flags.add((report.idempotent_ok, report.kernel_rank_ok))
+            # every case has a rank-1 H: the scalars v^T G^k u give the
+            # chain, P^2 = P and rank(I - P)
+            assert krylov_paths == [True], (name, n)
+            chain_flags.add(report.corner_chain_ok)
+            nilpotent_flags.add(report.shift_nilpotent_ok)
+            projector_flags.add((report.idempotent_ok, report.kernel_rank_ok))
             if name == "genuine":
-                assert report.all_ok and scalar, n
+                assert report.all_ok, n
             if name.startswith("chain_break"):
-                assert scalar and report.first_failing == "nilpotent", (name, n)
+                assert report.first_failing == "nilpotent", (name, n)
             if name == "forced_vanishing":
                 assert chain_projector(h, g, n).is_zero(), n
-    assert paths == {True, False}
-    # the scalar forms read a broken chain, a non-idempotent P (v^T w != 1)
-    # and an idempotent P = 0 whose I - P has full rank
-    assert chain_flags == {True, False}
+    # the scalar forms read a broken chain, a non-nilpotent G, a
+    # non-idempotent P (v^T w != 1) and an idempotent P = 0 whose I - P has
+    # full rank
+    assert chain_flags == {True, False} and nilpotent_flags == {True, False}
     assert {(True, True), (False, False), (True, False)} <= projector_flags
 
 
@@ -747,58 +739,55 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
 
 
 def _not_rank_one_cases(spec, n, rng):
-    """(name, H, G) with H zero, and for n >= 2 with H of rank >= 2 and
-    H H != 0, so the report's chain H G^k H stops at its first product."""
+    """(name, H, G) with H zero, and for n >= 2 with H of rank >= 2."""
     yield "zero", Matrix.zero(spec, n, n), random_dense(spec, n, n, rng)
     if n == 1:
         return
     while True:
         h = random_dense(spec, n, n, rng)
-        if h.rank() >= 2 and not (h @ h).is_zero():
+        if h.rank() >= 2:
             yield "rank_ge_2", h, random_dense(spec, n, n, rng)
             return
 
 
 @pytest.mark.parametrize("spec", (QQ, prime_field(2**61 - 1)), ids=str)
-def test_not_rank_one_corner_forms_p_by_squaring(spec, monkeypatch):
-    # for an H not of rank 1, the build and the report each form P once, in
-    # projected_idempotent, by max(popcount(n-1) + bit_length(n-1) - 1, 1)
-    # dense products: 7 at n = 16, where the chain of products takes 15
+def test_not_rank_one_corner_is_refused(spec, monkeypatch):
+    # no automorphism maps E_{n,1} to a matrix of rank other than 1, so the
+    # build and the report refuse such an H at once: no Krylov vector, no
+    # dense product, no elimination.  A zero H makes P = 0, and I - 0 is
+    # injective; an H of rank >= 2 is named as such
     rng = random.Random(109)
-    matmul, projector = Matrix.__matmul__, sn.projected_idempotent
-    products, in_projector = [0], []
+    calls = Counter()
+    matmul, eliminate, sequence = Matrix.__matmul__, Matrix._eliminate, sn.krylov_sequence
 
-    def counted_matmul(left, right):
-        products[0] += not isinstance(right, ColumnVector)
-        return matmul(left, right)
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_projector(h, g):
-        before = products[0]
-        result = projector(h, g)
-        in_projector.append(products[0] - before)
-        return result
+        return spy
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
-    monkeypatch.setattr(sn, "projected_idempotent", counted_projector)
+    texts = {"zero": "identity minus projector is injective", "rank_ge_2": _NOT_RANK_ONE}
+    seen = set()
     for n in range(1, 17):
-        expected = _squaring_products(n)
+        a_mat = random_invertible(spec, n, rng, 4)
         for name, h, g in _not_rank_one_cases(spec, n, rng):
-            products[0] = 0
-            in_projector.clear()
-            _outcome(build_conjugator, h, g)
-            # the rref of I - P, H a and A^-1 take no dense product
-            assert in_projector == [expected] and products[0] == expected, (name, n)
-            a_mat = random_dense(spec, n, n, rng)
-            products[0] = 0
-            in_projector.clear()
-            check_structure_identities(h, g, a_mat)
-            assert in_projector == [expected], (name, n)
-            # besides P: G^n by squaring, the chain H G^k H (H = 0 runs all
-            # 2(n-1) products, H H != 0 stops at the first), P P and the four
-            # intertwine products
-            power = bin(n).count("1") + n.bit_length() - 2
-            chain = 2 * (n - 1) if name == "zero" else 1
-            assert products[0] == expected + power + chain + 1 + 4, (name, n)
+            b = random_invertible(spec, n, rng, 4)
+            genuine_g = AutomorphismOracle.conjugation_by(b).query_generators()[1]
+            for shift in (g, genuine_g):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(Matrix, "__matmul__", counted("products", matmul))
+                    patch.setattr(Matrix, "_eliminate", counted("eliminations", eliminate))
+                    patch.setattr(sn, "krylov_sequence", counted("krylov", sequence))
+                    with pytest.raises(EmptyKernel) as built:
+                        build_conjugator(h, shift)
+                    with pytest.raises(EmptyKernel) as checked:
+                        check_structure_identities(h, shift, a_mat)
+                assert str(built.value) == str(checked.value) == texts[name], (name, n)
+                assert not calls, (name, n, calls)
+                seen.add(name)
+    assert seen == set(texts)
 
 
 # -- verify_conjugation ------------------------------------------------------
@@ -871,20 +860,24 @@ def test_verify_uses_outer_product_identity():
 
 
 def reference_pair_certificate(oracle, witness, h, g):
-    """Sweep the pair's expansion, then demand that conjugation by A
-    reproduces (H, G): the route certify shortcuts when both intertwines hold."""
-    report = verify_conjugation(oracle.to_full_table(), witness)
-    report = dataclasses.replace(report, query_count=oracle.query_count)
+    """The report certify gives a pair, from the two intertwines as dense
+    products, and the sweep of the pair's expansion, which must pass
+    whenever both intertwines hold."""
     a_mat = witness.conjugator
     n, spec = a_mat.rows, a_mat.spec
-    reproduces = (
-        a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat
-        and a_mat @ shift_matrix(spec, n) == g @ a_mat
-    )
-    if report.outcome is Outcome.RECOVERED and not reproduces:
-        report.outcome = Outcome.VERIFICATION_FAILED
-        report.detail = "conjugation does not reproduce the generator images"
-    return report
+    corner_ok = a_mat @ elementary_matrix(spec, n, n, 1) == h @ a_mat
+    shift_ok = a_mat @ shift_matrix(spec, n) == g @ a_mat
+    swept = verify_conjugation(oracle.to_full_table(), witness)
+    if corner_ok and shift_ok:
+        assert swept.outcome is Outcome.RECOVERED
+        report = RecoveryReport(Outcome.RECOVERED, n, spec, verified_pairs=n**2)
+    else:
+        detail = "A S != G A" if corner_ok else "A E_n1 != H A"
+        report = RecoveryReport(
+            Outcome.VERIFICATION_FAILED, n, spec, verified_pairs=0, detail=detail
+        )
+    report.query_count = oracle.query_count
+    return report, swept.outcome is Outcome.RECOVERED
 
 
 def generated_pairs(spec, n, rng):
@@ -913,33 +906,53 @@ def test_certify_matches_sweep_then_intertwines_on_pairs():
                         continue
                     oracle = AutomorphismOracle.from_generator_pair(h, g)
                     report = certify(oracle, witness)
-                    assert report == reference_pair_certificate(oracle, witness, h, g)
+                    expected, swept = reference_pair_certificate(oracle, witness, h, g)
+                    assert report == expected
                     assert oracle.query_count == 0
-                    if report.outcome is Outcome.RECOVERED:
-                        kinds.add("recovered")
-                    elif report.failing_pair is not None:
-                        kinds.add("sweep_failure")
-                    else:
-                        kinds.add("reproduce_failure")
-    assert kinds == {"recovered", "sweep_failure", "reproduce_failure"}
+                    # a failing pair names its identity, never a basis pair,
+                    # whether or not the expansion's sweep would have passed
+                    kinds.add((report.detail, swept))
+    assert kinds == {
+        (None, True),
+        ("A E_n1 != H A", False),
+        ("A S != G A", False),
+        ("A S != G A", True),
+    }
 
 
 def test_certify_genuine_pair_skips_expansion_and_sweep(monkeypatch):
-    import matconj.skolem_noether as sn
-
+    # a genuine pair passes, and a tail-perturbed one fails at A S = G' A,
+    # on the four products of the two intertwines alone
     def forbidden(*args):
-        raise AssertionError("a genuine pair needs no basis sweep")
+        raise AssertionError("a pair's certificate needs no basis sweep")
+
+    matmul, products = Matrix.__matmul__, [0]
+
+    def counted_matmul(left, right):
+        products[0] += 1
+        return matmul(left, right)
 
     monkeypatch.setattr(AutomorphismOracle, "to_full_table", forbidden)
     monkeypatch.setattr(sn, "verify_conjugation", forbidden)
-    b = random_invertible(QQ, 4, random.Random(79), 4)
-    h, g = AutomorphismOracle.conjugation_by(b).query_generators()
-    witness = build_conjugator(h, g)
-    oracle = AutomorphismOracle.from_generator_pair(h, g)
-    report = certify(oracle, witness)
-    assert report.outcome is Outcome.RECOVERED
-    assert report.verified_pairs == 16
-    assert report.failing_pair is None and report.detail is None
+    rng = random.Random(79)
+    for spec, n in itertools.product((QQ, prime_field(2**61 - 1)), range(1, 9)):
+        b = random_invertible(spec, n, rng, 4)
+        genuine = AutomorphismOracle.conjugation_by(b).query_generators()
+        perturbed = tail_perturbed_pair(b, _nonzero_vector(spec, n, rng))
+        for (h, g), detail in ((genuine, None), (perturbed, "A S != G A")):
+            witness = build_conjugator(h, g)
+            oracle = AutomorphismOracle.from_generator_pair(h, g)
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "__matmul__", counted_matmul)
+                products[0] = 0
+                report = certify(oracle, witness)
+            assert products[0] == 4, (n, detail)
+            assert report.detail == detail and report.failing_pair is None, n
+            assert report.outcome is (Outcome.VERIFICATION_FAILED if detail else Outcome.RECOVERED)
+            assert report.verified_pairs == (0 if detail else n * n), n
+        # the perturbed pair keeps every Krylov vector, so it builds the
+        # genuine pair's A
+        assert build_conjugator(*perturbed).conjugator == build_conjugator(*genuine).conjugator
 
 
 def test_certify_sweeps_conjugation_oracle():
@@ -1002,7 +1015,8 @@ def test_certify_refuses_a_corrupted_inverse_on_a_conjugation_oracle():
 
 def test_certify_reads_the_pair_off_its_oracle():
     # a genuine witness for another genuine pair intertwines that pair, not
-    # the oracle's; certify sweeps the oracle's own expansion and names a pair
+    # the oracle's; certify checks the oracle's own pair and names the
+    # identity that fails
     rng = random.Random(101)
     oracle = AutomorphismOracle.from_generator_pair(
         *AutomorphismOracle.conjugation_by(random_invertible(QQ, 3, rng, 4)).query_generators()
@@ -1012,7 +1026,8 @@ def test_certify_reads_the_pair_off_its_oracle():
     assert certify(other, witness).outcome is Outcome.RECOVERED
     report = certify(oracle, witness)
     assert report.outcome is Outcome.VERIFICATION_FAILED
-    assert report.failing_pair is not None and oracle.query_count == 0
+    assert report.detail == "A E_n1 != H A" and report.failing_pair is None
+    assert report.verified_pairs == 0 and oracle.query_count == 0
 
 
 # -- scalar_relation ---------------------------------------------------------
