@@ -10,21 +10,23 @@ one of three backings:
 * ``from_generator_pair(H, G)``: only the two images the recovery procedure
   actually consumes: H for the corner unit E_{n,1} and G for the shift matrix.
 
-Each backing names its ``kind``, answers ``apply`` and tabulates its own
-``images()``; n and the field are those of its A, image (1, 1) or H, so an
-oracle takes its backing alone and cannot disagree with it.  Every ``apply``
-resolved through the oracle bumps a thread-safe query counter, which is what
-makes the "two queries suffice" contract mechanically checkable.
-``validate`` decides whether a fully specified map really is a unital algebra
-automorphism; it is entirely optional, since the recovery itself never needs
-it.  Multiplicativity is checked on 2n^2 generator products rather than all
-n^4 basis products (see ``validate`` for why that suffices), so the check costs
+Each backing names its ``kind`` and answers ``apply``; n and the field are
+those of its A, image (1, 1) or H, so an oracle takes its backing alone and
+cannot disagree with it.  A table and a conjugation also tabulate their
+``images()``; a generator pair answers its two generators and is never
+tabulated.  Every ``apply`` resolved through the oracle bumps a thread-safe
+query counter, which is what makes the "two queries suffice" contract
+mechanically checkable.  ``validate`` decides whether a fully specified map
+really is a unital algebra automorphism; it is entirely optional, since the
+recovery itself never needs it, and it refuses a generator pair.
+Multiplicativity is checked on 2n^2 generator products rather than all n^4
+basis products (see ``validate`` for why that suffices), so the check costs
 O(n^5) scalar work.  Bijectivity of a multiplicative map is read off
 phi(I) != 0, at no extra cost; only a map that is not multiplicative pays the
 O(n^6) rank of its n^2 x n^2 matrix.  ``check-aut`` runs ``validate`` only to
 explain a rejection: :func:`~matconj.skolem_noether.decide_automorphism`
-accepts an automorphism by the construction and its n^2-pair sweep, O(n^4) on
-a table.
+accepts a conjugation by its witness, with no query, and a table by the
+construction and its n^2-pair sweep, O(n^4).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from itertools import product
 from typing import Mapping
 
 from .errors import DimensionMismatch, FieldMismatch, UnsupportedQuery
-from .field import FieldSpec
 from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
 
 
@@ -160,24 +161,6 @@ class _Pair(_Backing):
             "generator-pair backing answers only the corner unit and the shift matrix"
         )
 
-    def images(self) -> dict:
-        """G^{n-i} H G^{j-1}, the only table compatible with multiplicativity."""
-        h, g = self.corner_image, self.shift_image
-        spec, n = self.spec, self.n
-        lefts = [None] * (n + 1)  # lefts[i] = G^{n-i} H
-        lefts[n] = h
-        for i in range(n - 1, 0, -1):
-            lefts[i] = g @ lefts[i + 1]
-        rights = [Matrix.identity(spec, n)]  # rights[j-1] = G^{j-1}
-        for _ in range(n - 1):
-            rights.append(rights[-1] @ g)
-        images = {}
-        for i in range(1, n + 1):
-            images[(i, 1)] = lefts[i]
-            for j in range(2, n + 1):
-                images[(i, j)] = lefts[i] @ rights[j - 1]
-        return images
-
 
 class AutomorphismOracle:
     """A candidate automorphism of the n x n matrix algebra, with query counting;
@@ -278,19 +261,17 @@ class AutomorphismOracle:
     # -- tabulation and validation ----------------------------------------
 
     def to_full_table(self) -> "AutomorphismOracle":
-        """Expand this oracle into a fresh full-table oracle (no queries counted).
+        """Expand a conjugation oracle into a fresh full-table oracle of its
+        images B E_{i,j} B^-1 (no queries counted).
 
-        Conjugation backings tabulate B E_{i,j} B^-1 directly.  Generator-pair
-        backings tabulate G^{n-i} H G^{j-1}, i.e. the only table compatible
-        with multiplicativity; the result is a genuine automorphism table only
-        if (H, G) really came from one, so callers should validate afterwards.
-        No certificate or verdict in the package expands an oracle: the
-        benchmark tracer binds this name, and tests expand pairs through it
-        as a reference.
+        A table is already one, and a generator pair is never tabulated: it
+        is refused with the same UnsupportedQuery as ``validate``.  No
+        certificate or verdict in the package expands an oracle; the
+        benchmark tracer binds this name.
         """
         if self.backing_kind == "full_table":
             raise UnsupportedQuery("oracle already carries a full table")
-        return AutomorphismOracle.from_table(self._backing.images())
+        return AutomorphismOracle.from_table(self._images_for_validation())
 
     def _images_for_validation(self):
         if self.backing_kind == "generator_pair":

@@ -30,9 +30,10 @@ impossibilities (empty kernel, singular conjugator), 4 verification failure.
 The parse refuses a singular ``conjugator`` (exit 2); ``main`` writes every
 error, a ``MatconjError`` from any command.
 
-``check-aut`` accepts an automorphism by the construction and its n^2-pair
-certificate (:func:`~matconj.skolem_noether.decide_automorphism`, O(n^4) on a
-table) and runs ``validate`` only to explain a rejection; it refuses a
+``check-aut`` (:func:`~matconj.skolem_noether.decide_automorphism`) accepts
+a ``conjugator`` file by its witness, with no query, and a ``full_table``
+automorphism by the construction and its n^2-pair certificate, O(n^4); it
+runs ``validate`` only to explain a rejection, and refuses a
 ``generator_pair`` file (exit 2).
 """
 
@@ -57,6 +58,8 @@ from .errors import (
 )
 from .field import FieldSpec, prime_field, rationals
 from .fuzz import (
+    ADVERSARY_KINDS,
+    ENTRY_BOUND,
     MAX_FUZZ_N,
     RNG_ALGORITHM,
     FuzzConfig,
@@ -386,7 +389,7 @@ def cmd_check_aut(args) -> int:
 def cmd_gen(args) -> int:
     spec = args.field
     rng = random.Random(derive_trial_seed(args.seed, spec, args.n, 0))
-    b = random_invertible(spec, args.n, rng, args.entry_bound)
+    b = random_invertible(spec, args.n, rng, ENTRY_BOUND)
     problem = {"field": field_descriptor(spec), "n": args.n, "conjugator": matrix_to_json(b)}
     _dump(problem, args.out)
     return EXIT_OK
@@ -399,7 +402,6 @@ def cmd_fuzz(args) -> int:
             field_specs=tuple(args.fields),
             trials_per_cell=args.trials,
             seed=args.seed,
-            entry_bound=args.entry_bound,
             adversary=args.adversary,
         )
     except ValueError as exc:
@@ -531,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--field", type=_field_flag, required=True, help="q or gfp:P")
     p_gen.add_argument("--n", type=_gen_dimension, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--entry-bound", type=_positive_int, default=5)
     p_gen.add_argument("--out", help="write the problem file here instead of stdout")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -549,10 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument("--trials", type=_positive_int, default=10)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--entry-bound", type=_positive_int, default=5)
     p_fuzz.add_argument(
         "--adversary",
-        choices=("transpose", "random_pair"),
+        choices=ADVERSARY_KINDS,
         default=None,
         help="swap ground-truth conjugations for a non-automorphism family",
     )

@@ -10,6 +10,7 @@ be corrupted by rounding or overflow.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -23,8 +24,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Moduli must lie below this bound, where is_prime is proven deterministic.
 MODULUS_BOUND = 2**64
 
-# Longest digit string accepted for one integer in a scalar; CPython's default
-# limit on int/str conversion, so parsing never reaches that ValueError.
+# Longest digit string accepted for one integer in a scalar, read or written;
+# CPython's default int/str limit, but checked here whatever the interpreter's.
 MAX_SCALAR_DIGITS = 4300
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -153,35 +154,48 @@ class FieldSpec:
 
         Rationals: ``"num/den"`` or a bare integer string (``"-3/4"``, ``"7"``), as
         a reduced Fraction.  Prime fields: a decimal integer string, as its residue.
-        Digits are ASCII only, at most ``MAX_SCALAR_DIGITS`` per integer.
+        Digits are ASCII only, at most ``MAX_SCALAR_DIGITS`` per integer, and
+        at most the interpreter's int/str limit if that is lower.
         """
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, got {type(text).__name__}")
         s = text.strip()
-        if self.is_prime_field:
-            if not _INTEGER_RE.fullmatch(s):
-                raise ParseError(f"invalid GF({self.modulus}) scalar: {text!r}")
+        try:
+            if self.is_prime_field:
+                if not _INTEGER_RE.fullmatch(s):
+                    raise ParseError(f"invalid GF({self.modulus}) scalar: {text!r}")
+                if len(s) > MAX_SCALAR_DIGITS:
+                    _check_digit_count(s)
+                return int(s) % self.modulus
+            if not _RATIONAL_RE.fullmatch(s):
+                raise ParseError(f"invalid rational scalar: {text!r}")
             if len(s) > MAX_SCALAR_DIGITS:
                 _check_digit_count(s)
-            return int(s) % self.modulus
-        if not _RATIONAL_RE.fullmatch(s):
-            raise ParseError(f"invalid rational scalar: {text!r}")
-        if len(s) > MAX_SCALAR_DIGITS:
-            _check_digit_count(s)
-        if "/" in s:
-            num, den = s.split("/")
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            if "/" in s:
+                num, den = s.split("/")
+                if int(den) == 0:
+                    raise ParseError(f"zero denominator in {text!r}")
+                return Fraction(int(num), int(den))
+            return Fraction(int(s))
+        except ValueError as exc:  # an interpreter int/str limit below ours
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"scalar has an integer of over {limit} digits") from exc
 
     def format_value(self, value: RawValue) -> str:
+        """The textual encoding, under the digit bound :meth:`parse_value`
+        reads (ValueTooLarge), whatever the interpreter's int/str limit."""
         try:
-            return str(value)
-        except ValueError as exc:  # CPython's integer string conversion limit
+            text = str(value)
+        except ValueError as exc:  # the interpreter's int/str limit
+            limit = min(MAX_SCALAR_DIGITS, sys.get_int_max_str_digits())
+            raise ValueTooLarge(
+                f"scalar exceeds the {limit}-digit limit of the text format"
+            ) from exc
+        if len(text) > MAX_SCALAR_DIGITS and _longest_integer(text) > MAX_SCALAR_DIGITS:
             raise ValueTooLarge(
                 f"scalar exceeds the {MAX_SCALAR_DIGITS}-digit limit of the text format"
-            ) from exc
+            )
+        return text
 
     def __str__(self) -> str:
         if self.is_prime_field:
@@ -195,12 +209,17 @@ def _check_digit_count(s: str) -> None:
     Callers skip the call when ``len(s) <= MAX_SCALAR_DIGITS``, since no
     part can then be too long; that keeps the common path free of it.
     """
-    longest = max(len(part) for part in s.lstrip("+-").split("/"))
+    longest = _longest_integer(s)
     if longest > MAX_SCALAR_DIGITS:
         raise ParseError(
             f"scalar has an integer of {longest} digits; "
             f"at most {MAX_SCALAR_DIGITS} are accepted"
         )
+
+
+def _longest_integer(s: str) -> int:
+    """The digit count of the longest integer in a scalar string."""
+    return max(len(part) for part in s.lstrip("+-").split("/"))
 
 
 def rationals() -> FieldSpec:

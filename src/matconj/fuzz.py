@@ -56,6 +56,10 @@ MAX_GENERATION_ATTEMPTS = 10000
 
 ADVERSARY_KINDS = ("transpose", "random_pair")
 
+# Cap on |numerator| and denominator of the rational entries `gen` and `fuzz`
+# draw; prime-field entries are uniform over the whole field.
+ENTRY_BOUND = 5
+
 # Largest dimension a fuzz run accepts, in FuzzConfig and on the command line.
 MAX_FUZZ_N = 16
 
@@ -64,10 +68,9 @@ MAX_FUZZ_N = 16
 class FuzzConfig:
     """Parameters of one fuzzing sweep.
 
-    ``entry_bound`` caps the absolute numerator and the denominator of random
-    rational entries; prime-field entries are uniform over the whole field and
-    ignore it.  ``adversary`` swaps ground-truth conjugations for a negative
-    control: "transpose" (the transpose map) or "random_pair" (random H, and G
+    Rational entries are drawn under ``ENTRY_BOUND``, as in ``gen``.
+    ``adversary`` swaps ground-truth conjugations for a negative control:
+    "transpose" (the transpose map) or "random_pair" (random H, and G
     redrawn while G^n = 0); ``expects_recovery`` says which trials recover.
     """
 
@@ -75,7 +78,6 @@ class FuzzConfig:
     field_specs: tuple[FieldSpec, ...] = (rationals(),)
     trials_per_cell: int = 10
     seed: int = 0
-    entry_bound: int = 5
     adversary: str | None = None
 
     def __post_init__(self) -> None:
@@ -88,8 +90,6 @@ class FuzzConfig:
             raise ValueError("each field may appear only once")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be positive")
-        if self.entry_bound < 1:
-            raise ValueError("entry_bound must be positive")
         if self.adversary is not None and self.adversary not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.adversary!r}")
 
@@ -214,15 +214,15 @@ def _recovery_trial(
     rng = random.Random(trial_seed)
     if cfg.adversary is None:
         oracle = AutomorphismOracle.conjugation_by(
-            random_invertible(spec, n, rng, cfg.entry_bound)
+            random_invertible(spec, n, rng, ENTRY_BOUND)
         )
     elif cfg.adversary == "transpose":
         oracle = _transpose_oracle(spec, n)
     else:
-        h = random_matrix(spec, n, rng, cfg.entry_bound)
-        g = random_matrix(spec, n, rng, cfg.entry_bound)
+        h = random_matrix(spec, n, rng, ENTRY_BOUND)
+        g = random_matrix(spec, n, rng, ENTRY_BOUND)
         while g.power(n).is_zero():  # at most 1/2 of the draws are nilpotent
-            g = random_matrix(spec, n, rng, cfg.entry_bound)
+            g = random_matrix(spec, n, rng, ENTRY_BOUND)
         oracle = AutomorphismOracle.from_generator_pair(h, g)
 
     h_img, g_img = oracle.query_generators()

@@ -31,11 +31,11 @@ because E_{n,1} and S generate the algebra: S^{n-i} E_{n,1} S^{j-1} = E_{i,j}.
 pair, and the n^2-pair basis sweep of :func:`verify_conjugation` for a map
 given by conjugation or by a table.  No argument here is fixed by another:
 n is the size of H, ``certify`` reads a pair's (H, G) off its oracle, and
-a witness's A^-1 is computed from its A.  The
-construction and that sweep also decide whether such a map is an
-automorphism at all, :func:`decide_automorphism`, O(n^4) on a table.
-:func:`check_structure_identities` evaluates, in one place, every
-identity the argument leans on, and :func:`scalar_relation` compares two
+a witness's A^-1 is computed from its A.  The construction and that sweep
+also decide whether a table is an automorphism at all,
+:func:`decide_automorphism`, O(n^4); a conjugation is one by its witness.
+:func:`check_structure_identities` evaluates, in one place, every identity
+the argument leans on, and :func:`scalar_relation` compares two
 conjugators up to the scalar factor conjugation cannot see.  The rank-1
 corner is read in one place, :func:`_krylov`: the build and the structure
 report both take u's Krylov vectors from it, in the integer form of
@@ -123,16 +123,14 @@ class StructureCheckReport:
 class RecoveryReport:
     """Machine-readable outcome of a recovery or verification run.
 
-    ``query_count`` is the number of oracle queries the reporting phase
-    consumed: recovery reports carry the two-query recovery cost, while
-    :func:`verify_conjugation` and :func:`certify` report the oracle's total
-    after certification.  ``scalar`` is the ratio A = scalar * B when a
-    ground-truth B is known.  ``verified_pairs`` counts the basis pairs the
-    certificate confirmed (n^2 on success).  ``failing_pair`` names the
-    first failing basis pair of a table or conjugation sweep; a generator
-    pair has no pair images to compare, and names its failing identity in
-    ``detail`` instead.  A fuzz trial's report is
-    :func:`certify`'s with the seed, the two-query count, the structure
+    ``query_count`` is the two-query recovery cost, set by whoever made the
+    queries; a certificate leaves it None.  ``scalar`` is the ratio
+    A = scalar * B when a ground-truth B is known.  ``verified_pairs``
+    counts the basis pairs the certificate confirmed (n^2 on success).
+    ``failing_pair`` names the first failing basis pair of a table or
+    conjugation sweep; a generator pair has no pair images to compare, and
+    names its failing identity in ``detail`` instead.  A fuzz trial's report
+    is :func:`certify`'s with the seed, the two-query count, the structure
     ``checks``, the RNG and the scalar filled in.
     """
 
@@ -326,8 +324,8 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
 
     Conjugation and table oracles get the n^2-query sweep of
     :func:`verify_conjugation`: a table can be any linear map, so only the
-    sweep shows that A matches it.  ``query_count`` is the oracle's total
-    afterwards; a generator-pair oracle is never queried here.
+    sweep shows that A matches it.  A generator-pair oracle is never
+    queried here.
     """
     if oracle.backing_kind != "generator_pair":
         return verify_conjugation(oracle, witness)
@@ -337,7 +335,6 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     if not (corner_ok and shift_ok):
         report.outcome, report.verified_pairs = Outcome.VERIFICATION_FAILED, 0
         report.detail = "A S != G A" if corner_ok else "A E_n1 != H A"
-    report.query_count = oracle.query_count
     return report
 
 
@@ -352,23 +349,25 @@ def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
     """The report ``oracle.validate()`` gives, with ``validate`` run only for
     a map that is not an automorphism.
 
-    The two queries, :func:`build_conjugator` and the n^2-pair sweep of
-    :func:`certify` run first.  If they pass, the map is conjugation by the
-    invertible A on every matrix unit, hence everywhere: an automorphism,
-    with the all-true report ``validate`` would give.  Every automorphism
-    passes (Skolem-Noether), and a table pays one elimination (A^-1), the
-    Krylov vectors and n^2 outer products, O(n^4), and no dense product.
-    On EmptyKernel, SingularConjugator or a failed sweep, ``validate``'s own
-    report is returned.  A generator-pair oracle answers no basis query and
-    goes straight to ``validate``, which refuses it.
+    A conjugation is an automorphism by its witness, which exists only for
+    an invertible B: the all-true report comes with no query.  A table runs
+    the two queries, :func:`build_conjugator` and the n^2-pair sweep of
+    :func:`certify`; if they pass, the map is conjugation by the invertible
+    A on every matrix unit, hence everywhere, and every automorphism passes
+    (Skolem-Noether).  That costs one elimination (A^-1), the Krylov vectors
+    and n^2 outer products, O(n^4), and no dense product.  Any other
+    outcome, and a generator pair, which ``validate`` refuses, get
+    ``validate``'s own report.
     """
-    if oracle.backing_kind != "generator_pair":
+    accepted = oracle.backing_kind == "conjugation"
+    if oracle.backing_kind == "full_table":
         try:
             witness = build_conjugator(*oracle.query_generators())
         except (EmptyKernel, SingularConjugator):
             return oracle.validate()
-        if certify(oracle, witness).outcome is Outcome.RECOVERED:
-            return ValidationReport(unital_ok=True, multiplicative_ok=True, bijective_ok=True)
+        accepted = certify(oracle, witness).outcome is Outcome.RECOVERED
+    if accepted:
+        return ValidationReport(unital_ok=True, multiplicative_ok=True, bijective_ok=True)
     return oracle.validate()
 
 
@@ -393,7 +392,6 @@ def verify_conjugation(
             report.detail = f"conjugation disagrees with the map on basis pair ({i},{j})"
             break
         report.verified_pairs += 1
-    report.query_count = phi.query_count
     return report
 
 

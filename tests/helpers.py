@@ -286,6 +286,22 @@ def intertwiner_reference(h: Matrix, g: Matrix):
     return basis, genuine
 
 
+def pair_table(h: Matrix, g: Matrix) -> dict:
+    """{(i, j): G^(n-i) H G^(j-1)}, the table a generator pair (H, G) spans.
+
+    E_ij = S^(n-i) E_n1 S^(j-1), so this is the only table of a
+    multiplicative map that sends E_n1 to H and S to G; it is an
+    automorphism's table only if (H, G) came from one.  The package never
+    tabulates a pair, so tests expand one here, from the formula.
+    """
+    n = h.rows
+    powers = [Matrix.identity(h.spec, n)]  # powers[k] = G^k
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ g)
+    lefts = {i: powers[n - i] @ h for i in range(1, n + 1)}  # G^(n-i) H
+    return {(i, j): lefts[i] @ powers[j - 1] for i in lefts for j in range(1, n + 1)}
+
+
 def tail_perturbed_pair(b: Matrix, w) -> tuple[Matrix, Matrix]:
     """The generator pair of conjugation by B, with G replaced by
     G' = G + w z^T for z^T the first row of B^-1 and a nonzero vector w.

@@ -38,6 +38,7 @@ from matconj.cli import field_descriptor, main, validation_to_json
 from helpers import (
     full_multiplicativity,
     naive_mul,
+    pair_table,
     problem_json,
     random_dense,
     random_scalar,
@@ -137,11 +138,13 @@ def test_generator_pair_apply_surface():
         with pytest.raises(UnsupportedQuery, match="only the corner unit and the shift"):
             phi.apply(x)
     assert phi.query_count == 2
-    # the identity's image is the pair's own to give: with H = G = 0 its
-    # table maps I to 0, so no answer of I could agree with it
+    # the identity's image is the pair's own to give: with H = G = 0 the
+    # table it spans maps I to 0, so no answer of I could agree with it
     zero = Matrix.zero(QQ, 2, 2)
     zero_pair = AutomorphismOracle.from_generator_pair(zero, zero)
-    assert zero_pair.to_full_table().apply(Matrix.identity(QQ, 2)) == zero
+    assert AutomorphismOracle.from_table(pair_table(zero, zero)).apply(
+        Matrix.identity(QQ, 2)
+    ) == zero
     with pytest.raises(UnsupportedQuery):
         zero_pair.apply(Matrix.identity(QQ, 2))
     # at n = 1 the identity is E_{1,1}, the corner unit, so it gets H
@@ -382,11 +385,16 @@ def test_validate_zero_map():
 
 
 def test_validate_rejects_generator_pair():
+    # a pair is never tabulated: validate() and to_full_table() refuse it at
+    # one check, with one text, and query nothing
     phi = AutomorphismOracle.from_generator_pair(
         elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
     )
-    with pytest.raises(UnsupportedQuery):
-        phi.validate()
+    text = "a generator pair carries too little information to validate"
+    for refused in (phi.validate, phi.to_full_table):
+        with pytest.raises(UnsupportedQuery, match=f"^{text}$"):
+            refused()
+    assert not hasattr(phi.backing, "images") and phi.query_count == 0
 
 
 def test_validate_scaled_map_not_unital():
@@ -614,9 +622,9 @@ def _check_aut(path, monkeypatch, counted):
 
 
 def test_check_aut_matches_validate(tmp_path, monkeypatch):
-    # check-aut accepts by construction and sweep and runs validate() only
-    # for a rejection, so its exit code and bytes are those of validate()
-    # alone on every table and conjugator file
+    # check-aut accepts a conjugator file by its witness, a table by
+    # construction and sweep, and runs validate() only for a rejection, so
+    # its exit code and bytes are those of validate() alone on every file
     rng = random.Random(29)
     path = tmp_path / "problem.json"
     validated, stages = [], []
@@ -651,20 +659,30 @@ def test_check_aut_matches_validate(tmp_path, monkeypatch):
             }
             validated.clear()
             stages.clear()
+            queried = []
+            spied = {
+                (AutomorphismOracle, "validate"): validated,
+                (AutomorphismOracle, "apply"): queried,
+            }
             with monkeypatch.context() as patch:
                 patch.setattr(sn, "build_conjugator", spied_build)
                 patch.setattr(sn, "certify", spied_certify)
-                code, out = _check_aut(
-                    path, monkeypatch, {(AutomorphismOracle, "validate"): validated}
-                )
+                code, out = _check_aut(path, monkeypatch, spied)
             assert code == (0 if report.is_automorphism else 1), (n, report)
             assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+            if oracle.backing_kind == "conjugation":
+                # an automorphism by its witness: no query, no build, no
+                # certificate and no validate()
+                assert report.is_automorphism
+                assert (validated, stages, queried) == ([], [], []), n
+                seen["conjugation"] += 1
+                continue
             # validate() runs exactly for a rejection: every automorphism
             # passes the construction and its sweep
             assert len(validated) == (not report.is_automorphism), (n, report)
             accepted = stages == ["built", "sweep recovered"]
             assert accepted == report.is_automorphism, (n, stages)
-            seen[oracle.backing_kind if accepted else stages[-1]] += 1
+            seen["full_table" if accepted else stages[-1]] += 1
             # the build refuses exactly the tables whose corner image is not
             # of rank 1, before any kernel or conjugator is formed
             corner_rank = oracle.query_generators()[0].rank()
@@ -715,17 +733,16 @@ def test_validate_inner_maps_full_battery(spec, n):
 
 
 def test_pair_expansion_of_identity_generators():
-    # G^{2-i} H G^{j-1} with H = E_{2,1}, G = S reproduces the identity table:
-    # (1,1)->E11, (1,2)->E12, (2,1)->E21, (2,2)->E22.
-    phi = AutomorphismOracle.from_generator_pair(
-        elementary_matrix(QQ, 2, 2, 1), shift_matrix(QQ, 2)
-    )
-    table = phi.to_full_table()
-    for i in range(1, 3):
-        for j in range(1, 3):
-            assert table.apply(elementary_matrix(QQ, 2, i, j)) == elementary_matrix(
-                QQ, 2, i, j
-            )
+    # helpers.pair_table: G^{n-i} H G^{j-1} with H = E_{n,1}, G = S is the
+    # identity table, and the pair of conjugation by B spans B's own table
+    for spec, n in ((QQ, 1), (QQ, 2), (GF7, 4)):
+        h, g = elementary_matrix(spec, n, n, 1), shift_matrix(spec, n)
+        assert pair_table(h, g) == identity_table(spec, n)
+    rng = random.Random(13)
+    for spec, n in ((QQ, 3), (GF7, 4)):
+        witness = ConjugationWitness(random_invertible(spec, n, rng, 4))
+        pair = AutomorphismOracle(witness).query_generators()
+        assert pair_table(*pair) == witness.images()
 
 
 def test_conjugation_tabulates_pointwise():

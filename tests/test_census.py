@@ -27,7 +27,7 @@ from matconj import (
     shift_matrix,
 )
 
-from helpers import intertwiner_reference
+from helpers import intertwiner_reference, pair_table
 
 
 def _pgl_order(n, q):
@@ -57,7 +57,7 @@ def _pair_reference(h, g, n):
     """The pair comes from an automorphism: the table the pair spans
     validates, and it maps E_{n,1} to H and S to G."""
     spec = h.spec
-    table = AutomorphismOracle.from_generator_pair(h, g).to_full_table()
+    table = AutomorphismOracle.from_table(pair_table(h, g))
     return (
         table.apply(elementary_matrix(spec, n, n, 1)) == h
         and table.apply(shift_matrix(spec, n)) == g

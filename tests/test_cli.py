@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import matconj
 from matconj import (
     AutomorphismOracle,
     ConjugationWitness,
@@ -323,6 +328,40 @@ def test_recover_oversized_output_exit_2(tmp_path, capsys):
     }
     path = write_problem(tmp_path, obj)
     _assert_parse_failure(capsys, main(["recover", "--no-verify", path]))
+
+
+def _recover_under_int_limit(path, limit):
+    """``recover`` in a child interpreter whose int/str digit limit is
+    ``limit`` (0: none), so this process's own limit is untouched."""
+    src = str(Path(matconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(limit))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "matconj", "recover", path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _assert_child_parse_failure(result):
+    assert result.returncode == EXIT_PARSE and result.stdout == "", result.stderr
+    assert result.stderr.count("\n") == 1 and json.loads(result.stderr)["error"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str limit"
+)
+def test_recover_scalar_over_a_lower_interpreter_limit_exit_2(tmp_path):
+    # 1000 digits are within the format's 4300, but not within a limit of 640
+    obj = swap_problem()
+    obj["conjugator"][0][0] = "1" + "0" * 999
+    _assert_child_parse_failure(_recover_under_int_limit(write_problem(tmp_path, obj), 640))
+
+
+def test_recover_output_keeps_the_digit_bound_without_an_interpreter_limit(tmp_path):
+    # B's entries fit the format, but B^-1 holds a 4301-digit entry: with no
+    # interpreter limit to trip, the bound is still checked on output
+    obj = {"field": {"type": "Q"}, "n": 2, "conjugator": [["1/3", "9" * 4300], ["0", "1"]]}
+    _assert_child_parse_failure(_recover_under_int_limit(write_problem(tmp_path, obj), 0))
 
 
 @pytest.mark.parametrize("command", ["recover", "check-aut"])
@@ -688,6 +727,18 @@ def test_gen_caps_dimension(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--field", "gfp:7", "--n", "65", "--seed", "1"])
     assert "at most 64" in _assert_flag_error(capsys, exc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--field", "q", "--n", "2", "--seed", "1"], ["fuzz", "--n", "2", "--trials", "1"]],
+    ids=["gen", "fuzz"],
+)
+def test_entry_bound_is_no_flag(capsys, argv):
+    # gen and fuzz draw rational entries with the constant fuzz.ENTRY_BOUND
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--entry-bound", "3"])
+    assert "--entry-bound" in _assert_flag_error(capsys, exc)
 
 
 # -- fuzz --------------------------------------------------------------------

@@ -39,7 +39,6 @@ GF2 = prime_field(2)
         {"n_range": (3, 2)},
         {"n_range": (1, 17)},
         {"trials_per_cell": 0},
-        {"entry_bound": 0},
         {"field_specs": ()},
         {"field_specs": (QQ, GF2, QQ)},
         {"adversary": "bogus"},
