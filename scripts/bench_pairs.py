@@ -10,12 +10,13 @@ seed, in two BENCH files: one for the parent and one for the change.  Each
 file's header records its checkout's ``src_lines``, the line count of the
 Python files under ``src/``, so a change's size is kept beside its numbers.  An
 existing file is extended, so workloads can be run in separate calls.  After
-the runs, the script prints the median of each end-to-end metric per side,
-the number of pairs in which the change was better, and whether the change's
-median is inside the metric's relative ``bound`` from BENCHMARK.json: no
-worse than the parent's median by more than that fraction.  A metric whose
-parent IQR is wider than its bound (relative to the parent's median) is
-"unresolved": its pairs are too noisy to tell, and more pairs are needed.
+the runs, the script prints each side's ``src_lines``, then the median of
+each end-to-end metric per side, the number of pairs in which the change was
+better, and whether the change's median is inside the metric's relative
+``bound`` from BENCHMARK.json: no worse than the parent's median by more than
+that fraction.  A metric whose parent IQR is wider than its bound (relative
+to the parent's median) is "unresolved": its pairs are too noisy to tell, and
+more pairs are needed.
 Beside the median of ``peak_rss_mb`` it prints the largest rise in any one
 pair and that pair's ratio of attempted ops (change / parent): the harness
 keeps state per op, so a pair whose change run made many more ops can break
@@ -128,10 +129,13 @@ def largest_rise(pairs: list, name: str) -> dict:
 
 
 def summarize(parent: dict, change: dict, workload: str, seeds, metrics: dict) -> None:
-    pairs = [(parent[workload][str(s)], change[workload][str(s)]) for s in seeds]
+    """Print one workload's pairs from the two BENCH records (header and runs)."""
+    runs = parent["runs"][workload], change["runs"][workload]
+    pairs = [(runs[0][str(s)], runs[1][str(s)]) for s in seeds]
     print(f"{workload}: {len(pairs)} pairs, medians parent -> change")
     counts = " ".join(f"{p['attempted']}/{c['attempted']}" for p, c in pairs)
     print(f"  attempted {counts}")
+    print(f"  {'src_lines':<16} {parent['src_lines']:10d} -> {change['src_lines']:10d}")
     for name, (better, bound) in metrics.items():
         before = [p["metrics"][name]["value"] for p, _ in pairs]
         after = [c["metrics"][name]["value"] for _, c in pairs]
@@ -198,7 +202,7 @@ def main() -> int:
             pair += 1
     metrics = end_to_end(args.change)
     for workload in args.workload:
-        summarize(parent["runs"], change["runs"], workload, args.seeds, metrics)
+        summarize(parent, change, workload, args.seeds, metrics)
     return 0
 
 

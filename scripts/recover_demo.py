@@ -53,11 +53,11 @@ def main() -> int:
     print(f"oracle queries so far: {oracle.query_count}")
 
     witness = build_conjugator(h, g)
-    print(f"kernel vector a = {[str(e) for e in witness.kernel_vector.entries()]}")
+    print(f"kernel vector a = {[row[0] for row in witness.kernel_vector.to_strings()]}")
     show("recovered conjugator A", witness.conjugator)
 
-    checks = check_structure_identities(h, g, witness.conjugator)
-    print(f"structural identities all hold: {checks.all_ok}")
+    all_hold = check_structure_identities(h, g, witness.conjugator).first_failing is None
+    print(f"structural identities all hold: {all_hold}")
 
     report = certify(oracle, witness)
     print(
@@ -66,7 +66,7 @@ def main() -> int:
     )
     scalar = scalar_relation(witness.conjugator, b)
     print(f"A = {scalar} * B")
-    return 0 if checks.all_ok and scalar is not None else 1
+    return 0 if all_hold and scalar is not None else 1
 
 
 if __name__ == "__main__":

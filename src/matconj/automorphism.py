@@ -10,23 +10,24 @@ one of three backings:
 * ``from_generator_pair(H, G)``: only the two images the recovery procedure
   actually consumes: H for the corner unit E_{n,1} and G for the shift matrix.
 
-Each backing names its ``kind`` and answers ``apply``; n and the field are
-those of its A, image (1, 1) or H, so an oracle takes its backing alone and
-cannot disagree with it.  A table and a conjugation also tabulate their
-``images()``; a generator pair answers its two generators and is never
-tabulated.  Every ``apply`` resolved through the oracle bumps a thread-safe
-query counter, which is what makes the "two queries suffice" contract
-mechanically checkable.  ``validate`` decides whether a fully specified map
-really is a unital algebra automorphism; it is entirely optional, since the
-recovery itself never needs it, and it refuses a generator pair.
-Multiplicativity is checked on 2n^2 generator products rather than all n^4
-basis products (see ``validate`` for why that suffices), so the check costs
-O(n^5) scalar work.  Bijectivity of a multiplicative map is read off
-phi(I) != 0, at no extra cost; only a map that is not multiplicative pays the
-O(n^6) rank of its n^2 x n^2 matrix.  ``check-aut`` runs ``validate`` only to
-explain a rejection: :func:`~matconj.skolem_noether.decide_automorphism`
-accepts a conjugation by its witness, with no query, and a table by the
-construction and its n^2-pair sweep, O(n^4).
+Each backing names its ``kind``, read as ``oracle.backing.kind``, and answers
+``apply``; n and the field are those of its A, image (1, 1) or H, so an
+oracle takes its backing alone and cannot disagree with it.  A table and a
+conjugation also tabulate their ``images()``; a generator pair answers its
+two generators and is never tabulated.  Every ``apply`` resolved through the
+oracle bumps a thread-safe query counter, which is what makes the "two
+queries suffice" contract mechanically checkable.  ``validate`` decides
+whether a fully specified map really is a unital algebra automorphism; it is
+entirely optional, since the recovery itself never needs it, and it refuses a
+generator pair.  Multiplicativity is checked on 2n^2 generator products
+rather than all n^4 basis products (see ``validate`` for why that suffices),
+so the check costs O(n^5) scalar work.  Bijectivity of a multiplicative map
+is read off phi(I) != 0, at no extra cost; only a map that is not
+multiplicative pays the O(n^6) rank of its n^2 x n^2 matrix.  ``check-aut``
+runs ``validate`` only to explain a rejection:
+:func:`~matconj.skolem_noether.decide_automorphism` accepts a conjugation by
+its witness, with no query, and a table by the construction and its n^2-pair
+sweep, O(n^4).
 """
 
 from __future__ import annotations
@@ -220,12 +221,9 @@ class AutomorphismOracle:
 
     @property
     def backing(self):
-        """The map: the :class:`ConjugationWitness` of B, a table or a pair."""
+        """The map: the :class:`ConjugationWitness` of B, a table or a pair,
+        as its ``kind`` names."""
         return self._backing
-
-    @property
-    def backing_kind(self) -> str:
-        return self._backing.kind
 
     def _count_query(self) -> None:
         with self._lock:
@@ -269,12 +267,12 @@ class AutomorphismOracle:
         certificate or verdict in the package expands an oracle; the
         benchmark tracer binds this name.
         """
-        if self.backing_kind == "full_table":
+        if self.backing.kind == "full_table":
             raise UnsupportedQuery("oracle already carries a full table")
         return AutomorphismOracle.from_table(self._images_for_validation())
 
     def _images_for_validation(self):
-        if self.backing_kind == "generator_pair":
+        if self.backing.kind == "generator_pair":
             raise UnsupportedQuery(
                 "a generator pair carries too little information to validate"
             )

@@ -364,7 +364,7 @@ def cmd_recover(args) -> int:
         if outcome is not Outcome.RECOVERED:
             output["detail"] = verification.detail
 
-    if oracle.backing_kind == "conjugation" and outcome is Outcome.RECOVERED:
+    if oracle.backing.kind == "conjugation" and outcome is Outcome.RECOVERED:
         scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
         output["scalar"] = str(scalar) if scalar is not None else None
     output["outcome"] = outcome.value

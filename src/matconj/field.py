@@ -122,15 +122,8 @@ class FieldSpec:
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_value)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_value)
+        """``value`` as an element; ``element(0)`` and ``element(1)`` are 0 and 1."""
+        return FieldElement(self, value)
 
     def invert_value(self, value: RawValue) -> RawValue:
         """1 / value; over GF(p) ``value`` is a residue in [0, p)."""
@@ -236,13 +229,17 @@ def prime_field(p: int) -> FieldSpec:
 class FieldElement:
     """A scalar tagged with its field.
 
-    The stored value is always canonical: a fully reduced Fraction with
-    positive denominator for rationals, a residue in ``[0, p)`` for GF(p).
-    Elements from different specs never combine (FieldMismatch).
+    The stored value is always canonical: the constructor stores
+    ``spec.coerce(value)``, a fully reduced Fraction with positive
+    denominator for rationals, a residue in ``[0, p)`` for GF(p).  Elements
+    from different specs never combine (FieldMismatch).
     """
 
     spec: FieldSpec
     value: RawValue
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", self.spec.coerce(self.value))
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
@@ -252,27 +249,18 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        v = self.value + other.value
-        if self.spec.is_prime_field:
-            v %= self.spec.modulus
-        return FieldElement(self.spec, v)
+        return FieldElement(self.spec, self.value + other.value)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        v = self.value - other.value
-        if self.spec.is_prime_field:
-            v %= self.spec.modulus
-        return FieldElement(self.spec, v)
+        return FieldElement(self.spec, self.value - other.value)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        v = self.value * other.value
-        if self.spec.is_prime_field:
-            v %= self.spec.modulus
-        return FieldElement(self.spec, v)
+        return FieldElement(self.spec, self.value * other.value)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.negate_value(self.value))
+        return FieldElement(self.spec, -self.value)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -283,9 +271,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not self.value
-
-    def is_one(self) -> bool:
-        return self.value == self.spec.one_value
 
     def __bool__(self) -> bool:
         return bool(self.value)

@@ -235,7 +235,7 @@ def _recovery_trial(
 
     checks = check_structure_identities(h_img, g_img, witness.conjugator)
     report = replace(certify(oracle, witness), checks=checks, **facts)
-    if report.outcome is Outcome.RECOVERED and oracle.backing_kind == "conjugation":
+    if report.outcome is Outcome.RECOVERED and oracle.backing.kind == "conjugation":
         report.scalar = scalar_relation(witness.conjugator, oracle.backing.conjugator)
         if report.scalar is None:
             report.outcome = Outcome.VERIFICATION_FAILED

@@ -24,9 +24,10 @@ over Q it first scales the factors' rows and columns to integers.  Only
 :func:`krylov_sequence` runs its mat-vecs apart, on integer lists.
 
 Indexing in the public API is 1-based: ``elementary_matrix(spec, n, i, j)``
-puts its 1 in row i, column j counted from 1, and ``entry``/``column``/
-``pivots`` follow the same convention.  Internal storage is a row-major tuple
-of raw scalar values (Fraction or int residue); :class:`~matconj.field.FieldElement`
+puts its 1 in row i, column j counted from 1, and ``entry(i, j)`` (a
+vector's coordinate i is ``entry(i, 1)``), ``column`` and ``pivots`` follow
+the same convention.  Internal storage is a row-major tuple of raw scalar
+values (Fraction or int residue); :class:`~matconj.field.FieldElement`
 objects appear only at the API boundary.
 """
 
@@ -47,14 +48,10 @@ from .field import FieldElement, FieldSpec
 
 
 class RrefResult(NamedTuple):
-    """The rref and its 1-based pivot columns; the rank is their count."""
+    """The rref and its 1-based pivot columns; the rank is ``len(pivots)``."""
 
     matrix: "Matrix"
     pivots: tuple[int, ...]  # 1-based pivot column indices
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 class Matrix:
@@ -290,19 +287,6 @@ class Matrix:
             k >>= 1
         return result
 
-    def transpose(self) -> "Matrix":
-        data = tuple(
-            self._data[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return Matrix._raw_new(self.spec, self.cols, self.rows, data)
-
-    def trace(self) -> FieldElement:
-        if not self.is_square:
-            raise DimensionMismatch("trace needs a square matrix")
-        return self.spec.element(sum(self._data[:: self.cols + 1], self.spec.zero_value))
-
     # -- elimination -------------------------------------------------------
 
     def _eliminate(self, reduced: bool) -> tuple[tuple | None, list[int], object]:
@@ -418,8 +402,7 @@ class Matrix:
                 if val:
                     v[pc - 1] = neg(val)
             vec = ColumnVector._raw_new(self.spec, cols, 1, tuple(v))
-            lead = vec.first_nonzero_index()
-            lead_val = vec._data[lead - 1]
+            lead_val = next(x for x in v if x)
             if lead_val != one:
                 vec = vec.scale(self.spec.invert_value(lead_val))
             basis.append(vec)
@@ -470,9 +453,12 @@ class Matrix:
 class ColumnVector(Matrix):
     """An n x 1 matrix: the kernel vector, a column or a row of a matrix.
 
-    Products, sums and scaling come from Matrix and keep this class, so
-    ``m @ v`` is again a ColumnVector.  A ColumnVector equals the n x 1
-    Matrix with the same entries.
+    A marker class with its constructor only: everything else is Matrix's,
+    so coordinate i is ``entry(i, 1)``, the length is ``rows`` and e_i is
+    ``Matrix.identity(spec, n).column(i)``.  Products, sums and scaling keep
+    this class, so ``m @ v`` is again a ColumnVector, which is how the
+    benchmark tracer tells a mat-vec from a matmul.  A ColumnVector equals
+    the n x 1 Matrix with the same entries.
     """
 
     __slots__ = ()
@@ -480,33 +466,6 @@ class ColumnVector(Matrix):
     def __init__(self, spec: FieldSpec, entries: Sequence) -> None:
         entries = tuple(entries)
         super().__init__(spec, len(entries), 1, entries)
-
-    @classmethod
-    def standard_basis(cls, spec: FieldSpec, dim: int, i: int) -> "ColumnVector":
-        """e_i, 1-based."""
-        if not 1 <= i <= dim:
-            raise IndexOutOfRange(f"index {i} outside 1..{dim}")
-        data = [spec.zero_value] * dim
-        data[i - 1] = spec.one_value
-        return cls._raw_new(spec, dim, 1, tuple(data))
-
-    @property
-    def dim(self) -> int:
-        return self.rows
-
-    def entry(self, i: int, j: int = 1) -> FieldElement:
-        """Coordinate i (1-based)."""
-        return super().entry(i, j)
-
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, v) for v in self._data)
-
-    def first_nonzero_index(self) -> int | None:
-        """1-based index of the first nonzero coordinate, or None."""
-        for k, v in enumerate(self._data):
-            if v:
-                return k + 1
-        return None
 
 
 def elementary_matrix(spec: FieldSpec, n: int, i: int, j: int) -> Matrix:

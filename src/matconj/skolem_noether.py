@@ -87,8 +87,8 @@ class StructureCheckReport:
 
     All flags are true whenever (H, G) arise from a genuine automorphism and
     A came from :func:`build_conjugator`.  The two intertwines are the only
-    flags that depend on A.  Like
-    ``nilpotent_ok`` and ``all_ok``, ``first_failing`` is read off the flags.
+    flags that depend on A.  Like ``nilpotent_ok``, ``first_failing`` is
+    read off the flags; every identity holds exactly when it is None.
     """
 
     shift_nilpotent_ok: bool  # G^n = 0
@@ -113,10 +113,6 @@ class StructureCheckReport:
             ("intertwine_S", self.intertwine_S_ok),
         )
         return next((name for name, ok in named if not ok), None)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.first_failing is None
 
 
 @dataclass
@@ -327,7 +323,7 @@ def certify(oracle: AutomorphismOracle, witness: ConjugationWitness) -> Recovery
     sweep shows that A matches it.  A generator-pair oracle is never
     queried here.
     """
-    if oracle.backing_kind != "generator_pair":
+    if oracle.backing.kind != "generator_pair":
         return verify_conjugation(oracle, witness)
     n, pair = witness.n, oracle.backing
     corner_ok, shift_ok = _intertwines(witness.conjugator, pair.corner_image, pair.shift_image)
@@ -359,8 +355,8 @@ def decide_automorphism(oracle: AutomorphismOracle) -> ValidationReport:
     outcome, and a generator pair, which ``validate`` refuses, get
     ``validate``'s own report.
     """
-    accepted = oracle.backing_kind == "conjugation"
-    if oracle.backing_kind == "full_table":
+    accepted = oracle.backing.kind == "conjugation"
+    if oracle.backing.kind == "full_table":
         try:
             witness = build_conjugator(*oracle.query_generators())
         except (EmptyKernel, SingularConjugator):

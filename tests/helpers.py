@@ -29,7 +29,7 @@ def naive_mul(a: Matrix, b: Matrix) -> Matrix:
     for i in range(1, a.rows + 1):
         row = []
         for j in range(1, b.cols + 1):
-            acc = a.spec.zero
+            acc = a.spec.element(0)
             for k in range(1, a.cols + 1):
                 acc = acc + a.entry(i, k) * b.entry(k, j)
             row.append(acc)
@@ -41,9 +41,9 @@ def leibniz_det(m: Matrix):
     """Permutation-sum determinant; only sensible for small n."""
     assert m.is_square
     n = m.rows
-    total = m.spec.zero
+    total = m.spec.element(0)
     for perm in permutations(range(1, n + 1)):
-        term = m.spec.one
+        term = m.spec.element(1)
         for i, j in enumerate(perm, start=1):
             term = term * m.entry(i, j)
         inversions = sum(
@@ -325,9 +325,9 @@ def problem_json(oracle) -> dict:
     """
     out = {"field": field_descriptor(oracle.spec), "n": oracle.n}
     backing, units = oracle.backing, range(1, oracle.n + 1)
-    if oracle.backing_kind == "conjugation":
+    if backing.kind == "conjugation":
         out["conjugator"] = matrix_to_json(backing.conjugator)
-    elif oracle.backing_kind == "generator_pair":
+    elif backing.kind == "generator_pair":
         out["generator_pair"] = {
             "H": matrix_to_json(backing.corner_image),
             "G": matrix_to_json(backing.shift_image),

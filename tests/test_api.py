@@ -93,3 +93,17 @@ def test_one_conjugation_type():
     witness = matconj.automorphism.ConjugationWitness
     assert matconj.skolem_noether.ConjugationWitness is witness
     assert matconj.ConjugationWitness is witness
+
+
+def test_each_fact_has_one_spelling():
+    # a method of another class with the same name keeps a removed one past
+    # the reachability ratchet, so these stay out by name: a vector's
+    # coordinate is Matrix.entry(i, 1), its length .rows, 0 and 1 are
+    # spec.element(0) and spec.element(1), the rank is len(pivots) and the
+    # backing's kind is oracle.backing.kind
+    metadata = {"__module__", "__qualname__", "__doc__"}
+    metadata |= {"__firstlineno__", "__static_attributes__"}  # set by Python 3.13
+    assert set(vars(matconj.ColumnVector)) - metadata == {"__init__", "__slots__"}
+    for cls in (matconj.FieldSpec, matconj.RrefResult, matconj.AutomorphismOracle):
+        for name in ("zero", "one", "rank", "backing_kind"):
+            assert not hasattr(cls, name), (cls.__name__, name)

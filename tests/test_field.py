@@ -35,7 +35,7 @@ def test_gf7_multiplication():
 def test_additive_identity():
     for value in (Fraction(3, 7), Fraction(-2), Fraction(0)):
         x = QQ.element(value)
-        assert x + QQ.zero == x
+        assert x + QQ.element(0) == x
 
 
 def test_rational_inverse():
@@ -48,12 +48,12 @@ def test_gf7_inverse():
 
 def test_inverse_of_one():
     for spec in (QQ, GF7, prime_field(2)):
-        assert spec.one.inv() == spec.one
+        assert spec.element(1).inv() == spec.element(1)
 
 
 def test_is_zero_is_one():
     assert QQ.element(0).is_zero()
-    assert prime_field(5).element(6).is_one()
+    assert prime_field(5).element(6) == prime_field(5).element(1)
     assert not QQ.element(Fraction(1, 10**100)).is_zero()  # no underflow, ever
 
 
@@ -62,9 +62,9 @@ def test_division():
     b = GF7.element(5)
     assert (a / b) * b == a
     with pytest.raises(DivisionByZero):
-        a / GF7.zero
+        a / GF7.element(0)
     with pytest.raises(DivisionByZero):
-        QQ.zero.inv()
+        QQ.element(0).inv()
 
 
 def test_field_mismatch():
@@ -84,6 +84,25 @@ def test_canonical_residues():
 def test_canonical_rationals():
     x = QQ.element(Fraction(2, -4))
     assert x.value.numerator == -1 and x.value.denominator == 2
+
+
+def test_constructor_stores_the_canonical_value():
+    # FieldElement(spec, v) stores spec.coerce(v), as spec.element(v) does
+    assert FieldElement(GF7, 7).is_zero()
+    assert FieldElement(GF7, 9).value == 2
+    assert FieldElement(GF7, 9) == GF7.element(2)
+    assert str(FieldElement(GF7, -1)) == "6"
+    assert FieldElement(QQ, Fraction(2, -4)) == QQ.element(Fraction(-1, 2))
+    assert FieldElement(GF7, FieldElement(GF7, 3)).value == 3
+
+
+def test_constructor_refuses_what_coerce_refuses():
+    with pytest.raises(ParseError):
+        FieldElement(GF7, "x")
+    with pytest.raises(FieldMismatch):
+        FieldElement(GF7, QQ.element(1))
+    with pytest.raises(TypeError):
+        FieldElement(QQ, 0.5)
 
 
 def test_prime_validation():
@@ -207,7 +226,7 @@ def _random_element(spec, rng):
 )
 def test_field_axioms_1000_triples(spec):
     rng = random.Random(20260808)
-    one = spec.one
+    one = spec.element(1)
     for _ in range(1000):
         a, b, c = (_random_element(spec, rng) for _ in range(3))
         assert (a + b) + c == a + (b + c)
@@ -215,7 +234,7 @@ def test_field_axioms_1000_triples(spec):
         assert a + b == b + a
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a + (-a) == spec.zero
+        assert a + (-a) == spec.element(0)
         if not a.is_zero():
             assert a * a.inv() == one
         assert (a + b) - b == a  # exactness: no drift, ever

@@ -52,7 +52,7 @@ def _case(spec, n, kind, rng):
     b = random_invertible(spec, n, rng, 3)
     if kind == "tail_perturbed_g":
         w = [random_scalar(spec, rng, 3) for _ in range(n)]
-        w[rng.randrange(n)] = spec.one
+        w[rng.randrange(n)] = spec.element(1)
         return tail_perturbed_pair(b, ColumnVector(spec, w))
     h, g = AutomorphismOracle.conjugation_by(b).query_generators()
     bump = elementary_matrix(spec, n, rng.randint(1, n), rng.randint(1, n))

@@ -28,6 +28,7 @@ from matconj import (
     ConjugationWitness,
     DimensionMismatch,
     EmptyKernel,
+    FieldElement,
     FieldMismatch,
     Matrix,
     Outcome,
@@ -85,9 +86,23 @@ def _nonzero_vector(spec, n, rng, zero_head=0, zero_tail=0):
     ``zero_tail`` coordinates are 0."""
     while True:
         body = [random_scalar(spec, rng) for _ in range(n - zero_head - zero_tail)]
-        vec = ColumnVector(spec, [spec.zero] * zero_head + body + [spec.zero] * zero_tail)
+        zero = spec.element(0)
+        vec = ColumnVector(spec, [zero] * zero_head + body + [zero] * zero_tail)
         if not vec.is_zero():
             return vec
+
+
+def _dot(v, x):
+    """v^T x of two n x 1 matrices, as a sum of products."""
+    total = v.spec.element(0)
+    for i in range(1, v.rows + 1):
+        total = total + v.entry(i, 1) * x.entry(i, 1)
+    return total
+
+
+def _lead(u):
+    """The 1-based index of u's first nonzero coordinate."""
+    return next(i for i in range(1, u.rows + 1) if not u.entry(i, 1).is_zero())
 
 
 def _strictly_upper(spec, n, rng):
@@ -186,16 +201,12 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
 
 
 def test_kernel_vector_corner():
-    assert kernel_vector(elementary_matrix(QQ, 2, 1, 1)) == ColumnVector.standard_basis(
-        QQ, 2, 1
-    )
+    assert kernel_vector(elementary_matrix(QQ, 2, 1, 1)) == Matrix.identity(QQ, 2).column(1)
 
 
 def test_kernel_vector_swapped_corner():
     # conjugation by the swap sends the corner idempotent to E_{2,2}
-    assert kernel_vector(elementary_matrix(QQ, 2, 2, 2)) == ColumnVector.standard_basis(
-        QQ, 2, 2
-    )
+    assert kernel_vector(elementary_matrix(QQ, 2, 2, 2)) == Matrix.identity(QQ, 2).column(2)
 
 
 def test_kernel_vector_empty():
@@ -222,11 +233,11 @@ def _rank_one_with_trace(spec, n, rng, trace, zero_head=0):
     while True:
         u = _nonzero_vector(spec, n, rng, zero_head=zero_head)
         v = _nonzero_vector(spec, n, rng, zero_head=zero_head)
-        t = (v.transpose() @ u).entry(1, 1)
+        t = _dot(v, u)
         if trace.is_zero():
             # move v off u at u's first nonzero coordinate k
-            k = u.first_nonzero_index()
-            v = v - ColumnVector.standard_basis(spec, n, k).scale(t / u.entry(k))
+            k = _lead(u)
+            v = v - Matrix.identity(spec, n).column(k).scale(t / u.entry(k, 1))
             if not v.is_zero():
                 return outer_product(u, v)
         elif not t.is_zero():
@@ -236,7 +247,7 @@ def _rank_one_with_trace(spec, n, rng, trace, zero_head=0):
 def _other_trace(spec, rng):
     while True:
         t = random_scalar(spec, rng)
-        if not (t.is_zero() or t.is_one()):
+        if not (t.is_zero() or t == spec.element(1)):
             return t
 
 
@@ -258,15 +269,15 @@ def _rank_ge_2_projector(spec, n, rng, singular):
 def _kernel_cases(spec, n, rng):
     """(name, P) for each kind of kernel_vector input."""
     yield "zero", Matrix.zero(spec, n, n)
-    yield "trace_one", _rank_one_with_trace(spec, n, rng, spec.one)
+    yield "trace_one", _rank_one_with_trace(spec, n, rng, spec.element(1))
     if spec.modulus != 2:
         yield "trace_other", _rank_one_with_trace(spec, n, rng, _other_trace(spec, rng))
     if n == 1:
         return
-    yield "trace_zero", _rank_one_with_trace(spec, n, rng, spec.zero)
+    yield "trace_zero", _rank_one_with_trace(spec, n, rng, spec.element(0))
     # first nonzero entry of P off row 1 and column 1
     head = rng.randint(1, n - 1)
-    yield "inner_one", _rank_one_with_trace(spec, n, rng, spec.one, zero_head=head)
+    yield "inner_one", _rank_one_with_trace(spec, n, rng, spec.element(1), zero_head=head)
     if spec.modulus != 2:
         other = _other_trace(spec, rng)
         yield "inner_other", _rank_one_with_trace(spec, n, rng, other, zero_head=head)
@@ -307,12 +318,21 @@ def test_kernel_vector_matches_rref_reference(spec, monkeypatch):
 # -- build_conjugator --------------------------------------------------------
 
 
+def test_a_zero_corner_given_as_an_element_is_refused():
+    # FieldElement(GF7, 7) is 0, so H = 0 is not of rank 1: EmptyKernel, a
+    # MatconjError, and no bare ValueError from an inverse of 0 mod 7
+    GF7 = prime_field(7)
+    h = Matrix(GF7, 1, 1, [FieldElement(GF7, 7)])
+    with pytest.raises(EmptyKernel):
+        build_conjugator(h, Matrix.zero(GF7, 1, 1))
+
+
 def test_build_identity_map():
     # a = e_1, Ha = e_2, GHa = e_1, so A = [e_1 | e_2] = I
     h, g = identity_generators(2)
     witness = build_conjugator(h, g)
     assert witness.conjugator == Matrix.identity(QQ, 2)
-    assert witness.kernel_vector == ColumnVector.standard_basis(QQ, 2, 1)
+    assert witness.kernel_vector == Matrix.identity(QQ, 2).column(1)
 
 
 def test_build_swap_conjugation():
@@ -323,7 +343,7 @@ def test_build_swap_conjugation():
     witness = build_conjugator(h, g)
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert witness.conjugator == swap
-    assert witness.kernel_vector == ColumnVector.standard_basis(QQ, 2, 2)
+    assert witness.kernel_vector == Matrix.identity(QQ, 2).column(2)
 
 
 def test_build_diag_conjugation():
@@ -410,10 +430,10 @@ def _eigen_rank_one(spec, n, rng):
         v = _nonzero_vector(spec, n, rng)
         r = random_dense(spec, n, n, rng)
         x = _nonzero_scalar(spec, rng)
-        k = u.first_nonzero_index()
-        y = ColumnVector.standard_basis(spec, n, k).scale(u.entry(k).inv())
+        k = _lead(u)
+        y = Matrix.identity(spec, n).column(k).scale(u.entry(k, 1).inv())
         g = r - outer_product(r @ u - u.scale(x), y)
-        t = (v.transpose() @ g.power(n - 1) @ u).entry(1, 1)
+        t = _dot(v, g.power(n - 1) @ u)
         if not t.is_zero():
             return outer_product(u.scale(t.inv()), v), g
 
@@ -540,7 +560,7 @@ def test_structure_checks_pass_for_genuine_maps():
             h, g = AutomorphismOracle.conjugation_by(b).query_generators()
             a_mat = build_conjugator(h, g).conjugator
             report = check_structure_identities(h, g, a_mat)
-            assert report.all_ok, report.first_failing
+            assert report.first_failing is None, report.first_failing
 
 
 def test_structure_checks_forced_non_automorphism():
@@ -551,7 +571,7 @@ def test_structure_checks_forced_non_automorphism():
     # breaks the corner intertwine but 0 = 0 keeps the shift one.
     h = elementary_matrix(QQ, 2, 1, 1)
     g = Matrix.zero(QQ, 2, 2)
-    a = ColumnVector.standard_basis(QQ, 2, 1)
+    a = Matrix.identity(QQ, 2).column(1)
     ha = h @ a
     forced = Matrix.from_columns([g @ ha, ha])
     report = check_structure_identities(h, g, forced)
@@ -563,14 +583,12 @@ def test_structure_checks_forced_non_automorphism():
     assert not report.intertwine_E_ok
     assert report.intertwine_S_ok
     assert report.first_failing == "nilpotent"
-    assert not report.all_ok
 
 
 def test_structure_checks_n1_trivial():
     h = Matrix.from_rows(QQ, [[1]])
     g = Matrix.zero(QQ, 1, 1)
     report = check_structure_identities(h, g, build_conjugator(h, g).conjugator)
-    assert report.all_ok
     assert report.first_failing is None
 
 
@@ -588,7 +606,7 @@ def _scaled_rank_one(spec, n, rng, zero_head=0):
         u = _nonzero_vector(spec, n, rng, zero_head=zero_head)
         v = _nonzero_vector(spec, n, rng, zero_head=zero_head)
         g = random_dense(spec, n, n, rng)
-        t = (v.transpose() @ g.power(n - 1) @ u).entry(1, 1)
+        t = _dot(v, g.power(n - 1) @ u)
         if t.is_zero():
             continue
         h = outer_product(u.scale(t.inv()), v)
@@ -603,9 +621,9 @@ def _chain_break(spec, n, k, rng):
     """H = e_n v^T with v = e_1 + x e_(n-k), x != 0, and G = S, both conjugated
     by a random invertible C.  v^T S^m e_n = v_(n-m), so H G^m H = 0 fails at
     m = k alone, and v^T S^(n-1) e_n = 1 lets the pair build."""
-    v = [spec.zero] * n
-    v[0], v[n - k - 1] = spec.one, _nonzero_scalar(spec, rng)
-    h = outer_product(ColumnVector.standard_basis(spec, n, n), ColumnVector(spec, v))
+    v = [spec.element(0)] * n
+    v[0], v[n - k - 1] = spec.element(1), _nonzero_scalar(spec, rng)
+    h = outer_product(Matrix.identity(spec, n).column(n), ColumnVector(spec, v))
     conj = AutomorphismOracle.conjugation_by(random_invertible(spec, n, rng, 4))
     h, g = conj.apply(h), conj.apply(shift_matrix(spec, n))
     return h, g, build_conjugator(h, g).conjugator
@@ -669,7 +687,7 @@ def test_structure_checks_match_matrix_reference(spec, monkeypatch):
             nilpotent_flags.add(report.shift_nilpotent_ok)
             projector_flags.add((report.idempotent_ok, report.kernel_rank_ok))
             if name == "genuine":
-                assert report.all_ok, n
+                assert report.first_failing is None, n
             if name.startswith("chain_break"):
                 assert report.first_failing == "nilpotent", (name, n)
             if name == "forced_vanishing":
@@ -732,7 +750,7 @@ def test_structure_report_of_a_rank_one_witness_runs_no_elimination(monkeypatch)
             patch.setattr("matconj.automorphism.outer_product", counted_outer)
             calls.update(eliminate=0, products=0, factors=0, projectors=0)
             report = check_structure_identities(h, g, a_mat)
-        assert report.all_ok
+        assert report.first_failing is None
         assert calls["eliminate"] == 0, n
         assert calls["factors"] == 1, (n, calls)
         assert calls["projectors"] == 0, (n, calls)
