@@ -20,7 +20,6 @@ from matconj import (  # noqa: E402
     build_conjugator,
     certify,
     check_structure_identities,
-    prime_field,
     random_invertible,
     rationals,
     scalar_relation,

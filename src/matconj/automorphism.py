@@ -225,10 +225,6 @@ class AutomorphismOracle:
         as its ``kind`` names."""
         return self._backing
 
-    def _count_query(self) -> None:
-        with self._lock:
-            self._query_count += 1
-
     # -- evaluation --------------------------------------------------------
 
     def apply(self, x: Matrix) -> Matrix:
@@ -243,7 +239,8 @@ class AutomorphismOracle:
         if (x.rows, x.cols) != (self.n, self.n):
             raise DimensionMismatch(f"query must be {self.n}x{self.n}")
         result = self._backing.apply(x)
-        self._count_query()
+        with self._lock:
+            self._query_count += 1
         return result
 
     def query_generators(self) -> tuple[Matrix, Matrix]:

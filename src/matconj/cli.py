@@ -277,7 +277,7 @@ def report_to_json(report: RecoveryReport) -> dict:
         "failing_pair": list(report.failing_pair) if report.failing_pair else None,
         "verified_pairs": report.verified_pairs,
         "detail": report.detail,
-        "rng": report.rng_algorithm,
+        "rng": RNG_ALGORITHM if report.seed is not None else None,
     }
 
 

@@ -133,11 +133,6 @@ class FieldSpec:
             return pow(value, -1, self.modulus)
         return 1 / value
 
-    def negate_value(self, value: RawValue) -> RawValue:
-        if self.is_prime_field:
-            return -value % self.modulus
-        return -value
-
     def parse(self, text: str) -> "FieldElement":
         """The textual scalar encoding as an element; see :meth:`parse_value`."""
         return FieldElement(self, self.parse_value(text))

@@ -226,8 +226,7 @@ def _recovery_trial(
         oracle = AutomorphismOracle.from_generator_pair(h, g)
 
     h_img, g_img = oracle.query_generators()
-    queries = oracle.query_count
-    facts = dict(seed=trial_seed, query_count=queries, rng_algorithm=RNG_ALGORITHM)
+    facts = dict(seed=trial_seed, query_count=oracle.query_count)
     try:
         witness = build_conjugator(h_img, g_img)
     except (EmptyKernel, SingularConjugator) as exc:

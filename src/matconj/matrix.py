@@ -18,6 +18,12 @@ a multiplier), where the pivot row is scaled, and once per entry as the rref
 leaves the pass.  So an entry that k updates have touched stays within
 2 bit_length(p) + bit_length(k) + 1 bits.
 
+Every 0/1 matrix (zero, identity, matrix unit, shift, the I of inverse's
+[A | I]) comes from one builder, ``_units``; it and ``Matrix.__init__``
+hold the only size checks.  Only the measured kernels fork on the field:
+the product, the elimination, ``_like``, :func:`outer_product`, the
+integer forms and :func:`krylov_sequence`.
+
 A column vector is an n x 1 Matrix (the ColumnVector subclass).  One product
 loop over plain ints serves both fields and every shape, mat-vec included;
 over Q it first scales the factors' rows and columns to integers.  Only
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -88,31 +94,18 @@ class Matrix:
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        if not rows or not rows[0]:
-            raise DimensionMismatch("matrix needs positive dimensions")
-        width = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(row)
-        return Matrix(spec, len(rows), width, flat)
+        width = len(rows[0]) if rows else 0
+        if width and any(len(row) != width for row in rows):
+            raise DimensionMismatch("ragged rows")
+        return Matrix(spec, len(rows), width, [x for row in rows for x in row])
 
     @staticmethod
     def zero(spec: FieldSpec, rows: int, cols: int) -> "Matrix":
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch("matrix needs positive dimensions")
-        return Matrix._raw_new(spec, rows, cols, (spec.zero_value,) * (rows * cols))
+        return _units(spec, rows, cols, ())
 
     @staticmethod
     def identity(spec: FieldSpec, n: int) -> "Matrix":
-        if n < 1:
-            raise DimensionMismatch("matrix needs positive dimensions")
-        zero, one = spec.zero_value, spec.one_value
-        data = [zero] * (n * n)
-        for i in range(n):
-            data[i * n + i] = one
-        return Matrix._raw_new(spec, n, n, tuple(data))
+        return _units(spec, n, n, ((i, i) for i in range(1, n + 1)))
 
     @staticmethod
     def from_columns(columns: Sequence["Matrix"]) -> "Matrix":
@@ -390,7 +383,6 @@ class Matrix:
         pivot_set = set(res.pivots)
         rdata = res.matrix._data
         zero, one = self.spec.zero_value, self.spec.one_value
-        neg = self.spec.negate_value
         basis = []
         for free in range(1, cols + 1):
             if free in pivot_set:
@@ -400,7 +392,7 @@ class Matrix:
             for r_idx, pc in enumerate(res.pivots):
                 val = rdata[r_idx * cols + (free - 1)]
                 if val:
-                    v[pc - 1] = neg(val)
+                    v[pc - 1] = self.spec.coerce(-val)
             vec = ColumnVector._raw_new(self.spec, cols, 1, tuple(v))
             lead_val = next(x for x in v if x)
             if lead_val != one:
@@ -413,14 +405,9 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse needs a square matrix")
         n = self.rows
-        zero, one = self.spec.zero_value, self.spec.one_value
-        aug = []
-        for i in range(n):
-            aug.extend(self._data[i * n : (i + 1) * n])
-            ident_row = [zero] * n
-            ident_row[i] = one
-            aug.extend(ident_row)
-        res = Matrix._raw_new(self.spec, n, 2 * n, tuple(aug)).rref()
+        a, eye = self._data, Matrix.identity(self.spec, n)._data
+        aug = tuple(x for r in range(0, n * n, n) for x in a[r : r + n] + eye[r : r + n])
+        res = Matrix._raw_new(self.spec, n, 2 * n, aug).rref()
         rank = sum(p <= n for p in res.pivots)  # [A | I] itself always has rank n
         if rank < n:
             raise SingularMatrix(f"matrix of rank {rank} is not invertible")
@@ -468,25 +455,28 @@ class ColumnVector(Matrix):
         super().__init__(spec, len(entries), 1, entries)
 
 
+def _units(spec: FieldSpec, rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> Matrix:
+    """The 0/1 matrix with a 1 at each 1-based (i, j) of ``ones``; with
+    ``Matrix.__init__``, the only place that refuses a size below 1."""
+    if rows < 1 or cols < 1:
+        raise DimensionMismatch("matrix needs positive dimensions")
+    data = [spec.zero_value] * (rows * cols)
+    one = spec.one_value
+    for i, j in ones:
+        data[(i - 1) * cols + j - 1] = one
+    return Matrix._raw_new(spec, rows, cols, tuple(data))
+
+
 def elementary_matrix(spec: FieldSpec, n: int, i: int, j: int) -> Matrix:
     """The n x n matrix unit with 1 in row i, column j (1-based), 0 elsewhere."""
-    if n < 1:
-        raise DimensionMismatch("matrix needs positive dimensions")
-    if not (1 <= i <= n and 1 <= j <= n):
+    if n >= 1 and not (1 <= i <= n and 1 <= j <= n):  # n < 1: _units' size error
         raise IndexOutOfRange(f"({i},{j}) outside 1..{n}")
-    data = [spec.zero_value] * (n * n)
-    data[(i - 1) * n + (j - 1)] = spec.one_value
-    return Matrix._raw_new(spec, n, n, tuple(data))
+    return _units(spec, n, n, [(i, j)])
 
 
 def shift_matrix(spec: FieldSpec, n: int) -> Matrix:
     """Superdiagonal of ones, zeros elsewhere; the 1x1 case is the zero matrix."""
-    if n < 1:
-        raise DimensionMismatch("matrix needs positive dimensions")
-    data = [spec.zero_value] * (n * n)
-    for i in range(n - 1):
-        data[i * n + i + 1] = spec.one_value
-    return Matrix._raw_new(spec, n, n, tuple(data))
+    return _units(spec, n, n, ((i, i + 1) for i in range(1, n)))
 
 
 def outer_product(col: Matrix, row: Matrix) -> Matrix:
@@ -527,19 +517,19 @@ def from_integer_form(spec: FieldSpec, c, y: Sequence[int]) -> ColumnVector:
     return ColumnVector._raw_new(spec, len(y), 1, data)
 
 
-def krylov_sequence(g: Matrix, u: ColumnVector, count: int) -> tuple[list, list]:
-    """u, G u, ..., G^(count-1) u as G^k u = c_k y_k in :func:`integer_form`.
+def krylov_sequence(g: Matrix, u: ColumnVector) -> tuple[list, list]:
+    """G^k u = c_k y_k in :func:`integer_form`, for k < n, n the size of G.
 
     G is put in integer form once.  A step is one integer mat-vec, then over
     GF(p) one ``% p`` per entry, over Q one gcd over the n entries and one
-    update of c_k: no Fraction is built per entry.  O(count n^2).
+    update of c_k: no Fraction is built per entry.  n - 1 steps, O(n^3).
     """
     n, p = g.rows, g.spec.modulus
     cg, entries = integer_form(g.spec, g._data)
     rows = [entries[i : i + n] for i in range(0, n * n, n)]
     c, y = integer_form(g.spec, u._data)
     cs, ys = [c], [y]
-    for _ in range(count - 1):
+    for _ in range(n - 1):
         if p:
             y = [sum(map(mul, row, y)) % p for row in rows]
         else:

@@ -70,7 +70,7 @@ from .errors import (
     SingularMatrix,
 )
 from .field import FieldElement, FieldSpec
-from .matrix import ColumnVector, Matrix, elementary_matrix, shift_matrix
+from .matrix import ColumnVector, Matrix, elementary_matrix, outer_product, shift_matrix
 from .matrix import from_integer_form, integer_form, krylov_sequence
 
 
@@ -127,7 +127,7 @@ class RecoveryReport:
     conjugation sweep; a generator pair has no pair images to compare, and
     names its failing identity in ``detail`` instead.  A fuzz trial's report
     is :func:`certify`'s with the seed, the two-query count, the structure
-    ``checks``, the RNG and the scalar filled in.
+    ``checks`` and the scalar filled in; a seed marks a fuzz trial.
     """
 
     outcome: Outcome
@@ -140,7 +140,6 @@ class RecoveryReport:
     failing_pair: tuple[int, int] | None = None
     verified_pairs: int | None = None
     detail: str | None = None
-    rng_algorithm: str | None = None
 
 
 _INJECTIVE = "identity minus projector is injective"
@@ -150,31 +149,20 @@ def _rank_one_factors(h: Matrix) -> tuple[ColumnVector, ColumnVector]:
     """(u, v) with H = u v^T; EmptyKernel when H is zero or of rank >= 2.
 
     u is the column and v^T the row of H's first nonzero entry h_ij in
-    row-major order, v scaled by 1/h_ij.  Each later row r of H must then be
-    u_r v^T; the rows above row i are zero, and row i is u_i v^T by
-    construction.  Over Q a nonzero row is a multiple of v^T iff the two
-    primitive integer forms agree up to sign: no Fraction per entry.  A zero
-    H makes P = 0, so its refusal says that I - P is injective.
+    row-major order, v scaled by 1/h_ij, so u v^T agrees with H in row i
+    and column j.  H has rank 1 iff u v^T = H: one comparison with
+    :func:`~matconj.matrix.outer_product`, the same over Q and GF(p), O(n^2).
+    A zero H makes P = 0, so its refusal says that I - P is injective.
     """
-    data, n, spec = h._data, h.cols, h.spec
+    data = h._data
     k = next((k for k, x in enumerate(data) if x), None)
     if k is None:
         raise EmptyKernel(_INJECTIVE)
-    i, j = divmod(k, n)
+    i, j = divmod(k, h.cols)
     u = h.column(j + 1)
-    v = h.row_vector(i + 1).scale(spec.invert_value(data[k]))
-    p, y = spec.modulus, integer_form(spec, v._data)[1]
-    signs = (y, [-t for t in y])
-    for r in range(i + 1, h.rows):
-        x, row = u._data[r], data[r * n : (r + 1) * n]
-        if not x:
-            rank_one = not any(row)
-        elif p:
-            rank_one = row == tuple(x * t % p for t in v._data)
-        else:
-            rank_one = integer_form(spec, row)[1] in signs
-        if not rank_one:
-            raise EmptyKernel("corner image is not of rank 1")
+    v = h.row_vector(i + 1).scale(h.spec.invert_value(data[k]))
+    if outer_product(u, v) != h:
+        raise EmptyKernel("corner image is not of rank 1")
     return u, v
 
 
@@ -188,7 +176,7 @@ def _krylov(h: Matrix, g: Matrix) -> tuple[list, list, list]:
     w = G^{n-1} u.
     """
     u, v = _rank_one_factors(h)
-    cs, ys = krylov_sequence(g, u, h.rows)
+    cs, ys = krylov_sequence(g, u)
     cv, yv = integer_form(h.spec, v._data)
     r = [h.spec.coerce(c * cv * sum(map(mul, yv, y))) for c, y in zip(cs, ys)]
     return r, cs, ys

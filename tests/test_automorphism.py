@@ -23,7 +23,6 @@ from matconj import (
     FieldMismatch,
     MatconjError,
     Matrix,
-    Outcome,
     SingularConjugator,
     SingularMatrix,
     UnsupportedQuery,

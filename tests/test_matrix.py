@@ -67,6 +67,31 @@ def test_unit_bounds():
         elementary_matrix(QQ, 3, 1, 4)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: Matrix.zero(spec, 0, 2),
+        lambda spec: Matrix.zero(spec, 2, 0),
+        lambda spec: Matrix.identity(spec, 0),
+        # the size is refused before (5, 5) is read as an index
+        lambda spec: elementary_matrix(spec, 0, 5, 5),
+        lambda spec: shift_matrix(spec, 0),
+        lambda spec: Matrix.from_rows(spec, []),
+        lambda spec: Matrix.from_rows(spec, [[]]),
+        lambda spec: Matrix(spec, 0, 1, []),
+    ],
+    ids=[
+        "zero_0x2", "zero_2x0", "identity_0", "elementary_0", "shift_0",
+        "from_rows_empty", "from_rows_empty_row", "constructor_0x1",
+    ],
+)
+@pytest.mark.parametrize("spec", [QQ, GF5], ids=str)
+def test_every_builder_refuses_a_size_below_one(build, spec):
+    with pytest.raises(DimensionMismatch) as refused:
+        build(spec)
+    assert str(refused.value) == "matrix needs positive dimensions"
+
+
 def test_shift_n3():
     assert shift_matrix(QQ, 3) == Matrix.from_rows(
         QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
@@ -612,7 +637,7 @@ def test_krylov_sequence_matches_matrix_chain(spec):
     seen = set()
     for n in range(1, 9):
         for name, g, u in _krylov_inputs(spec, n, rng):
-            cs, ys = krylov_sequence(g, u, n)
+            cs, ys = krylov_sequence(g, u)
             expected = matrix_krylov_chain(g, u, n)
             assert len(cs) == len(ys) == n, (name, n)
             for k, (c, y, vec) in enumerate(zip(cs, ys, expected)):

@@ -167,9 +167,10 @@ def test_projector_matches_chain_reference(spec, monkeypatch):
         products.append(isinstance(right, ColumnVector))
         return matmul(left, right)
 
-    def counted_sequence(g, u, count):
-        sequences.append(count)
-        return sequence(g, u, count)
+    def counted_sequence(g, u):
+        cs, ys = sequence(g, u)
+        sequences.append(len(cs))
+        return cs, ys
 
     monkeypatch.setattr(sn, "_rank_one_factors", spied_factors)
     monkeypatch.setattr(sn, "krylov_sequence", counted_sequence)
@@ -524,9 +525,10 @@ def test_rank_one_build_runs_one_elimination_and_n_matvecs(monkeypatch):
         calls["factors"] += 1
         return rank_one_factors(m)
 
-    def counted_sequence(g, u, count):
-        calls["krylov_vectors"] += count
-        return sequence(g, u, count)
+    def counted_sequence(g, u):
+        cs, ys = sequence(g, u)
+        calls["krylov_vectors"] += len(cs)
+        return cs, ys
 
     for spec, n in itertools.product((QQ, prime_field(2**61 - 1)), (8, 16)):
         b = random_invertible(spec, n, rng, 4)
@@ -807,6 +809,71 @@ def test_not_rank_one_corner_is_refused(spec, monkeypatch):
                 assert not calls, (name, n, calls)
                 seen.add(name)
     assert seen == set(texts)
+
+
+def _sparse_vector(spec, n, rng):
+    """A random vector with a 0 and a nonzero entry at random places, each
+    other entry 0 or not by a coin; over Q the forced nonzero is negative."""
+    zero_at, nonzero_at = rng.sample(range(n), 2)
+    entries = [spec.element(0)] * n
+    for i in range(n):
+        if i == nonzero_at or (i != zero_at and rng.random() < 0.5):
+            entries[i] = _nonzero_scalar(spec, rng)
+    if not spec.is_prime_field:
+        entries[nonzero_at] = -spec.element(abs(entries[nonzero_at].value))
+    return ColumnVector(spec, entries)
+
+
+def _cells(n):
+    return itertools.product(range(1, n + 1), repeat=2)
+
+
+def _sparse_rank_one(spec, n, rng):
+    """H = u v^T with 0s in u and in v, over Q with a negative entry, and a
+    random G with which it builds, and the built A."""
+    for _ in range(500):
+        u, v = _sparse_vector(spec, n, rng), _sparse_vector(spec, n, rng)
+        g = random_dense(spec, n, n, rng)
+        t = _dot(v, g.power(n - 1) @ u)
+        if t.is_zero():
+            continue
+        h = outer_product(u.scale(t.inv()), v)
+        if not spec.is_prime_field and min(h.entry(i, j).value for i, j in _cells(n)) >= 0:
+            continue
+        try:
+            return h, g, build_conjugator(h, g).conjugator
+        except SingularConjugator:
+            continue
+    raise AssertionError("no sparse rank-1 pair built")
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_near_rank_one_corner_is_refused(spec):
+    # a rank-1 H with zero entries builds; one unit added at any entry from
+    # its first nonzero row on is refused whenever the sum has rank >= 2, so
+    # the rank-1 test reads every entry of H, not the rows up to a first
+    # mismatch.  A sum that keeps rank 1 still factors as u v^T
+    rng = random.Random(127)
+    refused = 0
+    for n in range(2, 9):
+        h, g, a_mat = _sparse_rank_one(spec, n, rng)
+        first = next(i for i in range(1, n + 1) if not h.row_vector(i).is_zero())
+        for i, j in _cells(n):
+            if i < first:
+                continue
+            bumped = h + elementary_matrix(spec, n, i, j)
+            rank = bumped.rank()
+            if rank == 1:
+                assert outer_product(*sn._rank_one_factors(bumped)) == bumped, (n, i, j)
+            if rank < 2:
+                continue
+            with pytest.raises(EmptyKernel) as built:
+                build_conjugator(bumped, g)
+            with pytest.raises(EmptyKernel) as checked:
+                check_structure_identities(bumped, g, a_mat)
+            assert str(built.value) == str(checked.value) == _NOT_RANK_ONE, (n, i, j)
+            refused += 1
+    assert refused > 0
 
 
 # -- verify_conjugation ------------------------------------------------------

@@ -178,6 +178,36 @@ def test_every_src_definition_is_reached():
     assert _unreached(trees, traced) == KEPT_API
 
 
+def _unused_imports(tree) -> set:
+    """The names ``tree`` imports and never reads: a name counts as used if
+    it is read as a bare name or listed as a string in ``__all__``.
+    ``__future__`` imports set compiler flags and are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return imported - used
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    # perfbench/ is the benchmark's own code and is checked with it
+    unused = {}
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if names:
+                unused[str(path.relative_to(ROOT))] = sorted(names)
+    assert unused == {}
+
+
 def test_ci_tier1_step_runs_the_roadmap_tier1_command():
     # the workflow's tier-1 step runs exactly the ROADMAP's "Tier-1 verify"
     # command; a plain text match, so no YAML parser is needed
